@@ -13,16 +13,15 @@ from .params import (ConfigurationError, GridSpec, PhysicalParams,
                      dipole_prefactor, prefactor_over_gamma, validate)
 from .solver import (ComplexField2D, NumericsError, StepPlan,
                      diffraction_step, medium_step, propagate)
-from .susceptibility import (ChiTable, DegenerateParameterError, FieldPoint,
-                             VelocityQuadrature, build_chi_table,
-                             build_resolved_quadrature,
+from .susceptibility import (ChiTable, FieldPoint, VelocityQuadrature,
+                             build_chi_table, build_resolved_quadrature,
                              build_velocity_quadrature, chi_doppler_averaged,
                              chi_stationary, steady_state_oracle)
 
 __all__ = [
     "ChiTable", "ComplexField2D", "ConfigurationError", "ControlBeamSpec",
-    "DegenerateParameterError", "FieldPoint", "GridSpec", "NumericsError",
-    "PhysicalParams", "ProbeSpec", "RunDiagnostics", "SimulationConfig",
+    "FieldPoint", "GridSpec", "NumericsError", "PhysicalParams", "ProbeSpec",
+    "RunDiagnostics", "SimulationConfig",
     "StepPlan", "VelocityQuadrature", "beam_width", "build_chi_table",
     "build_resolved_quadrature", "build_velocity_quadrature",
     "chi_doppler_averaged", "chi_stationary", "control_field",

@@ -106,7 +106,7 @@ def peak_positions(field: ComplexField2D, axis_y: float = 0.0,
 
 
 def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
-                   probe_level: float, quad: VelocityQuadrature,
+                   probe_level: float, quad: VelocityQuadrature | None,
                    n_radii: int = 400) -> float:
     """Peak-to-trough refractive index difference 2 pi (max - min) Re<chi>.
 
@@ -124,7 +124,7 @@ def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
 
 def radial_chi_profile(params: PhysicalParams, control: ControlBeamSpec,
                        z: float, probe_level: float,
-                       quad: VelocityQuadrature,
+                       quad: VelocityQuadrature | None,
                        r: np.ndarray) -> np.ndarray:
     """Averaged susceptibility along a radial cut at fixed z."""
     wz = control.width_at(z)

@@ -47,7 +47,10 @@ def _worker_count() -> int:
 
 
 def _quadrature(cfg):
+    """Velocity rule for the thermal average; None is the exact average."""
     kind = cfg.run["velocity_quadrature"]
+    if kind == "exact":
+        return None
     if kind == "gauss_hermite":
         return build_velocity_quadrature(cfg.params.doppler_width,
                                          cfg.run["velocity_nodes"])
@@ -55,8 +58,8 @@ def _quadrature(cfg):
         return build_resolved_quadrature(cfg.params.doppler_width,
                                          cfg.params.delta_p)
     raise ConfigurationError(
-        [f"[run] velocity_quadrature must be 'resolved' or 'gauss_hermite', "
-         f"got {kind!r}"])
+        [f"[run] velocity_quadrature must be 'exact', 'resolved' or "
+         f"'gauss_hermite', got {kind!r}"])
 
 
 def _start_manifest(cfg, seed: int) -> RunManifest:

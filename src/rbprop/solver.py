@@ -140,7 +140,7 @@ def _medium_subflow(values: np.ndarray, chi_of, distance: float,
 
 def propagate(probe: ComplexField2D, control: ControlBeamSpec,
               params: PhysicalParams, grid: GridSpec, plan: StepPlan,
-              quad: VelocityQuadrature,
+              quad: VelocityQuadrature | None,
               snapshot_every: int = 100,
               use_table: bool = True,
               table_target_error: float = 1.0e-4,

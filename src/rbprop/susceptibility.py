@@ -5,16 +5,28 @@ formula).  An independent oracle obtains the same quantity by propagating the
 density-matrix equations of motion to their fixed point with an exact
 matrix-exponential stepper, which is used to cross-validate the closed form.
 
-The thermal average over the Maxwellian distribution of Doppler shifts is a
-weighted sum over velocity nodes.  Two quadrature builders are provided:
+Both one-photon detunings shift by the same kv in a moving atom, so for one
+velocity class the susceptibility ratio is (n0 + n1 kv) / (d0 + d1 kv + d2 kv^2):
+a numerator linear in kv over a real quadratic with no real root.
+``_ratio_coefficients`` is the one formula for these five coefficients; the
+stationary ratio is n0 / d0.
 
-* ``build_velocity_quadrature`` -- Gauss-Hermite nodes mapped by kv = sqrt(2) D t.
-  Accurate whenever the integrand is smooth on the scale of the node spacing.
-* ``build_resolved_quadrature`` -- panelised Gauss-Legendre rule with panels
-  clustered around kv = +-|delta_p|.  Atoms Doppler-shifted into one-photon
-  resonance form a narrow feature there (a few gamma wide) that Gauss-Hermite
-  cannot resolve at any practical node count; the panel rule integrates it to
-  near machine accuracy and is the default used by the solver.
+The thermal average over the Maxwellian distribution of Doppler shifts (width
+D) is by default exact: the quadratic's two complex-conjugate poles turn it
+into the plasma dispersion function Z (Fried & Conte 1961), evaluated through
+the Faddeeva function ``scipy.special.wofz`` (Weideman 1994).  This is
+``[run] velocity_quadrature = exact``.  Two node rules remain as explicit
+cross-check modes, summing the same single-velocity ratio over their nodes:
+
+* ``build_resolved_quadrature`` (``resolved``) -- panelised Gauss-Legendre
+  rule with panels clustered around kv = +-|delta_p|, where atoms
+  Doppler-shifted into one-photon resonance form a feature a few gamma wide.
+  It was the solver's average before the closed form and is 2.2e-3 off in
+  the dark vortex core (|g|^2 = 0.40, |G|^2 = 8.8e-7, delta_R = -0.015),
+  where the light-shifted Raman resonance of atoms near kv = -196 falls
+  inside one of its wide panels.
+* ``build_velocity_quadrature`` (``gauss_hermite``) -- Gauss-Hermite nodes
+  kv = sqrt(2) D t; accurate only when the resonant class carries no weight.
 """
 
 from __future__ import annotations
@@ -25,15 +37,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import roots_hermite
+from scipy.special import roots_hermite, wofz
 
 from .params import PhysicalParams, prefactor_over_gamma
 
-DENOMINATOR_FLOOR = 1.0e-30
-
-
-class DegenerateParameterError(ValueError):
-    """The susceptibility denominator vanished (all drives off, no dephasing)."""
+# points per evaluation block of the velocity average (bounds peak memory)
+AVERAGE_BLOCK = 65_536
 
 
 class OracleConvergenceError(RuntimeError):
@@ -51,55 +60,69 @@ class FieldPoint(NamedTuple):
     G_abs2: float
 
 
+def _ratio_coefficients(g2, G2, delta_p, delta_c, big_gamma):
+    """Coefficients (n0, n1, d0, d1, d2) of the single-velocity ratio.
+
+    The ratio for atoms with Doppler shift kv is
+    (n0 + n1 kv) / (d0 + d1 kv + d2 kv^2); n0 and n1 are complex, the d's
+    real.  Inputs broadcast.  All five are divided by c = |g|^2 + |G|^2,
+    which leaves the ratio unchanged and keeps the coefficients of order one
+    however weak the fields, so products of them cannot underflow.
+
+    The denominator is positive for every real kv once |G|^2 > 0: with
+    B = Gamma^2 + delta_R^2 >= delta_R^2, its |G|^2 group holds
+    (delta_R dp - |G|^2)^2 and its |g|^2 group (|g|^2 + delta_R dc)^2, and
+    every other term is non-negative.  d2 = B + 4 Gamma |g|^2 |G|^2 / c
+    vanishes only in the dark state Gamma = delta_R = 0, where n0 = n1 = 0.
+
+    The |G|^4 cross term of the kv = 0 denominator is (Gamma - delta_R dp);
+    this is required for consistency with the equations of motion (verified
+    against the exact steady state to ~1e-12 over the full parameter range)
+    and mirrors the (Gamma + delta_R dc) term of the |g|^4 group under
+    probe/control exchange.
+    """
+    g2 = np.asarray(g2, dtype=float)
+    G2 = np.asarray(G2, dtype=float)
+    bg = big_gamma
+    c = g2 + G2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u = np.where(c > 0.0, g2 / c, 0.0)
+        U = np.where(c > 0.0, G2 / c, 0.0)
+    dR = delta_p - delta_c
+    B = bg * bg + dR * dR
+    K = 3.0 * (1.0 + 2.0 * bg)
+    S = delta_p + delta_c
+    a = 1j * bg - dR
+
+    n0 = U * (a * G2 + a * (1.0 - 1j * delta_p) * (bg - 1j * dR)
+              + g2 * (a + bg * S))
+    n1 = U * (1j * a * (bg - 1j * dR) - 2.0 * bg * g2)
+    d0 = (u * g2 * (g2 + K * G2 + 2.0 * (bg + dR * delta_c))
+          + U * (B * (1.0 + delta_p * delta_p)
+                 + 2.0 * G2 * (bg - dR * delta_p) + G2 * G2)
+          + u * (K * G2 * G2 + (1.0 + delta_c * delta_c) * B
+                 + (4.0 * bg + 6.0 * bg * bg + 4.0 * dR * dR + bg * S * S)
+                 * G2))
+    d1 = -2.0 * (u * g2 * dR + U * (B * delta_p - G2 * dR) + u * B * delta_c
+                 + 2.0 * u * bg * S * G2)
+    d2 = B + 4.0 * bg * u * G2
+    return n0, n1, d0, d1, d2
+
+
 def chi_ratio(g_abs2, G_abs2, delta_p, delta_c, big_gamma):
     """Susceptibility ratio (numerator over denominator) in gamma units.
 
     This is the steady-state coherence rho_12 divided by the probe Rabi
     amplitude g; multiplying by the dimensionless dipole prefactor gives chi.
-    Accepts scalars or broadcastable arrays.  Entries with G_abs2 == 0 return
+    It is n0 / d0 of ``_ratio_coefficients`` (the atom at rest).  Accepts
+    scalars or broadcastable arrays.  Entries with G_abs2 == 0 return
     exactly 0 (the numerator carries an overall |G|^2 factor and the medium is
     pumped fully into the control-arm ground state).
-
-    The |G|^4 cross term in the denominator is (Gamma - delta_R * delta_p);
-    this is required for consistency with the equations of motion (verified
-    against the exact steady state to ~1e-12 over the full parameter range)
-    and mirrors the (Gamma + delta_R * delta_c) term of the |g|^4 group under
-    probe/control exchange.
     """
-    g2 = np.asarray(g_abs2, dtype=float)
-    G2 = np.asarray(G_abs2, dtype=float)
-    dR = delta_p - delta_c
-
-    num = G2 * (
-        (1j * big_gamma - dR) * (G2 + (1.0 - 1j * delta_p) * (big_gamma - 1j * dR))
-        + g2 * ((1j * big_gamma - dR) + big_gamma * (delta_c + delta_p))
-    )
-    den = (
-        g2**3
-        + g2**2 * (3.0 * G2 * (1.0 + 2.0 * big_gamma)
-                   + 2.0 * (big_gamma + dR * delta_c))
-        + G2 * ((big_gamma**2 + dR**2) * (1.0 + delta_p**2)
-                + 2.0 * G2 * (big_gamma - dR * delta_p)
-                + G2**2)
-        + g2 * (3.0 * G2**2 * (1.0 + 2.0 * big_gamma)
-                + (1.0 + delta_c**2) * (big_gamma**2 + dR**2)
-                + (4.0 * big_gamma + 6.0 * big_gamma**2 + 4.0 * dR**2
-                   + big_gamma * (delta_c + delta_p)**2) * G2)
-    )
-
-    zero_control = G2 == 0.0
-    bad = (~zero_control) & (np.abs(den) < DENOMINATOR_FLOOR)
-    if np.any(bad):
-        g_bad = float(np.broadcast_to(g2, bad.shape)[bad].flat[0]) if bad.shape else float(g2)
-        G_bad = float(np.broadcast_to(G2, bad.shape)[bad].flat[0]) if bad.shape else float(G2)
-        raise DegenerateParameterError(
-            f"susceptibility denominator below {DENOMINATOR_FLOOR:g} at "
-            f"g_abs2={g_bad:g}, G_abs2={G_bad:g} "
-            f"(delta_p={np.min(delta_p):g}..{np.max(delta_p):g}, "
-            f"big_gamma={big_gamma:g})")
-    safe_den = np.where(zero_control, 1.0, den)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = np.where(zero_control, 0.0 + 0.0j, num / safe_den)
+    n0, _, d0, _, _ = _ratio_coefficients(g_abs2, G_abs2, delta_p, delta_c,
+                                          big_gamma)
+    with np.errstate(invalid="ignore"):
+        out = np.where(np.asarray(G_abs2) == 0.0, 0.0 + 0.0j, n0 / d0)
     if out.shape == ():
         return complex(out)
     return out
@@ -301,91 +324,68 @@ def build_resolved_quadrature(doppler_width: float, probe_detuning: float,
     return VelocityQuadrature(nodes=nodes, weights=weights)
 
 
-def _averaged_ratio_on_arrays(g2: np.ndarray, G2: np.ndarray,
-                              delta_p: float, delta_c: float,
-                              big_gamma: float,
-                              quad: VelocityQuadrature) -> np.ndarray:
-    """Velocity-averaged ratio on broadcast arrays, node by node.
+def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
+    """Exact Maxwellian average of (n0 + n1 kv) / (d0 + d1 kv + d2 kv^2).
 
-    The detunings are scalar within each node, so chi reduces to fixed
-    field-power arrays combined with per-node scalar coefficients; the
-    denominator coefficients are all real.  Power arrays are hoisted out of
-    the node loop.  Points where every drive vanishes are returned as 0.
+    With r = x + i y (y > 0) the root of the quadratic in the upper half
+    plane, partial fractions give the residue sum A Z(r) + B conj(Z(r)), where
+    Z(r) = <1 / (kv - r)> = (i sqrt(pi) / s) w(r / s), s = sqrt(2) D and w is
+    the Faddeeva function.  Writing the numerator as
+    (n0 + n1 x) + n1 (kv - x) turns that sum into
+    [(n0 + n1 x) Im Z / y + n1 Re Z] / d2, which has no 1/y cancellation
+    between the two residues.  D = 0 and the dark state (d2 = 0) reduce to
+    n0 / d0.
     """
-    bg = big_gamma
-    g2, G2 = np.broadcast_arrays(np.asarray(g2, float), np.asarray(G2, float))
-    g2sq = g2 * g2
-    G2sq = G2 * G2
-    g2cu = g2sq * g2
-    G2cu = G2sq * G2
-    g2G2 = g2 * G2
-    g2sqG2 = g2sq * G2
-    g2G2sq = g2 * G2sq
-    dead = (g2 == 0.0) & (G2 == 0.0)
+    n0, n1, d0, d1, d2 = coeffs
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if doppler_width == 0.0:
+            return n0 / d0
+        s = np.sqrt(2.0) * doppler_width
+        x = -0.5 * d1 / d2
+        y = np.sqrt(d0 / d2 - x * x)
+        w = wofz((x + 1j * y) / s)
+        avg = ((n0 + n1 * x) * (w.real / y) - n1 * w.imag) \
+            * (np.sqrt(np.pi) / s) / d2
+        return np.where(d2 == 0.0, n0 / d0, avg)
 
-    acc = np.zeros(g2.shape, dtype=complex)
-    for kv, w in zip(quad.nodes, quad.weights):
-        dp = delta_p - kv
-        dc = delta_c - kv
-        dR = dp - dc
-        a = 1j * bg - dR
-        num = (a * G2sq
-               + (a * (1.0 - 1j * dp) * (bg - 1j * dR)) * G2
-               + (a + bg * (dc + dp)) * g2G2)
-        den = (g2cu
-               + (3.0 * (1.0 + 2.0 * bg)) * g2sqG2
-               + (2.0 * (bg + dR * dc)) * g2sq
-               + ((bg * bg + dR * dR) * (1.0 + dp * dp)) * G2
-               + (2.0 * (bg - dR * dp)) * G2sq
-               + G2cu
-               + (3.0 * (1.0 + 2.0 * bg)) * g2G2sq
-               + ((1.0 + dc * dc) * (bg * bg + dR * dR)) * g2
-               + (4.0 * bg + 6.0 * bg * bg + 4.0 * dR * dR
-                  + bg * (dc + dp) ** 2) * g2G2)
-        bad = (np.abs(den) < DENOMINATOR_FLOOR) & ~dead & (G2 != 0.0)
-        if np.any(bad):
-            raise DegenerateParameterError(
-                f"susceptibility denominator below {DENOMINATOR_FLOOR:g} at "
-                f"kv={kv:.6g} (G_abs2={float(G2[bad].flat[0]):g})")
-        acc += w * (num / np.where(den == 0.0, 1.0, den))
-    acc[dead | (G2 == 0.0)] = 0.0
+
+def _node_average(coeffs, quad: VelocityQuadrature) -> np.ndarray:
+    """Weighted sum of the single-velocity ratio over a quadrature's nodes."""
+    n0, n1, d0, d1, d2 = coeffs
+    acc = np.zeros(np.shape(n0), dtype=complex)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for kv, w in zip(quad.nodes, quad.weights):
+            acc += w * (n0 + n1 * kv) / (d0 + kv * (d1 + d2 * kv))
     return acc
 
 
 def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
-                         quad: VelocityQuadrature,
-                         node_block: int = 64):
-    """Thermally averaged susceptibility sum_i w_i chi(delta_p - kv_i, delta_c - kv_i).
+                         quad: VelocityQuadrature | None = None):
+    """Thermally averaged susceptibility <chi(delta_p - kv, delta_c - kv)>_v.
 
     Both one-photon detunings shift by the same kv (equal wavenumbers,
     co-propagating beams), so the two-photon detuning is velocity independent.
-    Accepts array-valued field points and returns a matching complex array.
-    Large arrays take a hoisted-coefficient fast path; small ones broadcast
-    node blocks directly through chi_ratio.
+    ``quad=None`` takes the exact Faddeeva average; a ``VelocityQuadrature``
+    sums over its nodes instead (cross-check modes).  Accepts array-valued
+    field points and returns a matching complex array, evaluated in blocks
+    of AVERAGE_BLOCK points.  Points with |G|^2 = 0 return exactly 0.
     """
-    pref = prefactor_over_gamma(params)
-    dp = params.delta_p
-    dc = params.delta_c
-    g2 = np.asarray(point.g_abs2, dtype=float)
-    G2 = np.asarray(point.G_abs2, dtype=float)
-    shape = np.broadcast(g2, G2).shape
-    if int(np.prod(shape)) > 4096:
-        out = pref * _averaged_ratio_on_arrays(g2, G2, dp, dc,
-                                               params.big_gamma, quad)
-        return out
-    acc = np.zeros(shape, dtype=complex)
-    g2b = g2[..., None]
-    G2b = G2[..., None]
-    for start in range(0, quad.nodes.size, node_block):
-        kv = quad.nodes[start:start + node_block]
-        w = quad.weights[start:start + node_block]
-        try:
-            block = chi_ratio(g2b, G2b, dp - kv, dc - kv, params.big_gamma)
-        except DegenerateParameterError as exc:
-            raise DegenerateParameterError(
-                f"velocity nodes [{start}:{start + kv.size}]: {exc}") from exc
-        acc = acc + (block * w).sum(axis=-1)
-    out = pref * acc
+    g2, G2 = np.broadcast_arrays(np.asarray(point.g_abs2, dtype=float),
+                                 np.asarray(point.G_abs2, dtype=float))
+    shape = g2.shape
+    g2 = g2.ravel()
+    G2 = G2.ravel()
+    out = np.empty(g2.size, dtype=complex)
+    for start in range(0, g2.size, AVERAGE_BLOCK):
+        block = slice(start, start + AVERAGE_BLOCK)
+        coeffs = _ratio_coefficients(g2[block], G2[block], params.delta_p,
+                                     params.delta_c, params.big_gamma)
+        if quad is None:
+            out[block] = _maxwell_average(coeffs, params.doppler_width)
+        else:
+            out[block] = _node_average(coeffs, quad)
+    out[G2 == 0.0] = 0.0
+    out = prefactor_over_gamma(params) * out.reshape(shape)
     if shape == ():
         return complex(out)
     return out
@@ -398,8 +398,8 @@ class TableRefinementError(RuntimeError):
 class ChiTable:
     """Bilinear interpolation table for the averaged susceptibility.
 
-    chi depends only on (|G|^2, |g|^2) once the detunings and quadrature are
-    fixed, so a run evaluates it through a tensor-product table over
+    chi depends only on (|G|^2, |g|^2) once the detunings and velocity
+    average are fixed, so a run evaluates it through a tensor-product table over
     log-spaced samples of the two squared amplitudes.  The stored quantity is
     chi / |G|^2, which tends to a constant as |G|^2 -> 0; multiplying the
     interpolated value by |G|^2 makes the table exact in the weak-control
@@ -408,7 +408,7 @@ class ChiTable:
     """
 
     def __init__(self, G_abs2_nodes: np.ndarray, g_abs2_nodes: np.ndarray,
-                 params: PhysicalParams, quad: VelocityQuadrature,
+                 params: PhysicalParams, quad: VelocityQuadrature | None,
                  zero: bool = False):
         self.params = params
         self.quad = quad
@@ -466,7 +466,7 @@ class ChiTable:
         return out
 
     def direct(self, G_abs2, g_abs2):
-        """Un-tabulated evaluation with the table's own quadrature."""
+        """Un-tabulated evaluation with the table's own velocity average."""
         return chi_doppler_averaged(FieldPoint(g_abs2, G_abs2),
                                     self.params, self.quad)
 
@@ -500,7 +500,9 @@ class ChiTable:
 _TABLE_CACHE: dict = {}
 
 
-def _quad_digest(quad: VelocityQuadrature) -> bytes:
+def _quad_digest(quad: VelocityQuadrature | None) -> bytes:
+    if quad is None:
+        return b"exact"
     h = hashlib.sha1()
     h.update(np.ascontiguousarray(quad.nodes).tobytes())
     h.update(np.ascontiguousarray(quad.weights).tobytes())
@@ -508,7 +510,7 @@ def _quad_digest(quad: VelocityQuadrature) -> bytes:
 
 
 def build_chi_table(G_abs2_max: float, g_abs2_max: float,
-                    params: PhysicalParams, quad: VelocityQuadrature,
+                    params: PhysicalParams, quad: VelocityQuadrature | None,
                     target_error: float = 1.0e-4,
                     initial_nodes: int = 64,
                     floor_ratio: float = 1.0e-4,

@@ -23,7 +23,6 @@ from rbprop.cli import main
 from rbprop.params import GridSpec, PhysicalParams, prefactor_over_gamma
 from rbprop.solver import ComplexField2D, StepPlan, diffraction_step, propagate
 from rbprop.susceptibility import (FieldPoint, build_chi_table,
-                                   build_resolved_quadrature,
                                    chi_doppler_averaged, chi_stationary,
                                    steady_state_oracle)
 
@@ -42,7 +41,8 @@ def report(criterion: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="session")
 def quad():
-    return build_resolved_quadrature(PARAMS.doppler_width, PARAMS.delta_p)
+    """The shipped velocity average: exact (no quadrature rule)."""
+    return None
 
 
 @pytest.fixture(scope="session")

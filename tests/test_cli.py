@@ -172,3 +172,22 @@ def test_free_space_widths_follow_gaussian_diffraction_law(tiny_config, tmp_path
         z = float(row["z_cm"])
         expect = wp * np.sqrt(1.0 + (z / zr) ** 2)
         assert float(row["width_cm"]) == pytest.approx(expect, rel=5e-3)
+
+
+def test_direct_chi_matches_table_on_guided_grid(tmp_path):
+    # the 256^2 guided preset cut to two steps; the Gaussian tails of the
+    # control reach |G|^2 ~ 1e-172, where direct evaluation must still work
+    cfg = tmp_path / "guided2.ini"
+    cfg.write_text((PRESETS / "guided_gaussian.ini").read_text()
+                   .replace("cell_length_cm = 5.0", "cell_length_cm = 0.01"))
+    finals = []
+    for tag, extra in (("table", []), ("direct", ["--direct-chi"])):
+        out_dir = tmp_path / tag
+        assert main(["propagate", "--config", str(cfg),
+                     "--out", str(out_dir)] + extra) == 0
+        fields = [read_field(p) for p in out_dir.glob("*.rbpf")]
+        finals.append(max(fields, key=lambda f: f.z))
+    table, direct = finals
+    assert direct.z == pytest.approx(0.01)
+    diff = np.linalg.norm(direct.values - table.values)
+    assert diff / np.linalg.norm(direct.values) < 1e-4

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbprop.params import PhysicalParams, prefactor_over_gamma
 from rbprop.susceptibility import (FieldPoint, OracleConvergenceError,
@@ -156,8 +160,90 @@ class TestVelocityQuadrature:
     def test_averaging_preserves_dark_state_zero(self):
         params = PhysicalParams(big_gamma=0.0, delta_R=0.0)
         q = build_resolved_quadrature(params.doppler_width, params.delta_p)
-        chi = chi_doppler_averaged(FieldPoint(0.04, 0.5), params, q)
-        assert abs(chi) < 1e-14
+        for rule in (None, q):
+            chi = chi_doppler_averaged(FieldPoint(0.04, 0.5), params, rule)
+            assert abs(chi) < 1e-14
+
+
+def trapezoid_average(g2, G2, params, n=2 ** 18):
+    """Dense trapezoid of the stationary ratio over +-9 Doppler widths.
+
+    Independent of the closed-form average: kv enters only through the
+    shifted detunings of chi_ratio, whose n0/d0 the oracle tests pin down.
+    """
+    D = params.doppler_width
+    kv = np.linspace(-9.0 * D, 9.0 * D, n + 1)
+    pdf = np.exp(-kv**2 / (2.0 * D * D))
+    vals = chi_ratio(g2, G2, params.delta_p - kv, params.delta_c - kv,
+                     params.big_gamma)
+    return (prefactor_over_gamma(params)
+            * np.trapezoid(vals * pdf, kv) / np.trapezoid(pdf, kv))
+
+
+# the oracle sweep's ranges, plus the shipped and alternative Doppler widths
+medium = st.builds(
+    lambda bg, dp, dR, D: PhysicalParams(big_gamma=bg, delta_p=dp,
+                                         delta_R=dR, doppler_width=D),
+    st.floats(1e-4, 1e-2), st.floats(-300.0, 300.0), st.floats(-0.1, 0.1),
+    st.sampled_from([0.5, 70.0, 141.12]))
+amplitude = st.floats(0.01, 2.0)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestExactAverage:
+    @PROPERTY
+    @given(amplitude, amplitude, medium)
+    def test_matches_dense_trapezoid(self, g, G, params):
+        pt = FieldPoint(g * g, G * G)
+        ref = trapezoid_average(pt.g_abs2, pt.G_abs2, params)
+        got = chi_doppler_averaged(pt, params)
+        assert abs(got - ref) / abs(ref) < 1e-8
+
+    @PROPERTY
+    @given(amplitude, amplitude, medium)
+    def test_zero_width_is_stationary(self, g, G, params):
+        params = replace(params, doppler_width=0.0)
+        pt = FieldPoint(g * g, G * G)
+        expect = chi_stationary(pt, params.delta_p, params.delta_c,
+                                params.big_gamma, prefactor_over_gamma(params))
+        got = chi_doppler_averaged(pt, params)
+        assert abs(got - expect) <= 1e-14 * abs(expect)
+
+    @PROPERTY
+    @given(amplitude, medium)
+    def test_zero_control_gives_zero_exactly(self, g, params):
+        assert chi_doppler_averaged(FieldPoint(g * g, 0.0), params) == 0.0
+
+    @PROPERTY
+    @given(st.sampled_from([3.8e-172, 1e-300]), medium)
+    def test_vanishing_control_without_probe_is_finite(self, G2, params):
+        # the Gaussian tails of the control on a full grid reach 1e-172
+        chi = chi_doppler_averaged(FieldPoint(0.0, G2), params)
+        assert np.isfinite(chi)
+
+    def test_vectorized_matches_scalar_across_blocks(self):
+        rng = np.random.default_rng(3)
+        g2 = rng.uniform(0.0, 0.4, 70_000)
+        G2 = rng.uniform(0.0, 0.2, 70_000)
+        G2[::7] = 0.0
+        vec = chi_doppler_averaged(FieldPoint(g2, G2), REF)
+        for i in (0, 7, 65_535, 65_536, 69_999):
+            assert vec[i] == pytest.approx(chi_doppler_averaged(
+                FieldPoint(float(g2[i]), float(G2[i])), REF), rel=1e-15)
+
+    def test_dark_core_where_the_resolved_rule_misses(self):
+        # |g|^2 ~ 0.4 in the dark vortex core at the shipped Raman detuning:
+        # the light-shifted Raman resonance of atoms near kv = -196 gamma
+        # falls in a wide panel of the resolved rule
+        pt = FieldPoint(0.3969, 8.85e-7)
+        for delta_R in (-0.1, REF.delta_R):
+            params = replace(REF, delta_R=delta_R)
+            ref = trapezoid_average(pt.g_abs2, pt.G_abs2, params)
+            got = chi_doppler_averaged(pt, params)
+            assert abs(got - ref) / abs(ref) < 1e-8
+        resolved = chi_doppler_averaged(
+            pt, REF, build_resolved_quadrature(REF.doppler_width, REF.delta_p))
+        assert abs(resolved - ref) / abs(ref) > 1e-3
 
 
 @pytest.fixture(scope="module")
