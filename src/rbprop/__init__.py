@@ -13,18 +13,15 @@ from .params import (ConfigurationError, GridSpec, PhysicalParams,
                      dipole_prefactor, prefactor_over_gamma, validate)
 from .solver import (ComplexField2D, NumericsError, StepPlan,
                      diffraction_step, medium_step, propagate)
-from .susceptibility import (ChiTable, FieldPoint, VelocityQuadrature,
-                             build_chi_table, build_resolved_quadrature,
-                             build_velocity_quadrature, chi_doppler_averaged,
-                             chi_stationary, steady_state_oracle)
+from .susceptibility import (ChiTable, FieldPoint, build_chi_table,
+                             chi_doppler_averaged, chi_stationary,
+                             steady_state_oracle)
 
 __all__ = [
     "ChiTable", "ComplexField2D", "ConfigurationError", "ControlBeamSpec",
     "FieldPoint", "GridSpec", "NumericsError", "PhysicalParams", "ProbeSpec",
     "RunDiagnostics", "SimulationConfig",
-    "StepPlan", "VelocityQuadrature", "beam_width", "build_chi_table",
-    "build_resolved_quadrature", "build_velocity_quadrature",
-    "chi_doppler_averaged", "chi_stationary", "control_field",
+    "StepPlan", "beam_width", "build_chi_table", "chi_doppler_averaged", "chi_stationary", "control_field",
     "diffraction_step", "dipole_prefactor", "double_gaussian_probe",
     "gaussian_probe", "index_contrast", "make_probe", "medium_step",
     "parse_config", "peak_positions", "prefactor_over_gamma", "propagate",

@@ -10,7 +10,7 @@ import numpy as np
 from .beams import ControlBeamSpec
 from .field import ComplexField2D
 from .params import PhysicalParams
-from .susceptibility import FieldPoint, VelocityQuadrature, chi_doppler_averaged
+from .susceptibility import FieldPoint, chi_doppler_averaged
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ def peak_positions(field: ComplexField2D, axis_y: float = 0.0,
 
 
 def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
-                   probe_level: float, quad: VelocityQuadrature | None,
-                   n_radii: int = 400) -> float:
+                   probe_level: float, n_radii: int = 400) -> float:
     """Peak-to-trough refractive index difference 2 pi (max - min) Re<chi>.
 
     Sampled radially out to five beam radii at the given z, with the probe
@@ -118,13 +117,12 @@ def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
     amp = control.G0 * control.waist_wc * r / wz**2
     G2 = amp * amp * np.exp(-2.0 * r * r / wz**2)
     chi = chi_doppler_averaged(
-        FieldPoint(np.full_like(r, probe_level**2), G2), params, quad)
+        FieldPoint(np.full_like(r, probe_level**2), G2), params)
     return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
 
 
 def radial_chi_profile(params: PhysicalParams, control: ControlBeamSpec,
                        z: float, probe_level: float,
-                       quad: VelocityQuadrature | None,
                        r: np.ndarray) -> np.ndarray:
     """Averaged susceptibility along a radial cut at fixed z."""
     wz = control.width_at(z)
@@ -132,7 +130,7 @@ def radial_chi_profile(params: PhysicalParams, control: ControlBeamSpec,
     G2 = amp * amp * np.exp(-2.0 * r * r / wz**2)
     return chi_doppler_averaged(
         FieldPoint(np.full_like(np.asarray(r, float), probe_level**2), G2),
-        params, quad)
+        params)
 
 
 def normalized_profile_distance(field_a: ComplexField2D,

@@ -24,8 +24,7 @@ from .fieldio import (OutputLock, OutputLockError, RunManifest, read_field,
 from .params import prefactor_over_gamma
 from .solver import NumericsError, StepPlan, propagate
 from .susceptibility import (FieldPoint, OracleConvergenceError,
-                             TableRefinementError, build_resolved_quadrature,
-                             build_velocity_quadrature, chi_doppler_averaged,
+                             TableRefinementError, chi_doppler_averaged,
                              chi_stationary, steady_state_oracle)
 from .beams import control_field, make_probe
 
@@ -46,22 +45,6 @@ def _worker_count() -> int:
     return n
 
 
-def _quadrature(cfg):
-    """Velocity rule for the thermal average; None is the exact average."""
-    kind = cfg.run["velocity_quadrature"]
-    if kind == "exact":
-        return None
-    if kind == "gauss_hermite":
-        return build_velocity_quadrature(cfg.params.doppler_width,
-                                         cfg.run["velocity_nodes"])
-    if kind == "resolved":
-        return build_resolved_quadrature(cfg.params.doppler_width,
-                                         cfg.params.delta_p)
-    raise ConfigurationError(
-        [f"[run] velocity_quadrature must be 'exact', 'resolved' or "
-         f"'gauss_hermite', got {kind!r}"])
-
-
 def _start_manifest(cfg, seed: int) -> RunManifest:
     return RunManifest(
         tool_version=__version__,
@@ -73,7 +56,6 @@ def _start_manifest(cfg, seed: int) -> RunManifest:
 
 
 def cmd_chi_scan(cfg, out_dir: Path, seed: int, args) -> int:
-    quad = _quadrature(cfg)
     scan = cfg.scan
     manifest = _start_manifest(cfg, seed)
     r_values = np.linspace(scan["r_min_cm"], scan["r_max_cm"], scan["r_points"])
@@ -86,7 +68,7 @@ def cmd_chi_scan(cfg, out_dir: Path, seed: int, args) -> int:
     rows = []
     for d in d_values:
         params_d = replace(cfg.params, delta_R=float(d))
-        chi = chi_doppler_averaged(FieldPoint(g2, G2), params_d, quad)
+        chi = chi_doppler_averaged(FieldPoint(g2, G2), params_d)
         rows.extend((float(r), float(d), c) for r, c in zip(r_values, chi))
     rows.sort(key=lambda t: (t[0], t[1]))
     out = write_chi_scan_csv(out_dir / "chi_scan.csv", rows)
@@ -98,12 +80,11 @@ def cmd_chi_scan(cfg, out_dir: Path, seed: int, args) -> int:
 
 
 def cmd_propagate(cfg, out_dir: Path, seed: int, args) -> int:
-    quad = _quadrature(cfg)
     manifest = _start_manifest(cfg, seed)
     plan = StepPlan(cfg.grid, dz=cfg.grid.dz, order=args.order)
     probe = make_probe(cfg.probe, cfg.grid)
     result = propagate(
-        probe, cfg.control, cfg.params, cfg.grid, plan, quad,
+        probe, cfg.control, cfg.params, cfg.grid, plan,
         snapshot_every=cfg.run["snapshot_every"],
         use_table=cfg.run["chi_table"] and not args.direct_chi,
         table_target_error=cfg.run["table_target_error"],

@@ -50,8 +50,6 @@ _SCHEMA = {
     },
     "run": {
         "snapshot_every": (int, 100),
-        "velocity_quadrature": (str, "exact"),   # exact | resolved | gauss_hermite
-        "velocity_nodes": (int, 64),
         "chi_table": (bool, True),
         "table_target_error": (float, 1.0e-4),
         "absorbing_boundary": (bool, False),

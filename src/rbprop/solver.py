@@ -17,8 +17,8 @@ import numpy as np
 from .beams import ControlBeamSpec, control_intensity
 from .field import ComplexField2D
 from .params import GridSpec, PhysicalParams
-from .susceptibility import ChiTable, FieldPoint, VelocityQuadrature, \
-    build_chi_table, chi_doppler_averaged
+from .susceptibility import ChiTable, FieldPoint, build_chi_table, \
+    chi_doppler_averaged
 
 # Triple-jump composition coefficients for the fourth-order scheme.
 _TJ = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -109,10 +109,10 @@ class PropagationResult:
     table: ChiTable | None
 
 
-def _chi_lookup(table, params, quad, control_I, probe_I):
+def _chi_lookup(table, params, control_I, probe_I):
     if table is not None:
         return table(control_I, probe_I)
-    return chi_doppler_averaged(FieldPoint(probe_I, control_I), params, quad)
+    return chi_doppler_averaged(FieldPoint(probe_I, control_I), params)
 
 
 def _medium_subflow(values: np.ndarray, chi_of, distance: float,
@@ -140,7 +140,6 @@ def _medium_subflow(values: np.ndarray, chi_of, distance: float,
 
 def propagate(probe: ComplexField2D, control: ControlBeamSpec,
               params: PhysicalParams, grid: GridSpec, plan: StepPlan,
-              quad: VelocityQuadrature | None,
               snapshot_every: int = 100,
               use_table: bool = True,
               table_target_error: float = 1.0e-4,
@@ -169,7 +168,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         z_samples = np.linspace(0.0, grid.cell_length, 101)
         G2_max = float(max(control.peak_intensity(z) for z in z_samples))
         g2_max = 1.5 * float(np.max(np.abs(probe.values) ** 2))
-        table = build_chi_table(G2_max, g2_max, params, quad,
+        table = build_chi_table(G2_max, g2_max, params,
                                 target_error=table_target_error, seed=table_seed)
 
     window = edge_window(grid) if absorbing_boundary else None
@@ -202,14 +201,13 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                 need = 6.0 * float(probe_I.max())
                 g2_top = table.g_abs2_max * 2.0 ** int(
                     np.ceil(np.log2(need / table.g_abs2_max)))
-                table = build_chi_table(table.G_abs2_max, g2_top,
-                                        params, quad,
+                table = build_chi_table(table.G_abs2_max, g2_top, params,
                                         target_error=table_target_error,
                                         seed=table_seed)
                 rebuilt = True
 
             def chi_of(g2, _cI=control_I):
-                return _chi_lookup(table, params, quad, _cI, g2)
+                return _chi_lookup(table, params, _cI, g2)
 
             try:
                 stepped = _medium_subflow(field.values, chi_of, sub, k)

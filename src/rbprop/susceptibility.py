@@ -12,26 +12,26 @@ a numerator linear in kv over a real quadratic with no real root.
 stationary ratio is n0 / d0.
 
 The thermal average over the Maxwellian distribution of Doppler shifts (width
-D) is by default exact: the quadratic's two complex-conjugate poles turn it
-into the plasma dispersion function Z (Fried & Conte 1961), evaluated through
-the Faddeeva function ``scipy.special.wofz`` (Weideman 1994).  This is
-``[run] velocity_quadrature = exact``.  Two node rules remain as explicit
-cross-check modes, summing the same single-velocity ratio over their nodes:
+D) is exact: the quadratic's two complex-conjugate poles turn it into the
+plasma dispersion function Z (Fried & Conte 1961), evaluated through the
+Faddeeva function ``scipy.special.wofz`` (Weideman 1994).  Every run takes
+this average.  Two node rules are kept as references that sum the same
+single-velocity ratio over their nodes when passed to
+``chi_doppler_averaged``:
 
-* ``build_resolved_quadrature`` (``resolved``) -- panelised Gauss-Legendre
-  rule with panels clustered around kv = +-|delta_p|, where atoms
-  Doppler-shifted into one-photon resonance form a feature a few gamma wide.
-  It was the solver's average before the closed form and is 2.2e-3 off in
-  the dark vortex core (|g|^2 = 0.40, |G|^2 = 8.8e-7, delta_R = -0.015),
-  where the light-shifted Raman resonance of atoms near kv = -196 falls
-  inside one of its wide panels.
-* ``build_velocity_quadrature`` (``gauss_hermite``) -- Gauss-Hermite nodes
-  kv = sqrt(2) D t; accurate only when the resonant class carries no weight.
+* ``build_resolved_quadrature`` -- panelised Gauss-Legendre rule with panels
+  clustered around kv = +-|delta_p|, where atoms Doppler-shifted into
+  one-photon resonance form a feature a few gamma wide.  It was the run's
+  average before the closed form and is 2.2e-3 off in the dark vortex core
+  (|g|^2 = 0.40, |G|^2 = 8.8e-7, delta_R = -0.015), where the light-shifted
+  Raman resonance of atoms near kv = -196 falls inside one of its wide
+  panels.
+* ``build_velocity_quadrature`` -- Gauss-Hermite nodes kv = sqrt(2) D t;
+  accurate only when the resonant class carries no weight.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -366,7 +366,7 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
     Both one-photon detunings shift by the same kv (equal wavenumbers,
     co-propagating beams), so the two-photon detuning is velocity independent.
     ``quad=None`` takes the exact Faddeeva average; a ``VelocityQuadrature``
-    sums over its nodes instead (cross-check modes).  Accepts array-valued
+    sums over its nodes instead (reference rules for tests).  Accepts array-valued
     field points and returns a matching complex array, evaluated in blocks
     of AVERAGE_BLOCK points.  Points with |G|^2 = 0 return exactly 0.
     """
@@ -408,10 +408,8 @@ class ChiTable:
     """
 
     def __init__(self, G_abs2_nodes: np.ndarray, g_abs2_nodes: np.ndarray,
-                 params: PhysicalParams, quad: VelocityQuadrature | None,
-                 zero: bool = False):
+                 params: PhysicalParams, zero: bool = False):
         self.params = params
-        self.quad = quad
         self.zero = zero
         self._G2 = np.asarray(G_abs2_nodes, dtype=float)
         self._g2 = np.asarray(g_abs2_nodes, dtype=float)
@@ -419,7 +417,7 @@ class ChiTable:
 
     def _fill(self):
         GG, gg = np.meshgrid(self._G2, self._g2, indexing="ij")
-        chi = chi_doppler_averaged(FieldPoint(gg, GG), self.params, self.quad)
+        chi = chi_doppler_averaged(FieldPoint(gg, GG), self.params)
         self._h = chi / self._G2[:, None]
 
     @property
@@ -466,9 +464,8 @@ class ChiTable:
         return out
 
     def direct(self, G_abs2, g_abs2):
-        """Un-tabulated evaluation with the table's own velocity average."""
-        return chi_doppler_averaged(FieldPoint(g_abs2, G_abs2),
-                                    self.params, self.quad)
+        """Un-tabulated evaluation of the averaged chi."""
+        return chi_doppler_averaged(FieldPoint(g_abs2, G_abs2), self.params)
 
     def max_relative_error(self, n_probes: int = 1000, seed: int = 0) -> float:
         """Max relative interpolation error on a seeded log-uniform probe set."""
@@ -500,17 +497,8 @@ class ChiTable:
 _TABLE_CACHE: dict = {}
 
 
-def _quad_digest(quad: VelocityQuadrature | None) -> bytes:
-    if quad is None:
-        return b"exact"
-    h = hashlib.sha1()
-    h.update(np.ascontiguousarray(quad.nodes).tobytes())
-    h.update(np.ascontiguousarray(quad.weights).tobytes())
-    return h.digest()
-
-
 def build_chi_table(G_abs2_max: float, g_abs2_max: float,
-                    params: PhysicalParams, quad: VelocityQuadrature | None,
+                    params: PhysicalParams,
                     target_error: float = 1.0e-4,
                     initial_nodes: int = 64,
                     floor_ratio: float = 1.0e-4,
@@ -531,10 +519,9 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
         G2 = np.array([1.0e-300, 2.0e-300])
         g2 = np.array([max(g_abs2_max, 1.0e-300) * floor_ratio,
                        max(g_abs2_max, 1.0e-300)])
-        return ChiTable(G2, g2, params, quad, zero=True)
+        return ChiTable(G2, g2, params, zero=True)
     cache_key = (params, float(G_abs2_max), float(g_abs2_max),
-                 float(target_error), float(floor_ratio), int(seed),
-                 _quad_digest(quad))
+                 float(target_error), float(floor_ratio), int(seed))
     cached = _TABLE_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -543,7 +530,7 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     def make(nG: int, ng: int) -> ChiTable:
         return ChiTable(np.geomspace(G_abs2_max * floor_ratio, G_abs2_max, nG),
                         np.geomspace(g_top * floor_ratio, g_top, ng),
-                        params, quad)
+                        params)
 
     headroom = 0.6  # build below target so an independent probe set stays under
     nG = ng = initial_nodes

@@ -40,34 +40,28 @@ def report(criterion: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="session")
-def quad():
-    """The shipped velocity average: exact (no quadrature rule)."""
-    return None
-
-
-@pytest.fixture(scope="session")
-def free_space_run(quad):
+def free_space_run():
     grid = GridSpec()
     probe = make_probe(ProbeSpec(), grid)
     plan = StepPlan(grid, dz=grid.dz, order=2)
     t0 = time.time()
-    res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan, quad,
+    res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
                     snapshot_every=10**9)
     return probe, res.field, time.time() - t0
 
 
 @pytest.fixture(scope="session")
-def guided_run(quad):
+def guided_run():
     grid = GridSpec()
     probe = make_probe(ProbeSpec(), grid)
     plan = StepPlan(grid, dz=grid.dz, order=2)
-    res = propagate(probe, CONTROL, PARAMS, grid, plan, quad,
+    res = propagate(probe, CONTROL, PARAMS, grid, plan,
                     snapshot_every=10**9)
     return probe, res.field
 
 
 @pytest.fixture(scope="session")
-def shape_runs(quad):
+def shape_runs():
     """Double-Gaussian and sech multi-peak runs at 2.5 cm, G0 = 0.75."""
     L = 2.5
     out = {}
@@ -77,7 +71,7 @@ def shape_runs(quad):
                                waist_position_z0=L)
         probe = make_probe(spec, grid)
         plan = StepPlan(grid, dz=grid.dz, order=2)
-        res = propagate(probe, ctrl, PARAMS, grid, plan, quad,
+        res = propagate(probe, ctrl, PARAMS, grid, plan,
                         snapshot_every=10**9)
         return probe, res.field
 
@@ -97,7 +91,7 @@ def shape_runs(quad):
 
 
 @pytest.fixture(scope="session")
-def convergence_orders(quad):
+def convergence_orders():
     """Observed split-step orders via Richardson step halving."""
     L = 5.0
 
@@ -105,7 +99,7 @@ def convergence_orders(quad):
         grid = GridSpec(nx=128, ny=128, extent=0.12, dz=dz, cell_length=L)
         probe = make_probe(ProbeSpec(), grid)
         plan = StepPlan(grid, dz=dz, order=order)
-        res = propagate(probe, CONTROL, PARAMS, grid, plan, quad,
+        res = propagate(probe, CONTROL, PARAMS, grid, plan,
                         snapshot_every=10**9)
         return res.field.values
 
@@ -194,23 +188,22 @@ def test_criterion_5_guided_transmission(guided_run):
                   f"T = {t:.3f} (0.44 +- 0.08)")
 
 
-def test_criterion_6_absorption_minimum(quad):
+def test_criterion_6_absorption_minimum():
     ring = CONTROL.ring_radius(0.0)
     G2 = float(np.abs(control_field(CONTROL, ring, 0.0, 0.0)) ** 2)
     scan = np.linspace(-0.1, 0.05, 301)
     im = np.empty_like(scan)
     for i, d in enumerate(scan):
         im[i] = chi_doppler_averaged(FieldPoint(0.04, G2),
-                                     replace(PARAMS, delta_R=float(d)),
-                                     quad).imag
+                                     replace(PARAMS, delta_R=float(d))).imag
     loc = float(scan[np.argmin(im)])
     ok = abs(loc - (-0.02)) <= 0.005
     assert report("6 (Raman absorption minimum)", ok,
                   f"Im<chi> minimum at delta_R = {loc:+.4f} (-0.02 +- 0.005)")
 
 
-def test_criterion_7_index_contrast(quad):
-    dn = index_contrast(PARAMS, CONTROL, 0.0, 0.2, quad)
+def test_criterion_7_index_contrast():
+    dn = index_contrast(PARAMS, CONTROL, 0.0, 0.2)
     ok = 3e-6 <= dn <= 3e-5
     assert report("7 (index contrast)", ok,
                   f"delta-n = {dn:.3e} (3e-6 .. 3e-5)")
@@ -246,7 +239,7 @@ def test_criterion_8_shape_preservation(shape_runs):
     assert report("8 (multi-peak shape preservation)", ok, detail)
 
 
-def test_criterion_9_numerics(quad, convergence_orders):
+def test_criterion_9_numerics(convergence_orders):
     grid = GridSpec(nx=128, ny=128, extent=0.2)
     X, Y = grid.mesh()
     f = ComplexField2D(0.2 * np.exp(-(X**2 + Y**2) / WP**2), grid, 0.0)
@@ -258,7 +251,7 @@ def test_criterion_9_numerics(quad, convergence_orders):
 
     g2_top = 1.5 * 0.04
     G2_top = max(CONTROL.peak_intensity(z) for z in np.linspace(0, 5, 101))
-    table = build_chi_table(G2_top, g2_top, PARAMS, quad)
+    table = build_chi_table(G2_top, g2_top, PARAMS)
     table_err = table.max_relative_error(n_probes=1000, seed=2024)
 
     ok = (power_err < 1e-12 and strang >= 1.9 and order4 >= 3.7

@@ -7,11 +7,9 @@ from rbprop.analysis import (DiagnosticsRecord, RunDiagnostics, beam_width,
 from rbprop.beams import ControlBeamSpec
 from rbprop.params import GridSpec, PhysicalParams
 from rbprop.solver import ComplexField2D
-from rbprop.susceptibility import build_resolved_quadrature
 
 GRID = GridSpec(nx=256, ny=256, extent=0.12)
 PARAMS = PhysicalParams()
-QUAD = build_resolved_quadrature(PARAMS.doppler_width, PARAMS.delta_p)
 
 
 def field_from(values):
@@ -121,18 +119,18 @@ class TestPeakPositions:
 class TestIndexContrast:
     def test_zero_without_control(self):
         ctrl = ControlBeamSpec(G0=0.0)
-        assert index_contrast(PARAMS, ctrl, 0.0, 0.2, QUAD) == 0.0
+        assert index_contrast(PARAMS, ctrl, 0.0, 0.2) == 0.0
 
     def test_reference_configuration_magnitude(self):
         ctrl = ControlBeamSpec()
-        dn = index_contrast(PARAMS, ctrl, 0.0, 0.2, QUAD)
+        dn = index_contrast(PARAMS, ctrl, 0.0, 0.2)
         # order 1e-5 index modulation for the reference medium
         assert 1e-6 < dn < 1e-4
 
     def test_radial_extremum_sits_at_control_ring(self):
         ctrl = ControlBeamSpec()
         r = np.linspace(0.0, 0.03, 601)
-        chi = radial_chi_profile(PARAMS, ctrl, 0.0, 0.2, QUAD, r)
+        chi = radial_chi_profile(PARAMS, ctrl, 0.0, 0.2, r)
         r_extremum = r[np.argmax(np.abs(chi.real))]
         assert r_extremum == pytest.approx(ctrl.ring_radius(0.0), abs=5e-5)
 

@@ -40,8 +40,6 @@ width_cm = 0.0048
 
 [run]
 snapshot_every = 5
-velocity_quadrature = gauss_hermite
-velocity_nodes = 64
 table_target_error = 1.0e-3
 
 [oracle]

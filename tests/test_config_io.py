@@ -31,7 +31,7 @@ class TestParseConfig:
         assert cfg.grid.nx == 256 and cfg.grid.cell_length == 5.0
         # gap-filling defaults are flagged for the manifest
         assert "control.waist_position_cm" in cfg.defaulted_keys
-        assert "run.velocity_quadrature" in cfg.defaulted_keys
+        assert "run.chi_table" in cfg.defaulted_keys
 
     def test_missing_mandatory_keys_all_reported(self, tmp_path):
         path = tmp_path / "bad.ini"

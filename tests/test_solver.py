@@ -6,11 +6,9 @@ from rbprop.params import GridSpec, PhysicalParams
 from rbprop.solver import (ComplexField2D, NumericsError, StepPlan,
                            _medium_subflow, diffraction_step, edge_window,
                            medium_step, propagate)
-from rbprop.susceptibility import build_resolved_quadrature
 
 PARAMS = PhysicalParams()
 K = PARAMS.wavenumber
-QUAD = build_resolved_quadrature(PARAMS.doppler_width, PARAMS.delta_p)
 
 
 def gaussian_field(grid, w=48e-4, g0=0.2):
@@ -118,7 +116,7 @@ class TestPropagate:
         probe = gaussian_field(grid)
         plan = StepPlan(grid, dz=grid.dz)
         res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        QUAD, snapshot_every=10**9)
+                        snapshot_every=10**9)
         direct = probe
         for _ in range(grid.n_steps):
             direct = diffraction_step(direct, grid.dz, K, plan)
@@ -130,7 +128,7 @@ class TestPropagate:
         probe = gaussian_field(grid)
         plan = StepPlan(grid, dz=grid.dz)
         res = propagate(probe, ControlBeamSpec(waist_position_z0=0.2), PARAMS,
-                        grid, plan, QUAD, snapshot_every=10**9)
+                        grid, plan, snapshot_every=10**9)
         intensity = np.abs(res.field.values) ** 2
         mirrored = intensity[1:, :][::-1, :]
         assert np.max(np.abs(intensity[1:, :] - mirrored)) / intensity.max() < 1e-10
@@ -140,7 +138,7 @@ class TestPropagate:
         probe = gaussian_field(grid)
         plan = StepPlan(grid, dz=grid.dz)
         res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        QUAD, snapshot_every=4)
+                        snapshot_every=4)
         assert res.snapshot_steps == [0, 4, 8, 10]
         assert res.snapshots[-1].z == pytest.approx(0.1)
 
@@ -150,17 +148,17 @@ class TestPropagate:
         bad.values[3, 3] = np.nan
         plan = StepPlan(grid, dz=grid.dz)
         with pytest.raises(NumericsError) as err:
-            propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan, QUAD)
+            propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan)
         assert err.value.z == pytest.approx(0.01)
 
     def test_order4_runs_and_agrees_with_order2(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
         res2 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
-                         grid, StepPlan(grid, dz=grid.dz, order=2), QUAD,
+                         grid, StepPlan(grid, dz=grid.dz, order=2),
                          snapshot_every=10**9)
         res4 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
-                         grid, StepPlan(grid, dz=grid.dz, order=4), QUAD,
+                         grid, StepPlan(grid, dz=grid.dz, order=4),
                          snapshot_every=10**9)
         scale = np.linalg.norm(res2.field.values)
         assert np.linalg.norm(res2.field.values - res4.field.values) / scale < 1e-4
