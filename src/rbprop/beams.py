@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,12 +111,22 @@ def control_field(spec: ControlBeamSpec, x, y, z: float):
     return out
 
 
-def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float) -> np.ndarray:
-    """|G|^2 sampled on the grid at height z (cheaper than the complex field)."""
+@functools.lru_cache(maxsize=8)
+def _radial_mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only r and r^2 on the grid, computed once per GridSpec."""
     X, Y = grid.mesh()
     r2 = X * X + Y * Y
+    r = np.sqrt(r2)
+    r.flags.writeable = False
+    r2.flags.writeable = False
+    return r, r2
+
+
+def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float) -> np.ndarray:
+    """|G|^2 sampled on the grid at height z (cheaper than the complex field)."""
+    r, r2 = _radial_mesh(grid)
     wz = spec.width_at(z)
-    amp = spec.G0 * spec.waist_wc * np.sqrt(r2) / wz**2
+    amp = spec.G0 * spec.waist_wc * r / wz**2
     return amp * amp * np.exp(-2.0 * r2 / wz**2)
 
 

@@ -158,6 +158,10 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     intensity ever exceeds the table range the table is rebuilt once with a
     larger range; a second excursion is an error.  ``use_table=False``
     evaluates the velocity average directly at every grid point instead.
+
+    With the control off (G0 = 0) chi is identically zero and the medium
+    sub-flow is the identity, so each sub-step is just its two diffraction
+    half-steps.
     """
     k = params.wavenumber
     dz = plan.dz
@@ -172,6 +176,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                                 target_error=table_target_error, seed=table_seed)
 
     window = edge_window(grid) if absorbing_boundary else None
+    dark = control.G0 == 0.0
 
     field = probe.copy()
     field.z = 0.0
@@ -185,38 +190,40 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
             sub = frac * dz
             z_mid = z0 + 0.5 * sub
             field = diffraction_step(field, 0.5 * sub, k, plan)
-            control_I = control_intensity(control, grid, z_mid)
-            probe_I = np.abs(field.values) ** 2
-            if table is not None and not table.zero \
-                    and probe_I.max() > table.g_abs2_max:
-                if rebuilt:
+            if not dark:
+                control_I = control_intensity(control, grid, z_mid)
+                probe_I = np.abs(field.values) ** 2
+                if table is not None and not table.zero \
+                        and probe_I.max() > table.g_abs2_max:
+                    if rebuilt:
+                        raise NumericsError(
+                            z_mid, "probe intensity left the rebuilt "
+                            f"susceptibility-table range at z = {z_mid:.6g} cm")
+                    # one generous rebuild; a second excursion is an error.
+                    # Interference transients in multi-peak probes overshoot
+                    # the input maximum several-fold, and range is cheap (log
+                    # axes).  The new ceiling is quantised to power-of-two
+                    # multiples of the original so reruns at different dz
+                    # share one table.
+                    need = 6.0 * float(probe_I.max())
+                    g2_top = table.g_abs2_max * 2.0 ** int(
+                        np.ceil(np.log2(need / table.g_abs2_max)))
+                    table = build_chi_table(table.G_abs2_max, g2_top, params,
+                                            target_error=table_target_error,
+                                            seed=table_seed)
+                    rebuilt = True
+
+                def chi_of(g2, _cI=control_I):
+                    return _chi_lookup(table, params, _cI, g2)
+
+                try:
+                    stepped = _medium_subflow(field.values, chi_of, sub, k)
+                except ValueError as exc:
+                    # table queries reject non-finite / runaway intensities
                     raise NumericsError(
-                        z_mid, "probe intensity left the rebuilt "
-                        f"susceptibility-table range at z = {z_mid:.6g} cm")
-                # one generous rebuild; a second excursion is an error.
-                # Interference transients in multi-peak probes overshoot the
-                # input maximum several-fold, and range is cheap (log axes).
-                # The new ceiling is quantised to power-of-two multiples of
-                # the original so reruns at different dz share one table.
-                need = 6.0 * float(probe_I.max())
-                g2_top = table.g_abs2_max * 2.0 ** int(
-                    np.ceil(np.log2(need / table.g_abs2_max)))
-                table = build_chi_table(table.G_abs2_max, g2_top, params,
-                                        target_error=table_target_error,
-                                        seed=table_seed)
-                rebuilt = True
-
-            def chi_of(g2, _cI=control_I):
-                return _chi_lookup(table, params, _cI, g2)
-
-            try:
-                stepped = _medium_subflow(field.values, chi_of, sub, k)
-            except ValueError as exc:
-                # table queries reject non-finite / runaway intensities
-                raise NumericsError(
-                    z_mid, f"medium step failed at z = {z_mid:.6g} cm "
-                    f"({exc})") from exc
-            field = ComplexField2D(stepped, field.grid, field.z)
+                        z_mid, f"medium step failed at z = {z_mid:.6g} cm "
+                        f"({exc})") from exc
+                field = ComplexField2D(stepped, field.grid, field.z)
             field = diffraction_step(field, 0.5 * sub, k, plan)
             z0 += sub
         field.z = (step + 1) * dz

@@ -437,15 +437,37 @@ class ChiTable:
     OVERSHOOT = 0.05
 
     def __call__(self, G_abs2, g_abs2):
-        """Interpolated averaged chi; clamps below the node floors."""
+        """Interpolated averaged chi; clamps below the node floors.
+
+        Below both node floors the clamped weights vanish (tG = tg = 0) and
+        the bilinear formula reduces exactly to the corner node, so only the
+        remaining queries are interpolated.  In a guided run that is a few
+        percent of the grid: the probe's tail and the control's dark core
+        and outer region sit under the floors.
+        """
         G2q = np.asarray(G_abs2, dtype=float)
         g2q = np.asarray(g_abs2, dtype=float)
+        shape = np.broadcast(G2q, g2q).shape
         if self.zero:
-            out = np.zeros(np.broadcast(G2q, g2q).shape, dtype=complex)
+            out = np.zeros(shape, dtype=complex)
             return complex(out) if out.shape == () else out
         if np.any(G2q > self._G2[-1] * (1 + self.OVERSHOOT)) or \
            np.any(g2q > self._g2[-1] * (1 + self.OVERSHOOT)):
             raise ValueError("query outside the tabulated amplitude range")
+        G2q = np.broadcast_to(G2q, shape).ravel()
+        g2q = np.broadcast_to(g2q, shape).ravel()
+        out = G2q * self._h[0, 0]
+        # written as "not below both floors" so NaN queries interpolate too
+        live = ~((G2q <= self._G2[0]) & (g2q <= self._g2[0]))
+        out[live] = self._interpolate(G2q[live], g2q[live])
+        out[G2q <= 0.0] = 0.0
+        out = out.reshape(shape)
+        if shape == ():
+            return complex(out)
+        return out
+
+    def _interpolate(self, G2q: np.ndarray, g2q: np.ndarray) -> np.ndarray:
+        """|G|^2 times the clamped bilinear interpolant of chi / |G|^2."""
         Gc = np.clip(G2q, self._G2[0], self._G2[-1])
         gc = np.clip(g2q, self._g2[0], self._g2[-1])
         iG = np.clip(np.searchsorted(self._G2, Gc) - 1, 0, self._G2.size - 2)
@@ -458,10 +480,7 @@ class ChiTable:
              + self._h[iG + 1, ig] * tG * (1 - tg)
              + self._h[iG, ig + 1] * (1 - tG) * tg
              + self._h[iG + 1, ig + 1] * tG * tg)
-        out = np.where(G2q <= 0.0, 0.0 + 0.0j, G2q * h)
-        if out.shape == ():
-            return complex(out)
-        return out
+        return G2q * h
 
     def direct(self, G_abs2, g_abs2):
         """Un-tabulated evaluation of the averaged chi."""

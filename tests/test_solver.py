@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbprop.beams import ControlBeamSpec, ProbeSpec, make_probe
 from rbprop.params import GridSpec, PhysicalParams
@@ -36,6 +38,17 @@ class TestDiffraction:
         full = diffraction_step(f, 0.5, K, plan)
         halves = diffraction_step(diffraction_step(f, 0.25, K, plan), 0.25, K, plan)
         np.testing.assert_allclose(halves.values, full.values, rtol=0, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from([16, 32, 64, 128]), st.floats(0.01, 0.5),
+           st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1))
+    def test_power_conserved_for_any_field(self, n, extent, distance, seed):
+        grid = GridSpec(nx=n, ny=n, extent=extent)
+        rng = np.random.default_rng(seed)
+        f = ComplexField2D(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                           grid, 0.0)
+        out = diffraction_step(f, distance, K)
+        assert abs(out.power() - f.power()) <= 1e-12 * f.power()
 
     def test_gaussian_spreading_law(self):
         from rbprop.analysis import beam_width
@@ -122,6 +135,21 @@ class TestPropagate:
             direct = diffraction_step(direct, grid.dz, K, plan)
         scale = np.linalg.norm(direct.values)
         assert np.linalg.norm(res.field.values - direct.values) / scale < 1e-10
+
+    @pytest.mark.parametrize("order", (2, 4))
+    def test_dark_control_is_exactly_the_half_step_chain(self, order):
+        grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
+        probe = gaussian_field(grid)
+        plan = StepPlan(grid, dz=grid.dz, order=order)
+        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
+                        snapshot_every=10**9)
+        chain = probe
+        for _ in range(grid.n_steps):
+            for frac in plan.substeps():
+                sub = frac * grid.dz
+                chain = diffraction_step(chain, 0.5 * sub, K, plan)
+                chain = diffraction_step(chain, 0.5 * sub, K, plan)
+        np.testing.assert_array_equal(res.field.values, chain.values)
 
     def test_preserves_x_symmetry(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.2)

@@ -242,7 +242,91 @@ def table():
                            initial_nodes=48, seed=5)
 
 
+def reference_bilinear(table, G_abs2, g_abs2):
+    """The lookup's clamped bilinear formula applied to every query point."""
+    G2q = np.asarray(G_abs2, dtype=float)
+    g2q = np.asarray(g_abs2, dtype=float)
+    G2n, g2n, h = table._G2, table._g2, table._h
+    Gc = np.clip(G2q, G2n[0], G2n[-1])
+    gc = np.clip(g2q, g2n[0], g2n[-1])
+    iG = np.clip(np.searchsorted(G2n, Gc) - 1, 0, G2n.size - 2)
+    ig = np.clip(np.searchsorted(g2n, gc) - 1, 0, g2n.size - 2)
+    G1, G2v = G2n[iG], G2n[iG + 1]
+    g1, g2v = g2n[ig], g2n[ig + 1]
+    tG = (Gc - G1) / (G2v - G1)
+    tg = (gc - g1) / (g2v - g1)
+    hq = (h[iG, ig] * (1 - tG) * (1 - tg)
+          + h[iG + 1, ig] * tG * (1 - tg)
+          + h[iG, ig + 1] * (1 - tG) * tg
+          + h[iG + 1, ig + 1] * tG * tg)
+    return np.where(G2q <= 0.0, 0.0 + 0.0j, G2q * hq)
+
+
+def lookup_queries(table, n=400, seed=9):
+    """(|G|^2, |g|^2) queries in every regime the lookup distinguishes."""
+    rng = np.random.default_rng(seed)
+    G2n, g2n = table._G2, table._g2
+    top = 1.0 + table.OVERSHOOT
+
+    def below(nodes):
+        return nodes[0] * rng.uniform(0.0, 1.0, n)
+
+    def inside(nodes):
+        return np.exp(rng.uniform(np.log(nodes[0]), np.log(nodes[-1]), n))
+
+    def overshoot(nodes):
+        return nodes[-1] * rng.uniform(1.0, top, n)
+
+    pairs = [
+        (below(G2n), below(g2n)),                          # both floors
+        (below(G2n), inside(g2n)),                         # |G|^2 floor only
+        (inside(G2n), below(g2n)),                         # |g|^2 floor only
+        (inside(G2n), inside(g2n)),
+        (rng.choice(G2n, n), rng.choice(g2n, n)),          # exactly at nodes
+        (np.full(n, G2n[0]), np.full(n, g2n[0])),          # the corner node
+        (overshoot(G2n), inside(g2n)),
+        (inside(G2n), overshoot(g2n)),
+        (overshoot(G2n), overshoot(g2n)),
+        (np.zeros(n), inside(g2n)),                        # |G|^2 = 0
+        (np.zeros(n), below(g2n)),
+        (-below(G2n), inside(g2n)),                        # |G|^2 < 0 -> 0
+    ]
+    G2 = np.concatenate([p[0] for p in pairs])
+    g2 = np.concatenate([p[1] for p in pairs])
+    order = rng.permutation(G2.size)
+    return G2[order], g2[order]
+
+
 class TestChiTable:
+    def test_lookup_equals_full_bilinear_bitwise(self, table):
+        G2, g2 = lookup_queries(table)
+        assert np.array_equal(table(G2, g2), reference_bilinear(table, G2, g2))
+        G2, g2 = G2.reshape(48, -1), g2.reshape(48, -1)
+        assert np.array_equal(table(G2, g2), reference_bilinear(table, G2, g2))
+
+    def test_broadcast_lookup_equals_full_bilinear(self, table):
+        G2 = np.concatenate([[0.0], np.geomspace(table._G2[0] * 1e-3,
+                                                 table.G_abs2_max, 60)])
+        g2 = np.geomspace(table._g2[0] * 1e-3, table.g_abs2_max, 50)
+        got = table(G2[:, None], g2[None, :])
+        assert got.shape == (61, 50)
+        assert np.array_equal(
+            got, reference_bilinear(table, G2[:, None], g2[None, :]))
+
+    def test_scalar_queries_return_complex(self, table):
+        G2, g2 = lookup_queries(table, n=3, seed=4)
+        for Gq, gq in zip(G2, g2):
+            got = table(float(Gq), float(gq))
+            assert type(got) is complex
+            assert got == complex(reference_bilinear(table, Gq, gq))
+
+    def test_rejects_probe_out_of_range(self, table):
+        with pytest.raises(ValueError):
+            table(0.1, table.g_abs2_max * (1.0 + 2.0 * table.OVERSHOOT))
+        with pytest.raises(ValueError):
+            table(np.array([0.0, 0.1]),
+                  np.array([0.0, table.g_abs2_max * 1.2]))
+
     def test_exact_at_sample_point(self, table):
         G2 = table._G2[17]
         g2 = table._g2[3]
