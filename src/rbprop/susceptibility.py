@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import roots_hermite, wofz
 
 from .params import PhysicalParams, prefactor_over_gamma
@@ -199,6 +198,9 @@ def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
 
     Undefined for g = 0 (chi is a response per unit probe amplitude).
     """
+    # imported here: scipy.linalg adds ~60 ms to every CLI start otherwise
+    from scipy.linalg import expm
+
     g = float(np.sqrt(point.g_abs2))
     G = float(np.sqrt(point.G_abs2))
     if g == 0.0:
