@@ -7,7 +7,6 @@ Subcommands: chi-scan, propagate, analyze, oracle.  Exit status 0 on success,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -33,18 +32,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICS = 2
 
 
-def _worker_count() -> int:
-    """Worker-count hint from the environment (results never depend on it)."""
-    raw = os.environ.get("RBPROP_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError([f"RBPROP_WORKERS={raw!r} is not an integer"])
-    if n < 1:
-        raise ConfigurationError(["RBPROP_WORKERS must be >= 1"])
-    return n
-
-
 def _start_manifest(cfg, seed: int) -> RunManifest:
     return RunManifest(
         tool_version=__version__,
@@ -65,13 +52,15 @@ def cmd_chi_scan(cfg, out_dir: Path, seed: int, args) -> int:
     z = scan["z_cm"]
     g2 = np.full(r_values.shape, cfg.probe.g0 ** 2)
     G2 = np.abs(control_field(cfg.control, r_values, 0.0, z)) ** 2
-    rows = []
-    for d in d_values:
+    chi = np.empty((d_values.size, r_values.size), dtype=complex)
+    for i, d in enumerate(d_values):
         params_d = replace(cfg.params, delta_R=float(d))
-        chi = chi_doppler_averaged(FieldPoint(g2, G2), params_d)
-        rows.extend((float(r), float(d), c) for r, c in zip(r_values, chi))
-    rows.sort(key=lambda t: (t[0], t[1]))
-    out = write_chi_scan_csv(out_dir / "chi_scan.csv", rows)
+        chi[i] = chi_doppler_averaged(FieldPoint(g2, G2), params_d)
+    r = np.tile(r_values, d_values.size)
+    d = np.repeat(d_values, r_values.size)
+    order = np.lexsort((d, r))  # by radius, then detuning
+    out = write_chi_scan_csv(out_dir / "chi_scan.csv", r[order], d[order],
+                             chi.ravel()[order])
     manifest.add_output(out)
     manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     manifest.write(out_dir / "manifest.json")
@@ -190,7 +179,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _worker_count()
         cfg = parse_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

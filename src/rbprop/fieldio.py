@@ -84,13 +84,23 @@ def write_diagnostics_csv(path: str | Path, records) -> Path:
     return path
 
 
-def write_chi_scan_csv(path: str | Path, rows) -> Path:
-    """Susceptibility scan: r_cm, delta_R_over_gamma, re_chi, im_chi."""
+# rows formatted per string operation when writing a chi scan
+CSV_BLOCK = 4096
+
+
+def write_chi_scan_csv(path: str | Path, r, delta_R, chi) -> Path:
+    """Susceptibility scan: r_cm, delta_R_over_gamma, re_chi, im_chi.
+
+    One row per entry of the equal-length arrays, in the order given.
+    """
     path = Path(path)
-    lines = ["r_cm,delta_R_over_gamma,re_chi,im_chi"]
-    for r, d, chi in rows:
-        lines.append(f"{r:.9e},{d:.9e},{chi.real:.9e},{chi.imag:.9e}")
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack([r, delta_R, chi.real, chi.imag])
+    with open(path, "w") as fh:
+        fh.write("r_cm,delta_R_over_gamma,re_chi,im_chi\n")
+        for start in range(0, len(table), CSV_BLOCK):
+            block = table[start:start + CSV_BLOCK]
+            fh.write("%.9e,%.9e,%.9e,%.9e\n" * len(block)
+                     % tuple(block.ravel().tolist()))
     return path
 
 
