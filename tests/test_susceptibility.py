@@ -303,15 +303,11 @@ class TestChiTable:
         assert np.array_equal(table(G2, g2), reference_bilinear(table, G2, g2))
         G2, g2 = G2.reshape(48, -1), g2.reshape(48, -1)
         assert np.array_equal(table(G2, g2), reference_bilinear(table, G2, g2))
-
-    def test_broadcast_lookup_equals_full_bilinear(self, table):
-        G2 = np.concatenate([[0.0], np.geomspace(table._G2[0] * 1e-3,
-                                                 table.G_abs2_max, 60)])
-        g2 = np.geomspace(table._g2[0] * 1e-3, table.g_abs2_max, 50)
-        got = table(G2[:, None], g2[None, :])
-        assert got.shape == (61, 50)
-        assert np.array_equal(
-            got, reference_bilinear(table, G2[:, None], g2[None, :]))
+        # an axis grid, broadcast
+        G2, g2 = G2[:, :1], g2[:1, :]
+        got = table(G2, g2)
+        assert got.shape == (48, 100)
+        assert np.array_equal(got, reference_bilinear(table, G2, g2))
 
     def test_scalar_queries_return_complex(self, table):
         G2, g2 = lookup_queries(table, n=3, seed=4)
@@ -319,13 +315,6 @@ class TestChiTable:
             got = table(float(Gq), float(gq))
             assert type(got) is complex
             assert got == complex(reference_bilinear(table, Gq, gq))
-
-    def test_rejects_probe_out_of_range(self, table):
-        with pytest.raises(ValueError):
-            table(0.1, table.g_abs2_max * (1.0 + 2.0 * table.OVERSHOOT))
-        with pytest.raises(ValueError):
-            table(np.array([0.0, 0.1]),
-                  np.array([0.0, table.g_abs2_max * 1.2]))
 
     def test_exact_at_sample_point(self, table):
         G2 = table._G2[17]
@@ -343,6 +332,10 @@ class TestChiTable:
     def test_rejects_out_of_range(self, table):
         with pytest.raises(ValueError):
             table(0.185 * 1.2, 0.01)
+        with pytest.raises(ValueError):
+            table(0.1, table.g_abs2_max * 1.2)
+        with pytest.raises(ValueError):
+            table(np.array([0.0, 0.1]), np.array([0.0, table.g_abs2_max * 1.2]))
 
     def test_zero_table_for_control_off(self):
         table = build_chi_table(0.0, 0.05, REF)
