@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import ControlBeamSpec
+from .beams import ControlBeamSpec, _radial_intensity
 from .field import ComplexField2D
 from .params import PhysicalParams
 from .susceptibility import FieldPoint, chi_doppler_averaged
@@ -114,8 +114,7 @@ def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
     """
     wz = control.width_at(z)
     r = np.linspace(0.0, 5.0 * wz, n_radii)
-    amp = control.G0 * control.waist_wc * r / wz**2
-    G2 = amp * amp * np.exp(-2.0 * r * r / wz**2)
+    G2 = _radial_intensity(control, r, r * r, z)
     chi = chi_doppler_averaged(
         FieldPoint(np.full_like(r, probe_level**2), G2), params)
     return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
@@ -125,12 +124,10 @@ def radial_chi_profile(params: PhysicalParams, control: ControlBeamSpec,
                        z: float, probe_level: float,
                        r: np.ndarray) -> np.ndarray:
     """Averaged susceptibility along a radial cut at fixed z."""
-    wz = control.width_at(z)
-    amp = control.G0 * control.waist_wc * np.abs(r) / wz**2
-    G2 = amp * amp * np.exp(-2.0 * r * r / wz**2)
+    r = np.asarray(r, dtype=float)
+    G2 = _radial_intensity(control, np.abs(r), r * r, z)
     return chi_doppler_averaged(
-        FieldPoint(np.full_like(np.asarray(r, float), probe_level**2), G2),
-        params)
+        FieldPoint(np.full_like(r, probe_level**2), G2), params)
 
 
 def normalized_profile_distance(field_a: ComplexField2D,

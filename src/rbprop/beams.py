@@ -122,12 +122,17 @@ def _radial_mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return r, r2
 
 
-def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float) -> np.ndarray:
-    """|G|^2 sampled on the grid at height z (cheaper than the complex field)."""
-    r, r2 = _radial_mesh(grid)
+def _radial_intensity(spec: ControlBeamSpec, r, r2, z: float):
+    """|G|^2 at radius r (r2 = r^2) and height z; the one radial formula."""
     wz = spec.width_at(z)
     amp = spec.G0 * spec.waist_wc * r / wz**2
     return amp * amp * np.exp(-2.0 * r2 / wz**2)
+
+
+def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float) -> np.ndarray:
+    """|G|^2 sampled on the grid at height z (cheaper than the complex field)."""
+    r, r2 = _radial_mesh(grid)
+    return _radial_intensity(spec, r, r2, z)
 
 
 def gaussian_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:

@@ -161,10 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default="rbprop-out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--order", type=int, choices=(2, 4), default=2,
-                       help="splitting order for propagate")
-        p.add_argument("--direct-chi", action="store_true",
-                       help="bypass the susceptibility table")
+        if name == "propagate":
+            p.add_argument("--order", type=int, choices=(2, 4), default=2,
+                           help="splitting order")
+            p.add_argument("--direct-chi", action="store_true",
+                           help="bypass the susceptibility table")
     return parser
 
 

@@ -434,8 +434,8 @@ class ChiTable:
     def shape(self) -> tuple[int, int]:
         return self._h.shape
 
-    # relative overshoot absorbed by clamping (integrator stages can nudge
-    # a few permille past the range the stepper checked against)
+    # relative overshoot absorbed by clamping (an integrator stage can nudge
+    # a query a few permille past the field it starts from)
     OVERSHOOT = 0.05
 
     def __call__(self, G_abs2, g_abs2):
@@ -453,9 +453,11 @@ class ChiTable:
         if self.zero:
             out = np.zeros(shape, dtype=complex)
             return complex(out) if out.shape == () else out
-        if np.any(G2q > self._G2[-1] * (1 + self.OVERSHOOT)) or \
-           np.any(g2q > self._g2[-1] * (1 + self.OVERSHOOT)):
-            raise ValueError("query outside the tabulated amplitude range")
+        for name, q, nodes in (("|G|^2", G2q, self._G2),
+                               ("|g|^2", g2q, self._g2)):
+            if np.any(q > nodes[-1] * (1 + self.OVERSHOOT)):
+                raise ValueError(f"{name} queried up to {np.nanmax(q):.6g}, "
+                                 f"above the table top {nodes[-1]:.6g}")
         G2q = np.broadcast_to(G2q, shape).ravel()
         g2q = np.broadcast_to(g2q, shape).ravel()
         out = G2q * self._h[0, 0]
@@ -515,9 +517,6 @@ class ChiTable:
         return float(np.max(np.abs(approx - exact) / np.abs(exact)))
 
 
-_TABLE_CACHE: dict = {}
-
-
 def build_chi_table(G_abs2_max: float, g_abs2_max: float,
                     params: PhysicalParams,
                     target_error: float = 1.0e-4,
@@ -541,11 +540,6 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
         g2 = np.array([max(g_abs2_max, 1.0e-300) * floor_ratio,
                        max(g_abs2_max, 1.0e-300)])
         return ChiTable(G2, g2, params, zero=True)
-    cache_key = (params, float(G_abs2_max), float(g_abs2_max),
-                 float(target_error), float(floor_ratio), int(seed))
-    cached = _TABLE_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
     g_top = max(g_abs2_max, G_abs2_max * 1.0e-12)
 
     def make(nG: int, ng: int) -> ChiTable:
@@ -567,7 +561,6 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
         factor_g = np.sqrt(err_g / (headroom * target_error))
         if factor_G <= 1.0 and factor_g <= 1.0:
             if table.max_relative_error(seed=seed) < target_error:
-                _TABLE_CACHE[cache_key] = table
                 return table
             factor_G = factor_g = 1.3
         nG = min(max_nodes, int(np.ceil(nG * max(factor_G, 1.0))) + 1)
@@ -575,7 +568,6 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
         table = make(nG, ng)
     err = table.max_relative_error(seed=seed)
     if err < target_error:
-        _TABLE_CACHE[cache_key] = table
         return table
     raise TableRefinementError(
         f"interpolation error {err:.3e} still above {target_error:g} at the "

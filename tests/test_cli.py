@@ -154,6 +154,14 @@ def test_order4_plan_selectable(tiny_config, tmp_path):
                  "--out", str(out_dir), "--order", "4"]) == 0
 
 
+@pytest.mark.parametrize("command", ("chi-scan", "analyze", "oracle"))
+def test_propagate_options_rejected_elsewhere(tiny_config, tmp_path, command):
+    for option in (["--order", "4"], ["--direct-chi"]):
+        with pytest.raises(SystemExit):
+            main([command, "--config", str(tiny_config),
+                  "--out", str(tmp_path)] + option)
+
+
 def test_free_space_widths_follow_gaussian_diffraction_law(tiny_config, tmp_path):
     cfg = tmp_path / "free.ini"
     cfg.write_text(tiny_config.read_text().replace(

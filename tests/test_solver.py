@@ -179,6 +179,21 @@ class TestPropagate:
             propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan)
         assert err.value.z == pytest.approx(0.01)
 
+    def test_focusing_past_the_table_range_names_step_and_intensity(self):
+        # a lens of focal length 0.2 cm focuses the probe far beyond the
+        # table's |g|^2 top, 12 x the input peak 0.04
+        grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.01, cell_length=0.3)
+        X, Y = grid.mesh()
+        lens = np.exp(-1j * K * (X**2 + Y**2) / (2.0 * 0.2))
+        probe = ComplexField2D(gaussian_field(grid).values * lens, grid, 0.0)
+        plan = StepPlan(grid, dz=grid.dz)
+        with pytest.raises(NumericsError, match=r"step 15 at z = 0\.145 cm "
+                           r"\(\|g\|\^2 queried up to [0-9.]+, above the "
+                           r"table top 0\.48\)") as err:
+            propagate(probe, ControlBeamSpec(), PARAMS, grid, plan,
+                      snapshot_every=10**9)
+        assert err.value.z == pytest.approx(0.145)
+
     def test_order4_runs_and_agrees_with_order2(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)

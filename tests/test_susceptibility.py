@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from rbprop.params import PhysicalParams, prefactor_over_gamma
 from rbprop.susceptibility import (FieldPoint, OracleConvergenceError,
-                                   build_chi_table, build_resolved_quadrature,
+                                   TableRefinementError, build_chi_table,
+                                   build_resolved_quadrature,
                                    build_velocity_quadrature, chi_doppler_averaged,
                                    chi_ratio, chi_stationary, steady_state_oracle)
 
@@ -336,6 +337,14 @@ class TestChiTable:
             table(0.1, table.g_abs2_max * 1.2)
         with pytest.raises(ValueError):
             table(np.array([0.0, 0.1]), np.array([0.0, table.g_abs2_max * 1.2]))
+
+    def test_node_cap_holds_after_an_equal_range_build(self, table):
+        # the fixture built this range at 48 initial nodes; a 16-node cap
+        # cannot reach the target, whatever was built before
+        with pytest.raises(TableRefinementError):
+            build_chi_table(0.185, 0.06, REF, target_error=1e-3,
+                            initial_nodes=8, max_nodes=16, max_rounds=1,
+                            seed=5)
 
     def test_zero_table_for_control_off(self):
         table = build_chi_table(0.0, 0.05, REF)
