@@ -12,7 +12,7 @@ from .config import SimulationConfig, parse_config, serialize_config
 from .params import (ConfigurationError, GridSpec, PhysicalParams,
                      dipole_prefactor, prefactor_over_gamma, validate)
 from .solver import (ComplexField2D, NumericsError, StepPlan,
-                     diffraction_step, medium_step, propagate)
+                     diffraction_step, propagate)
 from .susceptibility import (ChiTable, FieldPoint, build_chi_table,
                              chi_doppler_averaged, chi_stationary,
                              steady_state_oracle)
@@ -23,7 +23,7 @@ __all__ = [
     "RunDiagnostics", "SimulationConfig",
     "StepPlan", "beam_width", "build_chi_table", "chi_doppler_averaged", "chi_stationary", "control_field",
     "diffraction_step", "dipole_prefactor", "double_gaussian_probe",
-    "gaussian_probe", "index_contrast", "make_probe", "medium_step",
+    "gaussian_probe", "index_contrast", "make_probe",
     "parse_config", "peak_positions", "prefactor_over_gamma", "propagate",
     "sech_multipeak_probe", "serialize_config", "steady_state_oracle",
     "transmission", "validate",

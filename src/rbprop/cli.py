@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: chi-scan, propagate, analyze, oracle.  Exit status 0 on success,
-1 on configuration errors, 2 on numerical failure.
+1 on configuration or usage errors, 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -32,19 +32,20 @@ EXIT_CONFIG = 1
 EXIT_NUMERICS = 2
 
 
-def _start_manifest(cfg, seed: int) -> RunManifest:
+def _start_manifest(cfg) -> RunManifest:
+    # only oracle draws random numbers, and it writes no manifest
     return RunManifest(
         tool_version=__version__,
         config=config_as_dict(cfg),
         defaulted_keys=cfg.defaulted_keys,
-        seed=seed,
+        seed=None,
         started_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
 
 
-def cmd_chi_scan(cfg, out_dir: Path, seed: int, args) -> int:
+def cmd_chi_scan(cfg, out_dir: Path, args) -> int:
     scan = cfg.scan
-    manifest = _start_manifest(cfg, seed)
+    manifest = _start_manifest(cfg)
     r_values = np.linspace(scan["r_min_cm"], scan["r_max_cm"], scan["r_points"])
     d_values = np.linspace(scan["delta_R_min_over_gamma"],
                            scan["delta_R_max_over_gamma"],
@@ -68,17 +69,16 @@ def cmd_chi_scan(cfg, out_dir: Path, seed: int, args) -> int:
     return EXIT_OK
 
 
-def cmd_propagate(cfg, out_dir: Path, seed: int, args) -> int:
-    manifest = _start_manifest(cfg, seed)
+def cmd_propagate(cfg, out_dir: Path, args) -> int:
+    manifest = _start_manifest(cfg)
     plan = StepPlan(cfg.grid, dz=cfg.grid.dz, order=args.order)
     probe = make_probe(cfg.probe, cfg.grid)
     result = propagate(
         probe, cfg.control, cfg.params, cfg.grid, plan,
         snapshot_every=cfg.run["snapshot_every"],
-        use_table=cfg.run["chi_table"] and not args.direct_chi,
+        use_table=cfg.run["chi_table"],
         table_target_error=cfg.run["table_target_error"],
         absorbing_boundary=cfg.run["absorbing_boundary"],
-        table_seed=seed,
     )
     diagnostics = RunDiagnostics(input_power=probe.power())
     for snap in result.snapshots:
@@ -95,11 +95,11 @@ def cmd_propagate(cfg, out_dir: Path, seed: int, args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(cfg, out_dir: Path, seed: int, args) -> int:
+def cmd_analyze(cfg, out_dir: Path, args) -> int:
     snapshots = sorted(out_dir.glob("*.rbpf"))
     if not snapshots:
         raise ConfigurationError([f"no field snapshots in {out_dir}"])
-    manifest = _start_manifest(cfg, seed)
+    manifest = _start_manifest(cfg)
     fields = sorted((read_field(p, cfg.grid) for p in snapshots),
                     key=lambda f: f.z)
     diagnostics = RunDiagnostics(input_power=fields[0].power())
@@ -118,8 +118,8 @@ def cmd_analyze(cfg, out_dir: Path, seed: int, args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg, out_dir: Path, seed: int, args) -> int:
-    rng = np.random.default_rng(seed)
+def cmd_oracle(cfg, out_dir: Path, args) -> int:
+    rng = np.random.default_rng(args.seed)
     pref = prefactor_over_gamma(cfg.params)
     draws = cfg.oracle["draws"]
     worst = 0.0
@@ -160,12 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default="rbprop-out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         if name == "propagate":
             p.add_argument("--order", type=int, choices=(2, 4), default=2,
                            help="splitting order")
-            p.add_argument("--direct-chi", action="store_true",
-                           help="bypass the susceptibility table")
+        if name == "oracle":
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the random parameter draws")
     return parser
 
 
@@ -178,13 +178,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error; --help and --version exit 0
+        if exc.code != 2:
+            raise
+        return EXIT_CONFIG
     try:
         cfg = parse_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         with OutputLock(out_dir):
-            return _COMMANDS[args.command](cfg, out_dir, args.seed, args)
+            return _COMMANDS[args.command](cfg, out_dir, args)
     except (ConfigurationError, OutputLockError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -133,7 +133,7 @@ class RunManifest:
     tool_version: str
     config: dict
     defaulted_keys: list[str]
-    seed: int
+    seed: int | None
     started_at: str = ""
     finished_at: str = ""
     outputs: list[dict] = field(default_factory=list)

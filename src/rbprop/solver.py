@@ -35,9 +35,9 @@ PROBE_PEAK_HEADROOM = 12.0
 class NumericsError(RuntimeError):
     """The propagation failed numerically (non-finite values, range blowout)."""
 
-    def __init__(self, z: float, message: str = ""):
+    def __init__(self, z: float, message: str):
         self.z = z
-        super().__init__(message or f"non-finite field values at z = {z:.6g} cm")
+        super().__init__(message)
 
 
 @dataclass
@@ -87,13 +87,6 @@ def diffraction_step(field: ComplexField2D, distance: float, k: float,
     spectrum *= plan.diffraction_phase(distance, k)
     values = scipy.fft.ifft2(spectrum, overwrite_x=True, workers=1)
     return ComplexField2D(values, field.grid, field.z + distance)
-
-
-def medium_step(field: ComplexField2D, chi_field: np.ndarray,
-                distance: float, k: float) -> ComplexField2D:
-    """Pointwise medium factor exp(2 i pi k chi(x, y) d)."""
-    values = field.values * np.exp(2j * np.pi * k * chi_field * distance)
-    return ComplexField2D(values, field.grid, field.z)
 
 
 def edge_window(grid: GridSpec, fraction: float = 0.1) -> np.ndarray:
@@ -152,8 +145,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
               snapshot_every: int = 100,
               use_table: bool = True,
               table_target_error: float = 1.0e-4,
-              absorbing_boundary: bool = False,
-              table_seed: int = 0) -> PropagationResult:
+              absorbing_boundary: bool = False) -> PropagationResult:
     """March the probe from z = 0 to z = cell_length.
 
     Per step: half diffraction, one medium sub-flow with the control field
@@ -183,7 +175,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         G2_max = float(max(control.peak_intensity(z) for z in z_samples))
         g2_max = PROBE_PEAK_HEADROOM * float(np.max(np.abs(probe.values) ** 2))
         table = build_chi_table(G2_max, g2_max, params,
-                                target_error=table_target_error, seed=table_seed)
+                                target_error=table_target_error)
 
     window = edge_window(grid) if absorbing_boundary else None
     dark = control.G0 == 0.0
@@ -219,7 +211,9 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         if window is not None:
             field.values *= window
         if not np.all(np.isfinite(field.values)):
-            raise NumericsError(field.z)
+            raise NumericsError(
+                field.z, f"non-finite field values in step {step + 1} at "
+                f"z = {field.z:.6g} cm")
         if (step + 1) % snapshot_every == 0 or step == n_steps - 1:
             snapshots.append(field.copy())
             snapshot_steps.append(step + 1)

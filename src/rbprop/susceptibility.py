@@ -15,19 +15,7 @@ The thermal average over the Maxwellian distribution of Doppler shifts (width
 D) is exact: the quadratic's two complex-conjugate poles turn it into the
 plasma dispersion function Z (Fried & Conte 1961), evaluated through the
 Faddeeva function ``scipy.special.wofz`` (Weideman 1994).  Every run takes
-this average.  Two node rules are kept as references that sum the same
-single-velocity ratio over their nodes when passed to
-``chi_doppler_averaged``:
-
-* ``build_resolved_quadrature`` -- panelised Gauss-Legendre rule with panels
-  clustered around kv = +-|delta_p|, where atoms Doppler-shifted into
-  one-photon resonance form a feature a few gamma wide.  It was the run's
-  average before the closed form and is 2.2e-3 off in the dark vortex core
-  (|g|^2 = 0.40, |G|^2 = 8.8e-7, delta_R = -0.015), where the light-shifted
-  Raman resonance of atoms near kv = -196 falls inside one of its wide
-  panels.
-* ``build_velocity_quadrature`` -- Gauss-Hermite nodes kv = sqrt(2) D t;
-  accurate only when the resonant class carries no weight.
+this average.
 """
 
 from __future__ import annotations
@@ -36,7 +24,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import roots_hermite, wofz
+from scipy.special import wofz
 
 from .params import PhysicalParams, prefactor_over_gamma
 
@@ -235,97 +223,6 @@ def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
     raise OracleConvergenceError(residual)
 
 
-@dataclass(frozen=True)
-class VelocityQuadrature:
-    """Nodes (kv values, gamma units) and probability weights for <.>_v."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(weights < 0):
-            raise ValueError("quadrature weights must be non-negative")
-        total = weights.sum()
-        if not (1.0 - 1e-12 <= total <= 1.0 + 1e-12):
-            raise ValueError(f"quadrature weights sum to {total!r}, expected 1")
-        if not np.allclose(nodes, -nodes[::-1], atol=1e-9 * (1 + np.abs(nodes).max())):
-            raise ValueError("quadrature nodes must be symmetric about zero")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
-
-def build_velocity_quadrature(doppler_width: float, n_nodes: int = 64) -> VelocityQuadrature:
-    """Gauss-Hermite quadrature for the Maxwellian velocity average.
-
-    Nodes are kv = sqrt(2) * D * t with t the Hermite roots, weights are the
-    Hermite weights over sqrt(pi), so that sum_i w_i f(kv_i) approximates
-    integral P(kv) f(kv) d(kv) with P the normal distribution of width D.
-    """
-    if n_nodes < 2 or n_nodes % 2 != 0:
-        raise ValueError("n_nodes must be an even number >= 2")
-    t, w = roots_hermite(n_nodes)
-    nodes = np.sqrt(2.0) * doppler_width * t
-    weights = w / np.sqrt(np.pi)
-    weights = weights / weights.sum()
-    return VelocityQuadrature(nodes=nodes, weights=weights)
-
-
-def build_resolved_quadrature(doppler_width: float, probe_detuning: float,
-                              span_sigmas: float = 8.0,
-                              points_per_panel: int = 16) -> VelocityQuadrature:
-    """Panelised Gauss-Legendre rule resolving the resonant velocity class.
-
-    Panel boundaries are placed symmetrically about zero and clustered around
-    kv = +-|delta_p|, where atoms are Doppler-shifted into one-photon
-    resonance and the integrand varies on the gamma scale.  Each panel is
-    integrated with a fixed-order Legendre rule; the integrand is analytic, so
-    per-panel convergence is spectral.  Weights carry the Maxwellian factor
-    and are renormalised to sum to one (the +-span_sigmas truncation).
-    """
-    D = float(doppler_width)
-    if D == 0.0:
-        nodes = np.zeros(2)
-        return VelocityQuadrature(nodes=nodes, weights=np.full(2, 0.5))
-    span = span_sigmas * D
-    offsets = np.array([0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 45.0, 90.0])
-    edges = {-span, 0.0, span}
-    center = abs(probe_detuning)
-    for s in (-1.0, 1.0):
-        for off in offsets:
-            for e in (s * (center + off), s * (center - off)):
-                if -span < e < span:
-                    edges.add(e)
-    edges = np.array(sorted(edges))
-    t, w = np.polynomial.legendre.leggauss(points_per_panel)
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        kv = mid + half * t
-        pw = np.exp(-kv**2 / (2.0 * D * D)) / np.sqrt(2.0 * np.pi * D * D)
-        nodes.append(kv)
-        weights.append(half * w * pw)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    order = np.argsort(nodes)
-    nodes = nodes[order]
-    weights = weights[order]
-    weights = weights / weights.sum()
-    # enforce exact reflection symmetry against rounding in the edge set
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
-    return VelocityQuadrature(nodes=nodes, weights=weights)
-
-
 def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
     """Exact Maxwellian average of (n0 + n1 kv) / (d0 + d1 kv + d2 kv^2).
 
@@ -351,26 +248,14 @@ def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
         return np.where(d2 == 0.0, n0 / d0, avg)
 
 
-def _node_average(coeffs, quad: VelocityQuadrature) -> np.ndarray:
-    """Weighted sum of the single-velocity ratio over a quadrature's nodes."""
-    n0, n1, d0, d1, d2 = coeffs
-    acc = np.zeros(np.shape(n0), dtype=complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for kv, w in zip(quad.nodes, quad.weights):
-            acc += w * (n0 + n1 * kv) / (d0 + kv * (d1 + d2 * kv))
-    return acc
-
-
-def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
-                         quad: VelocityQuadrature | None = None):
+def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams):
     """Thermally averaged susceptibility <chi(delta_p - kv, delta_c - kv)>_v.
 
     Both one-photon detunings shift by the same kv (equal wavenumbers,
     co-propagating beams), so the two-photon detuning is velocity independent.
-    ``quad=None`` takes the exact Faddeeva average; a ``VelocityQuadrature``
-    sums over its nodes instead (reference rules for tests).  Accepts array-valued
-    field points and returns a matching complex array, evaluated in blocks
-    of AVERAGE_BLOCK points.  Points with |G|^2 = 0 return exactly 0.
+    The average is the exact Faddeeva form of ``_maxwell_average``.  Accepts
+    array-valued field points and returns a matching complex array, evaluated
+    in blocks of AVERAGE_BLOCK points.  Points with |G|^2 = 0 return exactly 0.
     """
     g2, G2 = np.broadcast_arrays(np.asarray(point.g_abs2, dtype=float),
                                  np.asarray(point.G_abs2, dtype=float))
@@ -382,10 +267,7 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
         block = slice(start, start + AVERAGE_BLOCK)
         coeffs = _ratio_coefficients(g2[block], G2[block], params.delta_p,
                                      params.delta_c, params.big_gamma)
-        if quad is None:
-            out[block] = _maxwell_average(coeffs, params.doppler_width)
-        else:
-            out[block] = _node_average(coeffs, quad)
+        out[block] = _maxwell_average(coeffs, params.doppler_width)
     out[G2 == 0.0] = 0.0
     out = prefactor_over_gamma(params) * out.reshape(shape)
     if shape == ():
@@ -403,10 +285,12 @@ class ChiTable:
     chi depends only on (|G|^2, |g|^2) once the detunings and velocity
     average are fixed, so a run evaluates it through a tensor-product table over
     log-spaced samples of the two squared amplitudes.  The stored quantity is
-    chi / |G|^2, which tends to a constant as |G|^2 -> 0; multiplying the
-    interpolated value by |G|^2 makes the table exact in the weak-control
-    limit and exactly zero at |G|^2 = 0.  Axis densities are chosen
-    adaptively by build_chi_table.
+    chi / |G|^2, and each lookup multiplies the interpolated value by |G|^2,
+    so the table is exactly zero at |G|^2 = 0.  chi / |G|^2 tends to a
+    constant as |G|^2 -> 0 only while |g|^2 >> |G|^2: when both fields are
+    weak, chi tends to a finite value, which a query below both node floors
+    (read off the corner node times |G|^2) does not reproduce.  Axis
+    densities are chosen adaptively by build_chi_table.
     """
 
     def __init__(self, G_abs2_nodes: np.ndarray, g_abs2_nodes: np.ndarray,
@@ -523,16 +407,16 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
                     initial_nodes: int = 64,
                     floor_ratio: float = 1.0e-4,
                     max_nodes: int = 2048,
-                    max_rounds: int = 4,
-                    seed: int = 0) -> ChiTable:
+                    max_rounds: int = 4) -> ChiTable:
     """Build an adaptive ChiTable covering [0, G_abs2_max] x [0, g_abs2_max].
 
     A coarse log-uniform pilot grid measures the worst midpoint error per
     axis; the second-order behaviour of bilinear interpolation then gives the
     node density needed to hit the target, each axis sized independently.
-    The result is verified on a seeded random probe set and re-densified if
-    needed.  Raises TableRefinementError if the node cap is insufficient
-    (direct evaluation is then advised).
+    The result is verified on ``max_relative_error``'s fixed probe set
+    (1000 log-uniform points drawn with seed 0) and re-densified if needed.
+    Raises TableRefinementError if the node cap is insufficient (direct
+    evaluation is then advised).
     """
     if G_abs2_max <= 0.0:
         # degenerate table: control off everywhere, chi identically zero
@@ -556,17 +440,17 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
             err_g = table._axis_midpoint_error(1)
         else:
             # large grids: probe-based estimate only (midpoint pass costs a fill)
-            err_G = err_g = table.max_relative_error(seed=seed)
+            err_G = err_g = table.max_relative_error()
         factor_G = np.sqrt(err_G / (headroom * target_error))
         factor_g = np.sqrt(err_g / (headroom * target_error))
         if factor_G <= 1.0 and factor_g <= 1.0:
-            if table.max_relative_error(seed=seed) < target_error:
+            if table.max_relative_error() < target_error:
                 return table
             factor_G = factor_g = 1.3
         nG = min(max_nodes, int(np.ceil(nG * max(factor_G, 1.0))) + 1)
         ng = min(max_nodes, int(np.ceil(ng * max(factor_g, 1.0))) + 1)
         table = make(nG, ng)
-    err = table.max_relative_error(seed=seed)
+    err = table.max_relative_error()
     if err < target_error:
         return table
     raise TableRefinementError(

@@ -290,7 +290,7 @@ def test_criterion_10_bitwise_reproducibility(tmp_path):
     for tag in ("a", "b"):
         out_dir = tmp_path / tag
         assert main(["propagate", "--config", str(cfg),
-                     "--out", str(out_dir), "--seed", "11"]) == 0
+                     "--out", str(out_dir)]) == 0
         snaps = {p.name: p.read_bytes() for p in out_dir.glob("*.rbpf")}
         snaps["diagnostics.csv"] = (out_dir / "diagnostics.csv").read_bytes()
         outputs.append(snaps)

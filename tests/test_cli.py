@@ -156,10 +156,21 @@ def test_order4_plan_selectable(tiny_config, tmp_path):
 
 @pytest.mark.parametrize("command", ("chi-scan", "analyze", "oracle"))
 def test_propagate_options_rejected_elsewhere(tiny_config, tmp_path, command):
-    for option in (["--order", "4"], ["--direct-chi"]):
-        with pytest.raises(SystemExit):
-            main([command, "--config", str(tiny_config),
-                  "--out", str(tmp_path)] + option)
+    assert main([command, "--config", str(tiny_config),
+                 "--out", str(tmp_path), "--order", "4"]) == 1
+
+
+@pytest.mark.parametrize("command", ("propagate", "chi-scan", "analyze"))
+def test_seed_accepted_only_by_oracle(tiny_config, tmp_path, command):
+    assert main([command, "--config", str(tiny_config),
+                 "--out", str(tmp_path), "--seed", "3"]) == 1
+
+
+@pytest.mark.parametrize("option", ("--help", "--version"))
+def test_help_and_version_exit_zero(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([option])
+    assert exc.value.code == 0
 
 
 def test_free_space_widths_follow_gaussian_diffraction_law(tiny_config, tmp_path):
@@ -183,14 +194,16 @@ def test_free_space_widths_follow_gaussian_diffraction_law(tiny_config, tmp_path
 def test_direct_chi_matches_table_on_guided_grid(tmp_path):
     # the 256^2 guided preset cut to two steps; the Gaussian tails of the
     # control reach |G|^2 ~ 1e-172, where direct evaluation must still work
-    cfg = tmp_path / "guided2.ini"
-    cfg.write_text((PRESETS / "guided_gaussian.ini").read_text()
-                   .replace("cell_length_cm = 5.0", "cell_length_cm = 0.01"))
+    text = (PRESETS / "guided_gaussian.ini").read_text() \
+        .replace("cell_length_cm = 5.0", "cell_length_cm = 0.01")
     finals = []
-    for tag, extra in (("table", []), ("direct", ["--direct-chi"])):
+    for tag, chi_table in (("table", "true"), ("direct", "false")):
+        cfg = tmp_path / f"guided2-{tag}.ini"
+        cfg.write_text(text.replace("[run]",
+                                    f"[run]\nchi_table = {chi_table}"))
         out_dir = tmp_path / tag
         assert main(["propagate", "--config", str(cfg),
-                     "--out", str(out_dir)] + extra) == 0
+                     "--out", str(out_dir)]) == 0
         fields = [read_field(p) for p in out_dir.glob("*.rbpf")]
         finals.append(max(fields, key=lambda f: f.z))
     table, direct = finals

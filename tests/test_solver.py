@@ -7,7 +7,7 @@ from rbprop.beams import ControlBeamSpec, ProbeSpec, make_probe
 from rbprop.params import GridSpec, PhysicalParams
 from rbprop.solver import (ComplexField2D, NumericsError, StepPlan,
                            _medium_subflow, diffraction_step, edge_window,
-                           medium_step, propagate)
+                           propagate)
 
 PARAMS = PhysicalParams()
 K = PARAMS.wavenumber
@@ -60,33 +60,6 @@ class TestDiffraction:
         zr = np.pi * w0**2 / PARAMS.wavelength
         expect = w0 * np.sqrt(1.0 + (z / zr) ** 2)
         assert beam_width(out) == pytest.approx(expect, rel=1e-3)
-
-
-class TestMedium:
-    def test_zero_susceptibility_is_identity(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.1)
-        f = gaussian_field(grid)
-        out = medium_step(f, np.zeros((32, 32)), 0.5, K)
-        np.testing.assert_array_equal(out.values, f.values)
-
-    def test_absorption_strictly_decreases_power(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.1)
-        f = gaussian_field(grid)
-        chi = np.full((32, 32), 1e-7j)
-        out = medium_step(f, chi, 0.5, K)
-        assert out.power() < f.power()
-
-    def test_uniform_real_chi_is_pure_phase(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.1)
-        f = gaussian_field(grid)
-        chi0 = 3.3e-6
-        out = medium_step(f, np.full((32, 32), chi0), 0.25, K)
-        np.testing.assert_allclose(np.abs(out.values), np.abs(f.values),
-                                   rtol=1e-14)
-        phase = out.values / np.where(f.values == 0, 1, f.values)
-        expect = np.exp(2j * np.pi * K * chi0 * 0.25)
-        np.testing.assert_allclose(phase[np.abs(f.values) > 1e-6], expect,
-                                   rtol=1e-12)
 
 
 class TestStepPlan:
@@ -175,7 +148,8 @@ class TestPropagate:
         bad = gaussian_field(grid)
         bad.values[3, 3] = np.nan
         plan = StepPlan(grid, dz=grid.dz)
-        with pytest.raises(NumericsError) as err:
+        with pytest.raises(NumericsError,
+                           match=r"step 1 at z = 0\.01 cm") as err:
             propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan)
         assert err.value.z == pytest.approx(0.01)
 

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from rbprop.params import PhysicalParams, prefactor_over_gamma
 from rbprop.susceptibility import (FieldPoint, OracleConvergenceError,
                                    TableRefinementError, build_chi_table,
-                                   build_resolved_quadrature,
-                                   build_velocity_quadrature, chi_doppler_averaged,
-                                   chi_ratio, chi_stationary, steady_state_oracle)
+                                   chi_doppler_averaged, chi_ratio,
+                                   chi_stationary, steady_state_oracle)
 
 REF = PhysicalParams()  # reference medium used throughout
 PREF = prefactor_over_gamma(REF)
@@ -93,79 +92,6 @@ class TestOracle:
         assert err.value.residual > 0
 
 
-class TestVelocityQuadrature:
-    def test_gauss_hermite_normalization(self):
-        q = build_velocity_quadrature(70.0, 64)
-        assert abs(q.weights.sum() - 1.0) < 1e-12
-
-    def test_gauss_hermite_second_moment(self):
-        q = build_velocity_quadrature(70.0, 64)
-        second = float((q.weights * q.nodes**2).sum())
-        assert second == pytest.approx(70.0**2, rel=1e-10)
-
-    def test_node_count_must_be_even(self):
-        with pytest.raises(ValueError):
-            build_velocity_quadrature(70.0, 63)
-        with pytest.raises(ValueError):
-            build_velocity_quadrature(70.0, 0)
-
-    def test_nodes_symmetric(self):
-        for q in (build_velocity_quadrature(70.0, 32),
-                  build_resolved_quadrature(70.0, -170.0)):
-            np.testing.assert_allclose(q.nodes, -q.nodes[::-1], atol=1e-9)
-
-    def test_gauss_hermite_self_convergence_without_resonant_class(self):
-        # narrow Doppler width: the one-photon-resonant velocity class sits
-        # 8.5 sigma out and carries no weight, so the integrand is smooth on
-        # the quadrature's scale and the node count is converged
-        params = PhysicalParams(doppler_width=20.0)
-        pt = FieldPoint(0.04, 0.104)
-        c64 = chi_doppler_averaged(pt, params, build_velocity_quadrature(20.0, 64))
-        c256 = chi_doppler_averaged(pt, params, build_velocity_quadrature(20.0, 256))
-        assert abs(c64 - c256) / abs(c256) < 1e-8
-
-    def test_resolved_rule_matches_dense_trapezoid(self):
-        # independent integrator: plain trapezoid over +-8D, fine enough to
-        # resolve the resonant velocity class near kv = delta_p
-        params = REF
-        D = params.doppler_width
-        kv = np.linspace(-8 * D, 8 * D, 2 ** 18 + 1)
-        pdf = np.exp(-kv**2 / (2 * D * D)) / np.sqrt(2 * np.pi * D * D)
-        vals = chi_ratio(0.04, 0.104, params.delta_p - kv,
-                         params.delta_c - kv, params.big_gamma)
-        ref = PREF * np.trapezoid(vals * pdf, kv) / np.trapezoid(pdf, kv)
-        got = chi_doppler_averaged(FieldPoint(0.04, 0.104), params,
-                                   build_resolved_quadrature(D, params.delta_p))
-        assert abs(got - ref) / abs(ref) < 1e-6
-
-    def test_zero_width_reduces_to_stationary(self):
-        params = PhysicalParams(doppler_width=0.0)
-        pt = FieldPoint(0.04, 0.104)
-        expect = chi_stationary(pt, params.delta_p, params.delta_c,
-                                params.big_gamma, PREF)
-        for q in (None, build_velocity_quadrature(0.0, 8),
-                  build_resolved_quadrature(0.0, params.delta_p)):
-            got = chi_doppler_averaged(pt, params, q)
-            assert got == pytest.approx(expect, rel=1e-14)
-
-    def test_reflection_invariance(self):
-        from rbprop.susceptibility import VelocityQuadrature
-        q = build_resolved_quadrature(70.0, -170.0)
-        flipped = VelocityQuadrature(nodes=-q.nodes[::-1],
-                                     weights=q.weights[::-1])
-        pt = FieldPoint(0.04, 0.104)
-        a = chi_doppler_averaged(pt, REF, q)
-        b = chi_doppler_averaged(pt, REF, flipped)
-        assert a == pytest.approx(b, rel=1e-13)
-
-    def test_averaging_preserves_dark_state_zero(self):
-        params = PhysicalParams(big_gamma=0.0, delta_R=0.0)
-        q = build_resolved_quadrature(params.doppler_width, params.delta_p)
-        for rule in (None, q):
-            chi = chi_doppler_averaged(FieldPoint(0.04, 0.5), params, rule)
-            assert abs(chi) < 1e-14
-
-
 def trapezoid_average(g2, G2, params, n=2 ** 18):
     """Dense trapezoid of the stationary ratio over +-9 Doppler widths.
 
@@ -222,25 +148,35 @@ class TestExactAverage:
             assert vec[i] == pytest.approx(chi_doppler_averaged(
                 FieldPoint(float(g2[i]), float(G2[i])), REF), rel=1e-15)
 
-    def test_dark_core_where_the_resolved_rule_misses(self):
+    def test_dark_core_matches_dense_trapezoid(self):
         # |g|^2 ~ 0.4 in the dark vortex core at the shipped Raman detuning:
-        # the light-shifted Raman resonance of atoms near kv = -196 gamma
-        # falls in a wide panel of the resolved rule
+        # the light-shifted Raman resonance of atoms near kv = -196 gamma is
+        # a feature a few gamma wide in the velocity integrand
         pt = FieldPoint(0.3969, 8.85e-7)
         for delta_R in (-0.1, REF.delta_R):
             params = replace(REF, delta_R=delta_R)
             ref = trapezoid_average(pt.g_abs2, pt.G_abs2, params)
             got = chi_doppler_averaged(pt, params)
             assert abs(got - ref) / abs(ref) < 1e-8
-        resolved = chi_doppler_averaged(
-            pt, REF, build_resolved_quadrature(REF.doppler_width, REF.delta_p))
-        assert abs(resolved - ref) / abs(ref) > 1e-3
+
+    def test_zero_width_reduces_to_stationary(self):
+        params = PhysicalParams(doppler_width=0.0)
+        pt = FieldPoint(0.04, 0.104)
+        expect = chi_stationary(pt, params.delta_p, params.delta_c,
+                                params.big_gamma, PREF)
+        assert chi_doppler_averaged(pt, params) == pytest.approx(expect,
+                                                                 rel=1e-14)
+
+    def test_averaging_preserves_dark_state_zero(self):
+        params = PhysicalParams(big_gamma=0.0, delta_R=0.0)
+        chi = chi_doppler_averaged(FieldPoint(0.04, 0.5), params)
+        assert abs(chi) < 1e-14
 
 
 @pytest.fixture(scope="module")
 def table():
     return build_chi_table(0.185, 0.06, REF, target_error=1e-3,
-                           initial_nodes=48, seed=5)
+                           initial_nodes=48)
 
 
 def reference_bilinear(table, G_abs2, g_abs2):
@@ -343,8 +279,7 @@ class TestChiTable:
         # cannot reach the target, whatever was built before
         with pytest.raises(TableRefinementError):
             build_chi_table(0.185, 0.06, REF, target_error=1e-3,
-                            initial_nodes=8, max_nodes=16, max_rounds=1,
-                            seed=5)
+                            initial_nodes=8, max_nodes=16, max_rounds=1)
 
     def test_zero_table_for_control_off(self):
         table = build_chi_table(0.0, 0.05, REF)
