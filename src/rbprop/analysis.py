@@ -114,7 +114,7 @@ def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
     """
     wz = control.width_at(z)
     r = np.linspace(0.0, 5.0 * wz, n_radii)
-    G2 = _radial_intensity(control, r, r * r, z)
+    G2 = _radial_intensity(control, r * r, z)
     chi = chi_doppler_averaged(
         FieldPoint(np.full_like(r, probe_level**2), G2), params)
     return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
@@ -125,7 +125,7 @@ def radial_chi_profile(params: PhysicalParams, control: ControlBeamSpec,
                        r: np.ndarray) -> np.ndarray:
     """Averaged susceptibility along a radial cut at fixed z."""
     r = np.asarray(r, dtype=float)
-    G2 = _radial_intensity(control, np.abs(r), r * r, z)
+    G2 = _radial_intensity(control, r * r, z)
     return chi_doppler_averaged(
         FieldPoint(np.full_like(r, probe_level**2), G2), params)
 

@@ -29,6 +29,9 @@ class ControlBeamSpec:
     wavelength: float = DEFAULT_WAVELENGTH_CM
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.G0, self.waist_wc,
+                                   self.waist_position_z0))):
+            raise ValueError("G0, waist_wc and waist_position_z0 must be finite")
         if self.G0 < 0:
             raise ValueError("G0 must be non-negative")
         if not self.waist_wc > 0:
@@ -73,11 +76,13 @@ class ProbeSpec:
         if self.kind not in PROBE_KINDS:
             raise ValueError(f"unknown probe kind {self.kind!r}; "
                              f"expected one of {PROBE_KINDS}")
+        object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
+        if not np.all(np.isfinite((self.g0, self.width, *self.centers))):
+            raise ValueError("g0, width and centers must be finite")
         if self.g0 < 0:
             raise ValueError("g0 must be non-negative")
         if not self.width > 0:
             raise ValueError("width must be positive")
-        object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
         if len(set(self.centers)) != len(self.centers):
             raise ValueError("probe centers must be distinct")
         if self.kind == "gaussian" and self.centers:
@@ -112,27 +117,31 @@ def control_field(spec: ControlBeamSpec, x, y, z: float):
 
 
 @functools.lru_cache(maxsize=8)
-def _radial_mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only r and r^2 on the grid, computed once per GridSpec."""
+def _radial_mesh(grid: GridSpec) -> np.ndarray:
+    """Read-only r^2 on the grid, computed once per GridSpec."""
     X, Y = grid.mesh()
     r2 = X * X + Y * Y
-    r = np.sqrt(r2)
-    r.flags.writeable = False
     r2.flags.writeable = False
-    return r, r2
+    return r2
 
 
-def _radial_intensity(spec: ControlBeamSpec, r, r2, z: float):
-    """|G|^2 at radius r (r2 = r^2) and height z; the one radial formula."""
-    wz = spec.width_at(z)
-    amp = spec.G0 * spec.waist_wc * r / wz**2
-    return amp * amp * np.exp(-2.0 * r2 / wz**2)
+def _radial_intensity(spec: ControlBeamSpec, r2, z: float):
+    """|G|^2 at squared radius r2 and height z; the one radial formula.
+
+    |G|^2 = (G0 w_c / w(z)^2)^2 r^2 exp(-2 r^2 / w(z)^2), formed from r^2
+    alone in one result array (exactly 0 on the axis).
+    """
+    wz2 = spec.width_at(z) ** 2
+    out = np.multiply(r2, -2.0 / wz2)
+    np.exp(out, out=out)
+    out *= r2
+    out *= (spec.G0 * spec.waist_wc / wz2) ** 2
+    return out
 
 
 def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float) -> np.ndarray:
     """|G|^2 sampled on the grid at height z (cheaper than the complex field)."""
-    r, r2 = _radial_mesh(grid)
-    return _radial_intensity(spec, r, r2, z)
+    return _radial_intensity(spec, _radial_mesh(grid), z)
 
 
 def gaussian_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:

@@ -8,6 +8,7 @@ and all at once.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -104,12 +105,16 @@ def _coerce(section: str, key: str, text: str, typ, line: int):
         if typ is int:
             return int(text)
         if typ is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(text)
+            return value
         return text.strip()
     except ValueError:
+        kind = "finite float" if typ is float else typ.__name__
         raise ConfigurationError(
             [f"line {line}: [{section}] {key} = {text!r} is not a valid "
-             f"{typ.__name__}"]) from None
+             f"{kind}"]) from None
 
 
 def _line_numbers(path: Path) -> dict:
@@ -182,8 +187,10 @@ def parse_config(path: str | Path) -> SimulationConfig:
         resolved["control"]["waist_position_cm"] = resolved["grid"]["cell_length_cm"]
 
     centers_text = resolved["probe"]["centers_cm"]
-    centers = tuple(float(c) for c in centers_text.split(",") if c.strip()) \
-        if centers_text.strip() else ()
+    centers = tuple(
+        _coerce("probe", "centers_cm", c, float,
+                lines.get(("probe", "centers_cm"), 0))
+        for c in centers_text.split(",") if c.strip())
     kind = resolved["probe"]["kind"]
     if not centers:
         if kind == "double_gaussian":

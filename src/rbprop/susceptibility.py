@@ -279,6 +279,56 @@ class TableRefinementError(RuntimeError):
     """The interpolation table could not reach its target accuracy."""
 
 
+class _LogAxis:
+    """Cell search on a log-uniform node axis by index arithmetic.
+
+    For a query q in [nodes[0], nodes[-1]], floor((log q - log nodes[0]) /
+    step) is off by at most one cell when roundoff moves q or a node across
+    a cell edge; one comparison against each neighbouring node corrects it,
+    so ``cells`` returns exactly ``clip(searchsorted(nodes, q) - 1, 0,
+    n - 2)``.  That bound holds while every node sits within TOLERANCE of a
+    step of its ideal log-uniform position, which the constructor checks.
+    """
+
+    TOLERANCE = 1.0e-6
+
+    def __init__(self, nodes: np.ndarray, name: str):
+        n = nodes.size
+        if nodes.ndim != 1 or n < 2 or not nodes[0] > 0.0 \
+                or not np.all(np.diff(nodes) > 0.0):
+            raise ValueError(f"{name} nodes must be a positive increasing "
+                             "axis of at least two nodes")
+        logs = np.log(nodes)
+        step = (logs[-1] - logs[0]) / (n - 1)
+        ideal = logs[0] + step * np.arange(n)
+        if np.max(np.abs(logs - ideal)) > self.TOLERANCE * step:
+            raise ValueError(f"{name} nodes are not log-uniform")
+        self._log0 = logs[0]
+        self._per_log = 1.0 / step
+        self._last = n - 2
+        # the cell i holds nodes[i] < q <= nodes[i + 1]; the open outer
+        # bounds keep a query on the first or last node in its end cell
+        self._lower = nodes[:-1].copy()
+        self._lower[0] = -np.inf
+        self._upper = nodes[1:].copy()
+        self._upper[-1] = np.inf
+
+    def cells(self, q: np.ndarray) -> np.ndarray:
+        """Cell index of each query clamped to [nodes[0], nodes[-1]].
+
+        A NaN query gets the last cell, as it does from searchsorted.
+        """
+        t = np.log(q)
+        t -= self._log0
+        t *= self._per_log
+        # fmin also maps NaN to the last cell, so the cast never sees NaN
+        np.fmin(t, self._last, out=t)
+        i = t.astype(np.intp)
+        i -= q <= self._lower.take(i)
+        i += q > self._upper.take(i)
+        return i
+
+
 class ChiTable:
     """Bilinear interpolation table for the averaged susceptibility.
 
@@ -291,6 +341,10 @@ class ChiTable:
     weak, chi tends to a finite value, which a query below both node floors
     (read off the corner node times |G|^2) does not reproduce.  Axis
     densities are chosen adaptively by build_chi_table.
+
+    Both node axes must be log-uniform (``np.geomspace``); any other axis is
+    a ValueError.  A lookup then finds its cell from the logarithm of the
+    query instead of a binary search.
     """
 
     def __init__(self, G_abs2_nodes: np.ndarray, g_abs2_nodes: np.ndarray,
@@ -299,6 +353,8 @@ class ChiTable:
         self.zero = zero
         self._G2 = np.asarray(G_abs2_nodes, dtype=float)
         self._g2 = np.asarray(g_abs2_nodes, dtype=float)
+        self._G_axis = _LogAxis(self._G2, "|G|^2")
+        self._g_axis = _LogAxis(self._g2, "|g|^2")
         self._fill()
 
     def _fill(self):
@@ -329,7 +385,8 @@ class ChiTable:
         the bilinear formula reduces exactly to the corner node, so only the
         remaining queries are interpolated.  In a guided run that is a few
         percent of the grid: the probe's tail and the control's dark core
-        and outer region sit under the floors.
+        and outer region sit under the floors.  A NaN query is never below
+        a floor, so it is interpolated and returns NaN.
         """
         G2q = np.asarray(G_abs2, dtype=float)
         g2q = np.asarray(g_abs2, dtype=float)
@@ -346,8 +403,8 @@ class ChiTable:
         g2q = np.broadcast_to(g2q, shape).ravel()
         out = G2q * self._h[0, 0]
         # written as "not below both floors" so NaN queries interpolate too
-        live = ~((G2q <= self._G2[0]) & (g2q <= self._g2[0]))
-        out[live] = self._interpolate(G2q[live], g2q[live])
+        live = np.flatnonzero(~((G2q <= self._G2[0]) & (g2q <= self._g2[0])))
+        out[live] = self._interpolate(G2q.take(live), g2q.take(live))
         out[G2q <= 0.0] = 0.0
         out = out.reshape(shape)
         if shape == ():
@@ -355,19 +412,30 @@ class ChiTable:
         return out
 
     def _interpolate(self, G2q: np.ndarray, g2q: np.ndarray) -> np.ndarray:
-        """|G|^2 times the clamped bilinear interpolant of chi / |G|^2."""
+        """|G|^2 times the clamped bilinear interpolant of chi / |G|^2.
+
+        Each cell index is what ``clip(searchsorted(nodes, q) - 1, 0, n - 2)``
+        gives for the clamped query, found by ``_LogAxis.cells``; the four
+        corners are gathered from the flattened table.
+        """
         Gc = np.clip(G2q, self._G2[0], self._G2[-1])
         gc = np.clip(g2q, self._g2[0], self._g2[-1])
-        iG = np.clip(np.searchsorted(self._G2, Gc) - 1, 0, self._G2.size - 2)
-        ig = np.clip(np.searchsorted(self._g2, gc) - 1, 0, self._g2.size - 2)
-        G1, G2v = self._G2[iG], self._G2[iG + 1]
-        g1, g2v = self._g2[ig], self._g2[ig + 1]
+        iG = self._G_axis.cells(Gc)
+        ig = self._g_axis.cells(gc)
+        G1, G2v = self._G2.take(iG), self._G2.take(iG + 1)
+        g1, g2v = self._g2.take(ig), self._g2.take(ig + 1)
         tG = (Gc - G1) / (G2v - G1)
         tg = (gc - g1) / (g2v - g1)
-        h = (self._h[iG, ig] * (1 - tG) * (1 - tg)
-             + self._h[iG + 1, ig] * tG * (1 - tg)
-             + self._h[iG, ig + 1] * (1 - tG) * tg
-             + self._h[iG + 1, ig + 1] * tG * tg)
+        sG = 1 - tG
+        sg = 1 - tg
+        h = self._h.ravel()
+        corner = iG * self._g2.size + ig
+        h00 = h.take(corner)
+        h01 = h.take(corner + 1)
+        corner += self._g2.size
+        h10 = h.take(corner)
+        h11 = h.take(corner + 1)
+        h = h00 * sG * sg + h10 * tG * sg + h01 * sG * tg + h11 * tG * tg
         return G2q * h
 
     def direct(self, G_abs2, g_abs2):
@@ -420,9 +488,10 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     """
     if G_abs2_max <= 0.0:
         # degenerate table: control off everywhere, chi identically zero
+        # (its |g|^2 axis stays log-uniform for a zero or NaN probe peak)
         G2 = np.array([1.0e-300, 2.0e-300])
-        g2 = np.array([max(g_abs2_max, 1.0e-300) * floor_ratio,
-                       max(g_abs2_max, 1.0e-300)])
+        g_top = g_abs2_max if g_abs2_max > 1.0e-300 else 1.0e-300
+        g2 = np.array([g_top * floor_ratio, g_top])
         return ChiTable(G2, g2, params, zero=True)
     g_top = max(g_abs2_max, G_abs2_max * 1.0e-12)
 

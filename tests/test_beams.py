@@ -146,3 +146,14 @@ class TestProbes:
             ProbeSpec(width=-1.0)
         with pytest.raises(ValueError):
             ProbeSpec(kind="double_gaussian", centers=(1e-4, 1e-4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_specs_reject_non_finite_inputs(self, value):
+        for make in (lambda: ControlBeamSpec(G0=value),
+                     lambda: ControlBeamSpec(waist_wc=value),
+                     lambda: ControlBeamSpec(waist_position_z0=value),
+                     lambda: ProbeSpec(g0=value),
+                     lambda: ProbeSpec(width=value),
+                     lambda: ProbeSpec(kind="sech_multi", centers=(0.0, value))):
+            with pytest.raises(ValueError, match="finite"):
+                make()

@@ -120,6 +120,16 @@ def test_unknown_key_is_configuration_error(tiny_config, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_probe_is_configuration_error(tmp_path, capsys, value):
+    bad = tmp_path / "nonfinite.ini"
+    bad.write_text((PRESETS / "guided_gaussian.ini").read_text().replace(
+        "g0_over_gamma = 0.2", f"g0_over_gamma = {value}"))
+    rc = main(["propagate", "--config", str(bad), "--out", str(tmp_path / "n")])
+    assert rc == 1
+    assert "[probe] g0_over_gamma" in capsys.readouterr().err
+
+
 def test_locked_output_directory_rejected(tiny_config, tmp_path, capsys):
     out_dir = tmp_path / "locked"
     out_dir.mkdir()

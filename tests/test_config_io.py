@@ -68,6 +68,35 @@ class TestParseConfig:
             parse_config(path)
         assert any("nx" in v and "int" in v for v in err.value.violations)
 
+    # (section, key) -> the preset line to edit, and its non-finite form
+    NON_FINITE = {
+        ("control", "g0_over_gamma"): ("g0_over_gamma = 1.0",
+                                       "g0_over_gamma = {}"),
+        ("control", "waist_cm"): ("waist_cm = 0.0120", "waist_cm = {}"),
+        ("control", "waist_position_cm"): (
+            "waist_cm = 0.0120", "waist_cm = 0.0120\nwaist_position_cm = {}"),
+        ("probe", "g0_over_gamma"): ("g0_over_gamma = 0.2",
+                                     "g0_over_gamma = {}"),
+        ("probe", "width_cm"): ("width_cm = 0.0048", "width_cm = {}"),
+        ("probe", "centers_cm"): (
+            "kind = gaussian",
+            "kind = double_gaussian\ncenters_cm = -0.0070, {}"),
+    }
+
+    @pytest.mark.parametrize("section, key", NON_FINITE)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_beam_inputs_name_the_key(self, tmp_path, section,
+                                                 key, value):
+        old, new = self.NON_FINITE[section, key]
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        assert base.count(old) == 1
+        path = tmp_path / "nonfinite.ini"
+        path.write_text(base.replace(old, new.format(value)))
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert any(f"[{section}] {key}" in v and "finite" in v
+                   for v in err.value.violations)
+
     def test_grid_resolution_enforced(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         path = tmp_path / "coarse.ini"

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbprop.beams import ControlBeamSpec, ProbeSpec, make_probe
+from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_intensity,
+                          make_probe)
 from rbprop.params import GridSpec, PhysicalParams
 from rbprop.solver import (ComplexField2D, NumericsError, StepPlan,
-                           _medium_subflow, diffraction_step, edge_window,
-                           propagate)
+                           _medium_subflow, _SubflowBuffers, diffraction_step,
+                           edge_window, propagate)
+from rbprop.susceptibility import build_chi_table
 
 PARAMS = PhysicalParams()
 K = PARAMS.wavenumber
@@ -79,7 +81,58 @@ class TestStepPlan:
         np.testing.assert_allclose(np.abs(phase), 1.0, rtol=1e-14)
 
 
+def allocating_rk4(values, chi_of, distance, k):
+    """Reference RK4: 2 i pi k inside the rate, each stage in fresh arrays."""
+    c = 2j * np.pi * k
+
+    def f(v):
+        return c * chi_of(v.real * v.real + v.imag * v.imag) * v
+
+    k1 = f(values)
+    k2 = f(values + 0.5 * distance * k1)
+    k3 = f(values + 0.5 * distance * k2)
+    k4 = f(values + distance * k3)
+    return values + (distance / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.fixture(scope="module")
+def lit_medium():
+    """A diffracted 64^2 probe under the control, and a table-backed chi."""
+    grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.01, cell_length=0.1)
+    control = ControlBeamSpec(waist_position_z0=0.1)
+    probe = diffraction_step(gaussian_field(grid), 0.005, K)
+    control_I = control_intensity(control, grid, 0.005)
+    table = build_chi_table(float(control_I.max()), 0.48, PARAMS,
+                            target_error=1e-3, initial_nodes=48)
+    return probe.values, lambda g2: table(control_I, g2)
+
+
 class TestMediumSubflow:
+    def test_matches_allocating_rk4_on_a_lit_field(self, lit_medium):
+        values, chi_of = lit_medium
+        expect = allocating_rk4(values, chi_of, 0.01, K)
+        # the medium moves the field by a few percent of itself here
+        assert np.linalg.norm(expect - values) > 1e-3 * np.linalg.norm(values)
+        got = _medium_subflow(values, chi_of, 0.01, K)
+        # the two differ only in the order of float64 roundoff
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+        # a run reuses one set of buffers; the result does not depend on it
+        buffers = _SubflowBuffers(values.shape)
+        for _ in range(2):
+            again = _medium_subflow(values, chi_of, 0.01, K, buffers)
+            assert again is not buffers.total
+            np.testing.assert_array_equal(again, got)
+
+    def test_leaves_a_cached_chi_unchanged(self, lit_medium):
+        values, chi_of = lit_medium
+        cached = chi_of(np.abs(values) ** 2)
+        before = cached.copy()
+        got = _medium_subflow(values, lambda g2: cached, 0.01, K)
+        np.testing.assert_array_equal(cached, before)
+        np.testing.assert_allclose(
+            got, allocating_rk4(values, lambda g2: before, 0.01, K),
+            rtol=1e-13, atol=0)
+
     def test_constant_chi_matches_exponential(self):
         grid = GridSpec(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)

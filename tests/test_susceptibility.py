@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbprop.params import PhysicalParams, prefactor_over_gamma
-from rbprop.susceptibility import (FieldPoint, OracleConvergenceError,
-                                   TableRefinementError, build_chi_table,
-                                   chi_doppler_averaged, chi_ratio,
-                                   chi_stationary, steady_state_oracle)
+from rbprop.susceptibility import (ChiTable, FieldPoint,
+                                   OracleConvergenceError,
+                                   TableRefinementError, _LogAxis,
+                                   build_chi_table, chi_doppler_averaged,
+                                   chi_ratio, chi_stationary,
+                                   steady_state_oracle)
 
 REF = PhysicalParams()  # reference medium used throughout
 PREF = prefactor_over_gamma(REF)
@@ -285,3 +288,64 @@ class TestChiTable:
         table = build_chi_table(0.0, 0.05, REF)
         assert table.zero
         assert table(0.0, 123.0) == 0.0
+
+
+def clipped_searchsorted(nodes, q):
+    return np.clip(np.searchsorted(nodes, q) - 1, 0, nodes.size - 2)
+
+
+class TestLogAxis:
+    # the guided preset's axes (602 and 1332 nodes over four decades) and
+    # the two-node |G|^2 axis of the zero table
+    AXES = (np.geomspace(0.0481e-4, 0.0481, 602),
+            np.geomspace(0.48e-4, 0.48, 1332),
+            np.array([1.0e-300, 2.0e-300]))
+
+    @pytest.mark.parametrize("nodes", AXES, ids=("602", "1332", "zero"))
+    def test_cells_equal_clipped_searchsorted(self, nodes):
+        axis = _LogAxis(nodes, "test")
+        queries = np.concatenate([
+            nodes,
+            np.nextafter(nodes, -np.inf),
+            np.nextafter(nodes, np.inf),
+            0.5 * (nodes[:-1] + nodes[1:]),
+            np.sqrt(nodes[:-1] * nodes[1:]),
+            [nodes[0], nodes[-1]],
+        ])
+        # the lookup clamps its queries to the node range first
+        q = np.clip(queries, nodes[0], nodes[-1])
+        np.testing.assert_array_equal(axis.cells(q),
+                                      clipped_searchsorted(nodes, q))
+
+    def test_table_rejects_an_axis_that_is_not_log_uniform(self):
+        good = np.geomspace(1e-4, 1.0, 16)
+        for bad in (np.linspace(1e-4, 1.0, 16),
+                    np.concatenate([good[:8], good[8:] * 1.001]),
+                    good[::-1], np.array([1.0]), np.array([0.0, 1.0])):
+            with pytest.raises(ValueError):
+                ChiTable(bad, good, REF)
+            with pytest.raises(ValueError):
+                ChiTable(good, bad, REF)
+
+
+class TestNanLookups:
+    def test_nan_queries_return_nan_without_warning(self, table):
+        G2, g2 = lookup_queries(table, n=5, seed=11)
+        G2 = G2.copy()
+        g2 = g2.copy()
+        G2[::7] = np.nan
+        g2[3::7] = np.nan
+        nan = np.isnan(G2) | np.isnan(g2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(table(np.nan, 0.01))
+            assert np.isnan(table(0.1, np.nan))
+            assert np.isnan(table(np.nan, np.nan))
+            got = table(G2, g2)
+        # |G|^2 <= 0 gives exactly 0 even beside a NaN |g|^2
+        dark = G2 <= 0.0
+        assert np.any(nan & dark)
+        assert np.all(got[nan & dark] == 0.0)
+        assert np.all(np.isnan(got[nan & ~dark]))
+        assert np.array_equal(got[~nan],
+                              reference_bilinear(table, G2[~nan], g2[~nan]))
