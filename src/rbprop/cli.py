@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: chi-scan, propagate, analyze, oracle.  Exit status 0 on success,
-1 on configuration or usage errors, 2 on numerical failure.
+1 on configuration or usage errors or an unreadable snapshot, 2 on numerical
+failure.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 from . import __version__
 from .analysis import RunDiagnostics, diagnose
 from .config import ConfigurationError, config_as_dict, parse_config
-from .fieldio import (OutputLock, OutputLockError, RunManifest, read_field,
-                      write_chi_scan_csv, write_diagnostics_csv, write_field,
-                      write_profile_csv)
+from .fieldio import (OutputLock, OutputLockError, RunManifest,
+                      SnapshotFormatError, read_field, write_chi_scan_csv,
+                      write_diagnostics_csv, write_field, write_profile_csv)
 from .params import prefactor_over_gamma
 from .solver import NumericsError, StepPlan, propagate
 from .susceptibility import (FieldPoint, OracleConvergenceError,
@@ -193,6 +194,9 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](cfg, out_dir, args)
     except (ConfigurationError, OutputLockError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SnapshotFormatError as exc:
+        print(f"unreadable snapshot: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericsError, OracleConvergenceError, TableRefinementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -69,6 +69,10 @@ _SCHEMA = {
     },
 }
 
+# integer keys that count something and must be at least 1
+_COUNTS = {("run", "snapshot_every"), ("scan", "r_points"),
+           ("scan", "delta_R_points"), ("oracle", "draws")}
+
 _BOOL_STRINGS = {"true": True, "yes": True, "1": True, "on": True,
                  "false": False, "no": False, "0": False, "off": False}
 
@@ -169,10 +173,15 @@ def parse_config(path: str | Path) -> SimulationConfig:
             if cp.has_option(section, key):
                 lineno = lines.get((section, key), 0)
                 try:
-                    resolved[section][key] = _coerce(
-                        section, key, cp.get(section, key), typ, lineno)
+                    value = _coerce(section, key, cp.get(section, key), typ,
+                                    lineno)
                 except ConfigurationError as exc:
                     problems.extend(exc.violations)
+                    continue
+                if (section, key) in _COUNTS and value < 1:
+                    problems.append(f"line {lineno}: [{section}] {key} = "
+                                    f"{value} must be at least 1")
+                resolved[section][key] = value
             elif default is _MANDATORY:
                 problems.append(f"missing mandatory key [{section}] {key}")
             else:

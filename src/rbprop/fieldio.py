@@ -54,6 +54,9 @@ def read_field(path: str | Path, grid_template: GridSpec | None = None) -> Compl
     raw = path.read_bytes()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 40:
+        raise SnapshotFormatError(f"{path}: header cut short at {len(raw)} "
+                                  "bytes")
     version, nx, ny, extent, z = struct.unpack("<IQQdd", raw[4:4 + 36])
     if version != SNAPSHOT_VERSION:
         raise SnapshotFormatError(f"{path}: unsupported version {version}")

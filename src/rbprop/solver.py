@@ -209,8 +209,11 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     table = None
     if use_table:
         z_samples = np.linspace(0.0, grid.cell_length, 101)
-        G2_max = float(max(control.peak_intensity(z) for z in z_samples))
-        g2_max = PROBE_PEAK_HEADROOM * float(np.max(np.abs(probe.values) ** 2))
+        # a top that overflows to inf is refused by build_chi_table
+        with np.errstate(over="ignore"):
+            G2_max = float(max(control.peak_intensity(z) for z in z_samples))
+            g2_max = PROBE_PEAK_HEADROOM * float(
+                np.max(np.abs(probe.values) ** 2))
         table = build_chi_table(G2_max, g2_max, params,
                                 target_error=table_target_error)
 

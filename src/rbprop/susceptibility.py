@@ -31,6 +31,12 @@ from .params import PhysicalParams, prefactor_over_gamma
 # points per evaluation block of the velocity average (bounds peak memory)
 AVERAGE_BLOCK = 65_536
 
+# chi table: each axis spans FLOOR_RATIO times its top up to the top, is
+# sized from a pilot of PILOT_NODES nodes and holds at most MAX_NODES
+FLOOR_RATIO = 1.0e-4
+PILOT_NODES = 64
+MAX_NODES = 2048
+
 
 class OracleConvergenceError(RuntimeError):
     """The density-matrix propagation did not reach a fixed point."""
@@ -280,37 +286,27 @@ class TableRefinementError(RuntimeError):
 
 
 class _LogAxis:
-    """Cell search on a log-uniform node axis by index arithmetic.
+    """``np.geomspace(FLOOR_RATIO * top, top, n)`` with a cell search by
+    index arithmetic.
 
-    For a query q in [nodes[0], nodes[-1]], floor((log q - log nodes[0]) /
-    step) is off by at most one cell when roundoff moves q or a node across
-    a cell edge; one comparison against each neighbouring node corrects it,
-    so ``cells`` returns exactly ``clip(searchsorted(nodes, q) - 1, 0,
-    n - 2)``.  That bound holds while every node sits within TOLERANCE of a
-    step of its ideal log-uniform position, which the constructor checks.
+    Every node sits within roundoff of its log-uniform position, so for a
+    query q in [nodes[0], nodes[-1]], floor((log q - log nodes[0]) / step)
+    is off by at most one cell; one comparison against each neighbouring
+    node corrects it, and ``cells`` returns exactly
+    ``clip(searchsorted(nodes, q) - 1, 0, n - 2)``.
     """
 
-    TOLERANCE = 1.0e-6
-
-    def __init__(self, nodes: np.ndarray, name: str):
-        n = nodes.size
-        if nodes.ndim != 1 or n < 2 or not nodes[0] > 0.0 \
-                or not np.all(np.diff(nodes) > 0.0):
-            raise ValueError(f"{name} nodes must be a positive increasing "
-                             "axis of at least two nodes")
-        logs = np.log(nodes)
-        step = (logs[-1] - logs[0]) / (n - 1)
-        ideal = logs[0] + step * np.arange(n)
-        if np.max(np.abs(logs - ideal)) > self.TOLERANCE * step:
-            raise ValueError(f"{name} nodes are not log-uniform")
+    def __init__(self, top: float, n: int):
+        self.nodes = np.geomspace(top * FLOOR_RATIO, top, n)
+        logs = np.log(self.nodes)
         self._log0 = logs[0]
-        self._per_log = 1.0 / step
+        self._per_log = (n - 1) / (logs[-1] - logs[0])
         self._last = n - 2
         # the cell i holds nodes[i] < q <= nodes[i + 1]; the open outer
         # bounds keep a query on the first or last node in its end cell
-        self._lower = nodes[:-1].copy()
+        self._lower = self.nodes[:-1].copy()
         self._lower[0] = -np.inf
-        self._upper = nodes[1:].copy()
+        self._upper = self.nodes[1:].copy()
         self._upper[-1] = np.inf
 
     def cells(self, q: np.ndarray) -> np.ndarray:
@@ -333,33 +329,27 @@ class ChiTable:
     """Bilinear interpolation table for the averaged susceptibility.
 
     chi depends only on (|G|^2, |g|^2) once the detunings and velocity
-    average are fixed, so a run evaluates it through a tensor-product table over
-    log-spaced samples of the two squared amplitudes.  The stored quantity is
-    chi / |G|^2, and each lookup multiplies the interpolated value by |G|^2,
-    so the table is exactly zero at |G|^2 = 0.  chi / |G|^2 tends to a
-    constant as |G|^2 -> 0 only while |g|^2 >> |G|^2: when both fields are
-    weak, chi tends to a finite value, which a query below both node floors
-    (read off the corner node times |G|^2) does not reproduce.  Axis
-    densities are chosen adaptively by build_chi_table.
-
-    Both node axes must be log-uniform (``np.geomspace``); any other axis is
-    a ValueError.  A lookup then finds its cell from the logarithm of the
-    query instead of a binary search.
+    average are fixed, so a run evaluates it through a tensor-product table
+    over ``shape`` log-uniform samples of the two squared amplitudes, each
+    axis a ``_LogAxis`` below its top.  The stored quantity is chi / |G|^2,
+    and each lookup multiplies the interpolated value by |G|^2, so the table
+    is exactly zero at |G|^2 = 0.  chi / |G|^2 tends to a constant as
+    |G|^2 -> 0 only while |g|^2 >> |G|^2: when both fields are weak, chi
+    tends to a finite value, which a query below both node floors (read off
+    the corner node times |G|^2) does not reproduce.
     """
 
-    def __init__(self, G_abs2_nodes: np.ndarray, g_abs2_nodes: np.ndarray,
-                 params: PhysicalParams, zero: bool = False):
+    def __init__(self, G_abs2_max: float, g_abs2_max: float,
+                 shape: tuple[int, int], params: PhysicalParams,
+                 zero: bool = False):
         self.params = params
         self.zero = zero
-        self._G2 = np.asarray(G_abs2_nodes, dtype=float)
-        self._g2 = np.asarray(g_abs2_nodes, dtype=float)
-        self._G_axis = _LogAxis(self._G2, "|G|^2")
-        self._g_axis = _LogAxis(self._g2, "|g|^2")
-        self._fill()
-
-    def _fill(self):
+        self._G_axis = _LogAxis(G_abs2_max, shape[0])
+        self._g_axis = _LogAxis(g_abs2_max, shape[1])
+        self._G2 = self._G_axis.nodes
+        self._g2 = self._g_axis.nodes
         GG, gg = np.meshgrid(self._G2, self._g2, indexing="ij")
-        chi = chi_doppler_averaged(FieldPoint(gg, GG), self.params)
+        chi = chi_doppler_averaged(FieldPoint(gg, GG), params)
         self._h = chi / self._G2[:, None]
 
     @property
@@ -438,24 +428,23 @@ class ChiTable:
         h = h00 * sG * sg + h10 * tG * sg + h01 * sG * tg + h11 * tG * tg
         return G2q * h
 
-    def direct(self, G_abs2, g_abs2):
-        """Un-tabulated evaluation of the averaged chi."""
-        return chi_doppler_averaged(FieldPoint(g_abs2, G_abs2), self.params)
+    def _relative_error(self, G2q: np.ndarray, g2q: np.ndarray) -> float:
+        """Max relative deviation of the lookup from the exact average."""
+        exact = chi_doppler_averaged(FieldPoint(g2q, G2q), self.params)
+        return float(np.max(np.abs(self(G2q, g2q) - exact) / np.abs(exact)))
 
     def max_relative_error(self, n_probes: int = 1000, seed: int = 0) -> float:
         """Max relative interpolation error on a seeded log-uniform probe set."""
         rng = np.random.default_rng(seed)
         G2q = np.exp(rng.uniform(np.log(self._G2[0]), np.log(self._G2[-1]), n_probes))
         g2q = np.exp(rng.uniform(np.log(self._g2[0]), np.log(self._g2[-1]), n_probes))
-        approx = self(G2q, g2q)
-        exact = self.direct(G2q, g2q)
-        return float(np.max(np.abs(approx - exact) / np.abs(exact)))
+        return self._relative_error(G2q, g2q)
 
     def _axis_midpoint_error(self, axis: int) -> float:
         """Worst relative interpolation error at cell midpoints of one axis.
 
         Midpoints are where bilinear interpolation is worst; measuring each
-        axis separately sizes the refinement anisotropically.
+        axis separately sizes the table anisotropically.
         """
         if axis == 0:
             Gq = np.sqrt(self._G2[:-1] * self._G2[1:])
@@ -464,65 +453,46 @@ class ChiTable:
             Gq = self._G2
             gq = np.sqrt(self._g2[:-1] * self._g2[1:])
         GG, gg = np.meshgrid(Gq, gq, indexing="ij")
-        exact = self.direct(GG, gg)
-        approx = self(GG, gg)
-        return float(np.max(np.abs(approx - exact) / np.abs(exact)))
+        return self._relative_error(GG, gg)
 
 
 def build_chi_table(G_abs2_max: float, g_abs2_max: float,
                     params: PhysicalParams,
-                    target_error: float = 1.0e-4,
-                    initial_nodes: int = 64,
-                    floor_ratio: float = 1.0e-4,
-                    max_nodes: int = 2048,
-                    max_rounds: int = 4) -> ChiTable:
-    """Build an adaptive ChiTable covering [0, G_abs2_max] x [0, g_abs2_max].
+                    target_error: float = 1.0e-4) -> ChiTable:
+    """Build a ChiTable covering [0, G_abs2_max] x [0, g_abs2_max] in one pass.
 
-    A coarse log-uniform pilot grid measures the worst midpoint error per
-    axis; the second-order behaviour of bilinear interpolation then gives the
-    node density needed to hit the target, each axis sized independently.
-    The result is verified on ``max_relative_error``'s fixed probe set
-    (1000 log-uniform points drawn with seed 0) and re-densified if needed.
-    Raises TableRefinementError if the node cap is insufficient (direct
-    evaluation is then advised).
+    A pilot table of PILOT_NODES per axis measures the worst midpoint error
+    along each axis; as bilinear error falls with the square of the node
+    spacing, that gives each axis the node count, at most MAX_NODES, that
+    meets 0.6 of the target.  The sized table is verified once on
+    ``max_relative_error``'s fixed probe set (1000 log-uniform points drawn
+    with seed 0).  Raises TableRefinementError if it misses the target
+    (direct evaluation is then advised) or if either top is not finite.
     """
     if G_abs2_max <= 0.0:
         # degenerate table: control off everywhere, chi identically zero
-        # (its |g|^2 axis stays log-uniform for a zero or NaN probe peak)
-        G2 = np.array([1.0e-300, 2.0e-300])
-        g_top = g_abs2_max if g_abs2_max > 1.0e-300 else 1.0e-300
-        g2 = np.array([g_top * floor_ratio, g_top])
-        return ChiTable(G2, g2, params, zero=True)
+        # (its |g|^2 axis stays finite for a zero, NaN or overflowed probe)
+        g_top = g_abs2_max if 1.0e-300 < g_abs2_max < np.inf else 1.0e-300
+        return ChiTable(2.0e-300, g_top, (2, 2), params, zero=True)
+    if not (np.isfinite(G_abs2_max) and np.isfinite(g_abs2_max)):
+        raise TableRefinementError(
+            f"table tops |G|^2 = {G_abs2_max:.6g} and |g|^2 = "
+            f"{g_abs2_max:.6g} must both be finite")
     g_top = max(g_abs2_max, G_abs2_max * 1.0e-12)
+    headroom = 0.6  # size below target so an independent probe set stays under
+    pilot = ChiTable(G_abs2_max, g_top, (PILOT_NODES, PILOT_NODES), params)
 
-    def make(nG: int, ng: int) -> ChiTable:
-        return ChiTable(np.geomspace(G_abs2_max * floor_ratio, G_abs2_max, nG),
-                        np.geomspace(g_top * floor_ratio, g_top, ng),
-                        params)
+    def sized(axis: int) -> int:
+        factor = np.sqrt(pilot._axis_midpoint_error(axis)
+                         / (headroom * target_error))
+        return min(MAX_NODES, int(np.ceil(PILOT_NODES * max(factor, 1.0))) + 1)
 
-    headroom = 0.6  # build below target so an independent probe set stays under
-    nG = ng = initial_nodes
-    table = make(nG, ng)
-    for round_no in range(max_rounds):
-        if round_no == 0 or nG * ng <= 300_000:
-            err_G = table._axis_midpoint_error(0)
-            err_g = table._axis_midpoint_error(1)
-        else:
-            # large grids: probe-based estimate only (midpoint pass costs a fill)
-            err_G = err_g = table.max_relative_error()
-        factor_G = np.sqrt(err_G / (headroom * target_error))
-        factor_g = np.sqrt(err_g / (headroom * target_error))
-        if factor_G <= 1.0 and factor_g <= 1.0:
-            if table.max_relative_error() < target_error:
-                return table
-            factor_G = factor_g = 1.3
-        nG = min(max_nodes, int(np.ceil(nG * max(factor_G, 1.0))) + 1)
-        ng = min(max_nodes, int(np.ceil(ng * max(factor_g, 1.0))) + 1)
-        table = make(nG, ng)
+    shape = (sized(0), sized(1))
+    table = ChiTable(G_abs2_max, g_top, shape, params)
     err = table.max_relative_error()
     if err < target_error:
         return table
     raise TableRefinementError(
-        f"interpolation error {err:.3e} still above {target_error:g} at the "
-        f"{table.shape[0]}x{table.shape[1]} node cap; use direct evaluation "
-        "for this configuration")
+        f"interpolation error {err:.3e} above {target_error:g} on the "
+        f"{shape[0]}x{shape[1]} table (at most {MAX_NODES} nodes per axis); "
+        "use direct evaluation for this configuration")

@@ -148,6 +148,37 @@ def test_numerical_failure_exit_code(tiny_config, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["g0_over_gamma = 0.2",    # [probe]
+                                  "g0_over_gamma = 1.0"])   # [control]
+def test_overflowing_amplitude_is_numerical_failure(tiny_config, tmp_path,
+                                                    capsys, line):
+    # finite amplitudes whose squares, the chi table's tops, overflow to inf
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(tiny_config.read_text().replace(
+        line, "g0_over_gamma = 1e200"))
+    rc = main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "h")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "numerical failure: table tops |G|^2 = " in err
+    assert "|g|^2 = " in err and "inf" in err
+
+
+def test_analyze_rejects_a_truncated_snapshot(tiny_config, tmp_path, capsys):
+    cfg = tmp_path / "dark.ini"
+    cfg.write_text(tiny_config.read_text().replace(
+        "g0_over_gamma = 1.0", "g0_over_gamma = 0.0"))
+    out_dir = tmp_path / "cut"
+    assert main(["propagate", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    snapshot = sorted(out_dir.glob("*.rbpf"))[-1]
+    whole = snapshot.read_bytes()
+    for cut in (whole[:-16], whole[:20]):  # into the samples, the header
+        snapshot.write_bytes(cut)
+        capsys.readouterr()
+        rc = main(["analyze", "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 1
+        assert f"unreadable snapshot: {snapshot}" in capsys.readouterr().err
+
+
 def test_snapshots_readable_and_grid_consistent(tiny_config, tmp_path):
     out_dir = tmp_path / "snap"
     assert main(["propagate", "--config", str(tiny_config),

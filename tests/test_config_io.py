@@ -97,6 +97,31 @@ class TestParseConfig:
         assert any(f"[{section}] {key}" in v and "finite" in v
                    for v in err.value.violations)
 
+    COUNTS = {("run", "snapshot_every"): 200, ("scan", "r_points"): 61,
+              ("scan", "delta_R_points"): 151, ("oracle", "draws"): 100}
+
+    @pytest.mark.parametrize("section, key", COUNTS)
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_below_one_name_the_key_and_line(self, tmp_path, section,
+                                                    key, value):
+        counts = dict(self.COUNTS)
+        counts[section, key] = value
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        text = base[:base.index("[run]")]
+        for name in ("run", "scan", "oracle"):
+            text += f"[{name}]\n" + "".join(
+                f"{k} = {v}\n" for (s, k), v in counts.items() if s == name)
+        text += "wobble = 1\n"
+        path = tmp_path / "count.ini"
+        path.write_text(text)
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        # reported together with the other problem in the file
+        assert err.value.violations == [
+            f"line {len(text.splitlines())}: unknown key [oracle] wobble",
+            f"line {line}: [{section}] {key} = {value} must be at least 1"]
+
     def test_grid_resolution_enforced(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         path = tmp_path / "coarse.ini"

@@ -103,7 +103,7 @@ def lit_medium():
     probe = diffraction_step(gaussian_field(grid), 0.005, K)
     control_I = control_intensity(control, grid, 0.005)
     table = build_chi_table(float(control_I.max()), 0.48, PARAMS,
-                            target_error=1e-3, initial_nodes=48)
+                            target_error=1e-3)
     return probe.values, lambda g2: table(control_I, g2)
 
 
