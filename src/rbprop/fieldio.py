@@ -3,6 +3,7 @@ and the output-directory lock."""
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -188,7 +189,14 @@ class OutputLockError(RuntimeError):
 
 
 class OutputLock:
-    """Exclusive lock on an output directory (one run per directory)."""
+    """Exclusive lock on an output directory (one run per directory).
+
+    The lock is an ``fcntl.flock`` on LOCK_NAME inside the directory, so the
+    kernel releases it when its holder exits, crashed or not; a lock file
+    left behind by a dead run does not block the next one.  The holder
+    removes the file on exit while still holding the lock, and a run that
+    locked a file removed that way tries again on a fresh one.
+    """
 
     def __init__(self, directory: str | Path):
         self.path = Path(directory) / LOCK_NAME
@@ -196,18 +204,30 @@ class OutputLock:
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise OutputLockError(
-                f"output directory {self.path.parent} is locked by another "
-                f"run (remove {self.path} if that run is dead)") from None
-        os.write(self._fd, f"pid {os.getpid()} at {time.time()}\n".encode())
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise OutputLockError(
+                    f"output directory {self.path.parent} is locked by "
+                    "another run") from None
+            try:
+                same = os.path.samestat(os.fstat(fd), os.stat(self.path))
+            except FileNotFoundError:
+                same = False
+            if same:
+                break
+            os.close(fd)
+        self._fd = fd
+        os.ftruncate(fd, 0)
+        os.write(fd, f"pid {os.getpid()} at {time.time()}\n".encode())
         return self
 
     def __exit__(self, *exc):
         if self._fd is not None:
+            self.path.unlink(missing_ok=True)
             os.close(self._fd)
             self._fd = None
-        self.path.unlink(missing_ok=True)
         return False

@@ -6,6 +6,13 @@ frequency domain; the medium action is integrated pointwise with the
 thermally averaged susceptibility following the local control and probe
 intensities.  Second-order Strang splitting is the default; a fourth-order
 triple-jump composition of Strang steps is available.
+
+A lit sub-step costs two diffraction half-steps, one control intensity and
+one medium RK4 sub-flow with four chi lookups.  The sub-flow looks chi up on
+the whole grid once, then runs its last three stages only on the points the
+step can move: where |2 pi k dz chi| <= eps / 4 the whole update is at most
+eps/4 |g|, under half an ulp of |g|, and those points keep their value
+(``_medium_subflow``).
 """
 
 from __future__ import annotations
@@ -111,26 +118,36 @@ class PropagationResult:
     table: ChiTable | None
 
 
-def _chi_lookup(table, params, control_I, probe_I):
-    if table is not None:
-        return table(control_I, probe_I)
-    return chi_doppler_averaged(FieldPoint(probe_I, control_I), params)
+# a point whose stage-1 |2 pi k dz chi| is at most this keeps its value
+SKIP_INCREMENT = np.finfo(float).eps / 4
 
 
 class _SubflowBuffers:
-    """Scratch arrays of ``_medium_subflow``, allocated once per run."""
+    """Flat scratch arrays of ``_medium_subflow``, allocated once per run.
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.g2 = np.empty(shape)
-        self.imag2 = np.empty(shape)
-        self.stage = np.empty(shape, dtype=complex)
-        self.rate = np.empty(shape, dtype=complex)
-        self.total = np.empty(shape, dtype=complex)
+    Each holds one entry per grid point; stage 1 uses all of them and the
+    stages on the live subset use the leading entries.
+    """
+
+    def __init__(self, size: int):
+        self.g2 = np.empty(size)
+        self.scratch = np.empty(size)
+        self.start = np.empty(size, dtype=complex)
+        self.stage = np.empty(size, dtype=complex)
+        self.rate = np.empty(size, dtype=complex)
+        self.total = np.empty(size, dtype=complex)
 
 
-def _medium_subflow(values: np.ndarray, chi_of, distance: float, k: float,
+def _abs2(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    np.multiply(v.real, v.real, out=out)
+    np.multiply(v.imag, v.imag, out=scratch)
+    return np.add(out, scratch, out=out)
+
+
+def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
+                    distance: float, k: float,
                     buffers: _SubflowBuffers | None = None) -> np.ndarray:
-    """Fourth-order step of dg/dz = 2 i pi k chi(|g|^2) g at fixed control.
+    """Fourth-order step of dg/dz = 2 i pi k chi(|G|^2, |g|^2) g.
 
     The susceptibility follows the instantaneous probe intensity, so the
     medium sub-flow is a pointwise nonlinear ODE; a classical RK4 stage keeps
@@ -138,32 +155,51 @@ def _medium_subflow(values: np.ndarray, chi_of, distance: float, k: float,
     order of the composed scheme.  For intensity-independent chi this reduces
     to the exponential factor to machine accuracy at practical step sizes.
 
-    The stages work on the rate chi(|v|^2) v, with the constant 2 i pi k
-    folded into the stage and final weights.  |v|^2, the stage inputs and
-    the rates are formed in ``buffers`` (fresh ones if None), so a run
-    reuses the same arrays every sub-step; only the returned field is new.
-    ``chi_of`` gets the |v|^2 buffer and its result is only read, whatever
-    its dtype.
+    ``lookup(G2, g2)`` returns chi at control intensities ``G2`` (entries of
+    ``control_I``, which has the shape of ``values``) and probe intensities
+    ``g2``; its result is only read, whatever its dtype.  Stage 1 looks up
+    chi on the whole grid.  A point where |2 pi k distance chi| <=
+    SKIP_INCREMENT = eps / 4 keeps its value: there the whole RK4 update is
+    at most ~eps/4 |v|, under half an ulp of |v|, so v, |v|^2 and chi do not
+    move in stages 2-4 either, and leaving it out moves the point by at most
+    ~eps/4 |v| per step.  The remaining points, NaN and inf chi included,
+    are gathered once and stages 2-4 run on that subset, each lookup taking
+    the control and probe intensities at those points.  Every call makes
+    four lookups, the last three with however many points are live.
+
+    The stages work on the rate chi v, with the constant 2 i pi k folded
+    into the stage and final weights, in ``buffers`` (fresh ones if None),
+    so a run reuses the same arrays every sub-step; only the returned field
+    is new.
     """
+    flat = values.ravel()
     if buffers is None:
-        buffers = _SubflowBuffers(values.shape)
-    g2, imag2 = buffers.g2, buffers.imag2
-    stage, rate, total = buffers.stage, buffers.rate, buffers.total
+        buffers = _SubflowBuffers(flat.size)
     weight = 2j * np.pi * k * distance
-
-    def rate_at(v, out):
-        np.multiply(v.real, v.real, out=g2)
-        np.multiply(v.imag, v.imag, out=imag2)
-        np.add(g2, imag2, out=g2)
-        return np.multiply(chi_of(g2), v, out=out)
-
-    def stage_from(slope, w):
-        np.multiply(slope, w, out=stage)
-        return np.add(values, stage, out=stage)
-
-    # r1..r4 are the RK4 slopes k1..k4 without their common factor 2 i pi k
     with np.errstate(over="ignore", invalid="ignore"):
-        rate_at(values, total)                            # total = r1
+        chi = lookup(control_I.ravel(), _abs2(flat, buffers.g2,
+                                              buffers.scratch))
+        increment = np.abs(chi, out=buffers.scratch)
+        increment *= abs(weight)
+        # written as "not skipped" so NaN and inf chi stay live
+        live = np.flatnonzero(~(increment <= SKIP_INCREMENT))
+        n = live.size
+        G2 = control_I.ravel().take(live)
+        g2, scratch = buffers.g2[:n], buffers.scratch[:n]
+        start = np.take(flat, live, out=buffers.start[:n])
+        stage, rate = buffers.stage[:n], buffers.rate[:n]
+        total = buffers.total[:n]
+
+        def rate_at(v, out):
+            return np.multiply(lookup(G2, _abs2(v, g2, scratch)), v, out=out)
+
+        def stage_from(slope, w):
+            np.multiply(slope, w, out=stage)
+            return np.add(start, stage, out=stage)
+
+        # r1..r4 are the RK4 slopes k1..k4 without their common factor
+        # 2 i pi k; stages 2-4 run on the live points only
+        np.multiply(chi.take(live), start, out=total)     # total = r1
         rate_at(stage_from(total, 0.5 * weight), rate)    # rate = r2
         stage_from(rate, 0.5 * weight)
         rate *= 2.0
@@ -174,7 +210,10 @@ def _medium_subflow(values: np.ndarray, chi_of, distance: float, k: float,
         total += rate                                     # ... + 2 r3
         total += rate_at(stage, rate)                     # ... + r4
         total *= weight / 6.0
-        return values + total
+        total += start
+    out = values.copy()
+    out.ravel()[live] = total
+    return out
 
 
 def propagate(probe: ComplexField2D, control: ControlBeamSpec,
@@ -196,15 +235,19 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     maximum.  A probe that focuses past the table's |g|^2 range is a
     NumericsError naming the step, z, the largest queried |g|^2 and the
     table top.  ``use_table=False`` evaluates the velocity average directly
-    at every grid point instead.
+    at every point the medium sub-flow looks up instead.
 
     With the control off (G0 = 0) chi is identically zero and the medium
     sub-flow is the identity, so each sub-step is just its two diffraction
-    half-steps.
+    half-steps.  An input probe whose peak |g|^2 overflows to inf is a
+    NumericsError at z = 0, with the control on or off.
     """
     k = params.wavenumber
     dz = plan.dz
     n_steps = int(round(grid.cell_length / dz))
+    # a finite amplitude can square to inf; NaN is left to the step check
+    with np.errstate(over="ignore"):
+        g2_peak = float(np.max(np.abs(probe.values) ** 2))
 
     table = None
     if use_table:
@@ -212,14 +255,21 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         # a top that overflows to inf is refused by build_chi_table
         with np.errstate(over="ignore"):
             G2_max = float(max(control.peak_intensity(z) for z in z_samples))
-            g2_max = PROBE_PEAK_HEADROOM * float(
-                np.max(np.abs(probe.values) ** 2))
+            g2_max = PROBE_PEAK_HEADROOM * g2_peak
         table = build_chi_table(G2_max, g2_max, params,
                                 target_error=table_target_error)
+        lookup = table
+    else:
+        def lookup(G2, g2):
+            return chi_doppler_averaged(FieldPoint(g2, G2), params)
+    if np.isinf(g2_peak):
+        raise NumericsError(
+            0.0, f"input probe peak |g|^2 = {g2_peak:.6g} is not finite "
+            "at z = 0 cm")
 
     window = edge_window(grid) if absorbing_boundary else None
     dark = control.G0 == 0.0
-    buffers = None if dark else _SubflowBuffers(probe.values.shape)
+    buffers = None if dark else _SubflowBuffers(probe.values.size)
 
     field = probe.copy()
     field.z = 0.0
@@ -234,13 +284,9 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
             field = diffraction_step(field, 0.5 * sub, k, plan)
             if not dark:
                 control_I = control_intensity(control, grid, z_mid)
-
-                def chi_of(g2, _cI=control_I):
-                    return _chi_lookup(table, params, _cI, g2)
-
                 try:
-                    stepped = _medium_subflow(field.values, chi_of, sub, k,
-                                             buffers)
+                    stepped = _medium_subflow(field.values, control_I, lookup,
+                                              sub, k, buffers)
                 except ValueError as exc:
                     # the table rejects queries beyond its range
                     raise NumericsError(

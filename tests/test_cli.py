@@ -1,4 +1,5 @@
 import csv
+import fcntl
 import json
 from pathlib import Path
 
@@ -133,10 +134,22 @@ def test_non_finite_probe_is_configuration_error(tmp_path, capsys, value):
 def test_locked_output_directory_rejected(tiny_config, tmp_path, capsys):
     out_dir = tmp_path / "locked"
     out_dir.mkdir()
-    (out_dir / ".rbprop.lock").write_text("held\n")
-    rc = main(["oracle", "--config", str(tiny_config), "--out", str(out_dir)])
+    with open(out_dir / ".rbprop.lock", "w") as held:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        rc = main(["oracle", "--config", str(tiny_config),
+                   "--out", str(out_dir)])
     assert rc == 1
     assert "locked" in capsys.readouterr().err
+
+
+def test_stale_lock_file_does_not_block_a_run(tiny_config, tmp_path):
+    # what a run killed before its exit leaves behind: the file, no lock
+    out_dir = tmp_path / "stale"
+    out_dir.mkdir()
+    (out_dir / ".rbprop.lock").write_text("pid 1 at 0\n")
+    assert main(["oracle", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 0
+    assert not (out_dir / ".rbprop.lock").exists()
 
 
 def test_numerical_failure_exit_code(tiny_config, tmp_path, capsys):
@@ -148,19 +161,32 @@ def test_numerical_failure_exit_code(tiny_config, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["g0_over_gamma = 0.2",    # [probe]
-                                  "g0_over_gamma = 1.0"])   # [control]
-def test_overflowing_amplitude_is_numerical_failure(tiny_config, tmp_path,
-                                                    capsys, line):
+@pytest.mark.parametrize("edits, message", [
     # finite amplitudes whose squares, the chi table's tops, overflow to inf
+    ({"g0_over_gamma = 0.2": "g0_over_gamma = 1e200"},            # [probe]
+     "numerical failure: table tops |G|^2 = "),
+    ({"g0_over_gamma = 1.0": "g0_over_gamma = 1e200"},            # [control]
+     "numerical failure: table tops |G|^2 = "),
+    # control off: no table to refuse the top, so the input check does
+    ({"g0_over_gamma = 1.0": "g0_over_gamma = 0.0",
+      "g0_over_gamma = 0.2": "g0_over_gamma = 1e200"},
+     "numerical failure: input probe peak |g|^2 = inf is not finite at "
+     "z = 0 cm"),
+], ids=["g0_over_gamma = 0.2", "g0_over_gamma = 1.0", "control off"])
+def test_overflowing_amplitude_is_numerical_failure(tiny_config, tmp_path,
+                                                    capsys, edits, message):
+    text = tiny_config.read_text()
+    for old, new in edits.items():
+        text = text.replace(old, new)
     cfg = tmp_path / "huge.ini"
-    cfg.write_text(tiny_config.read_text().replace(
-        line, "g0_over_gamma = 1e200"))
-    rc = main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "h")])
+    cfg.write_text(text)
+    out_dir = tmp_path / "h"
+    rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "numerical failure: table tops |G|^2 = " in err
+    assert message in err
     assert "|g|^2 = " in err and "inf" in err
+    assert not list(out_dir.glob("*.rbpf"))
 
 
 def test_analyze_rejects_a_truncated_snapshot(tiny_config, tmp_path, capsys):

@@ -1,15 +1,19 @@
+import collections
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rbprop.solver as solver
 from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_intensity,
                           make_probe)
 from rbprop.params import GridSpec, PhysicalParams
 from rbprop.solver import (ComplexField2D, NumericsError, StepPlan,
                            _medium_subflow, _SubflowBuffers, diffraction_step,
                            edge_window, propagate)
-from rbprop.susceptibility import build_chi_table
+from rbprop.susceptibility import ChiTable, build_chi_table
 
 PARAMS = PhysicalParams()
 K = PARAMS.wavenumber
@@ -97,47 +101,104 @@ def allocating_rk4(values, chi_of, distance, k):
 
 @pytest.fixture(scope="module")
 def lit_medium():
-    """A diffracted 64^2 probe under the control, and a table-backed chi."""
-    grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.01, cell_length=0.1)
+    """A diffracted 64^2 probe under the control, its intensity and a table.
+
+    On this 0.12 cm grid about a quarter of the points sit where the control
+    and the probe are too weak for the medium step to move them.
+    """
+    grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
     control = ControlBeamSpec(waist_position_z0=0.1)
     probe = diffraction_step(gaussian_field(grid), 0.005, K)
     control_I = control_intensity(control, grid, 0.005)
     table = build_chi_table(float(control_I.max()), 0.48, PARAMS,
                             target_error=1e-3)
-    return probe.values, lambda g2: table(control_I, g2)
+    return probe.values, control_I, table
+
+
+def skipped_points(values, control_I, table, distance):
+    """Where the stage-1 |2 pi k distance chi| is at most eps / 4."""
+    chi = table(control_I, np.abs(values) ** 2)
+    return np.abs(chi) * abs(2 * np.pi * K * distance) \
+        <= np.finfo(float).eps / 4
 
 
 class TestMediumSubflow:
     def test_matches_allocating_rk4_on_a_lit_field(self, lit_medium):
-        values, chi_of = lit_medium
-        expect = allocating_rk4(values, chi_of, 0.01, K)
+        values, control_I, table = lit_medium
+        expect = allocating_rk4(values, lambda g2: table(control_I, g2),
+                                0.01, K)
         # the medium moves the field by a few percent of itself here
         assert np.linalg.norm(expect - values) > 1e-3 * np.linalg.norm(values)
-        got = _medium_subflow(values, chi_of, 0.01, K)
+        got = _medium_subflow(values, control_I, table, 0.01, K)
         # the two differ only in the order of float64 roundoff
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
         # a run reuses one set of buffers; the result does not depend on it
-        buffers = _SubflowBuffers(values.shape)
+        buffers = _SubflowBuffers(values.size)
         for _ in range(2):
-            again = _medium_subflow(values, chi_of, 0.01, K, buffers)
-            assert again is not buffers.total
+            again = _medium_subflow(values, control_I, table, 0.01, K,
+                                    buffers)
+            assert not np.shares_memory(again, buffers.total)
             np.testing.assert_array_equal(again, got)
 
+    def test_points_below_the_skip_bound_keep_their_value(self, lit_medium):
+        values, control_I, table = lit_medium
+        skipped = skipped_points(values, control_I, table, 0.01)
+        assert 0.1 < skipped.mean() < 0.9
+        sizes = []
+
+        def lookup(G2, g2):
+            sizes.append(g2.size)
+            return table(G2, g2)
+
+        got = _medium_subflow(values, control_I, lookup, 0.01, K)
+        # stage 1 on the whole grid, stages 2-4 on the live points alone
+        live = int(np.count_nonzero(~skipped))
+        assert sizes == [values.size, live, live, live]
+        np.testing.assert_array_equal(got[skipped], values[skipped])
+        expect = allocating_rk4(values, lambda g2: table(control_I, g2),
+                                0.01, K)
+        np.testing.assert_allclose(got[~skipped], expect[~skipped],
+                                   rtol=1e-13, atol=0)
+
     def test_leaves_a_cached_chi_unchanged(self, lit_medium):
-        values, chi_of = lit_medium
-        cached = chi_of(np.abs(values) ** 2)
+        values, control_I, table = lit_medium
+        cached = table(control_I, np.abs(values) ** 2)
         before = cached.copy()
-        got = _medium_subflow(values, lambda g2: cached, 0.01, K)
+        # the cached chi stands in for the control intensity, so each
+        # lookup returns it at the points it is asked for
+        got = _medium_subflow(values, cached, lambda chi, g2: chi, 0.01, K)
         np.testing.assert_array_equal(cached, before)
         np.testing.assert_allclose(
             got, allocating_rk4(values, lambda g2: before, 0.01, K),
             rtol=1e-13, atol=0)
 
+    def test_non_finite_points_stay_live_without_warnings(self, lit_medium):
+        values, control_I, table = lit_medium
+        clean = _medium_subflow(values, control_I, table, 0.01, K)
+        bad = values.copy()
+        bad[3, 3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _medium_subflow(bad, control_I, table, 0.01, K)
+            # a NaN or infinite chi where a zero one would be skipped
+            bad_chi = [_medium_subflow(
+                values, control_I,
+                lambda G2, g2: np.where(G2 == G2.max(), chi, 0.0), 0.01, K)
+                for chi in (np.nan, np.inf)]
+        assert np.isnan(got[3, 3])
+        got[3, 3] = clean[3, 3]
+        np.testing.assert_array_equal(got, clean)
+        hot = control_I == control_I.max()
+        for stepped in bad_chi:
+            assert not np.any(np.isfinite(stepped[hot]))
+            np.testing.assert_array_equal(stepped[~hot], values[~hot])
+
     def test_constant_chi_matches_exponential(self):
         grid = GridSpec(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)
         chi0 = (2.0 + 1.0j) * 1e-6
-        got = _medium_subflow(f.values, lambda g2: chi0, 0.01, K)
+        got = _medium_subflow(f.values, np.ones(f.values.shape),
+                              lambda G2, g2: np.full(g2.shape, chi0), 0.01, K)
         expect = f.values * np.exp(2j * np.pi * K * chi0 * 0.01)
         # classical RK4 on the linear flow: local error (2 pi k chi d)^5 / 120
         np.testing.assert_allclose(got, expect, rtol=1e-10)
@@ -145,7 +206,9 @@ class TestMediumSubflow:
     def test_zero_chi_is_exact_identity(self):
         grid = GridSpec(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)
-        got = _medium_subflow(f.values, lambda g2: np.zeros_like(g2), 0.01, K)
+        got = _medium_subflow(f.values, np.ones(f.values.shape),
+                              lambda G2, g2: np.zeros_like(g2), 0.01, K)
+        assert got is not f.values
         np.testing.assert_array_equal(got, f.values)
 
 
@@ -205,6 +268,83 @@ class TestPropagate:
                            match=r"step 1 at z = 0\.01 cm") as err:
             propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan)
         assert err.value.z == pytest.approx(0.01)
+
+    def test_non_finite_lit_field_aborts_with_z(self):
+        # a table cannot be sized from a NaN peak, so average directly
+        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
+        bad = gaussian_field(grid)
+        bad.values[3, 3] = np.nan
+        plan = StepPlan(grid, dz=grid.dz)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match=r"non-finite field "
+                               r"values in step 1 at z = 0\.01 cm") as err:
+                propagate(bad, ControlBeamSpec(waist_position_z0=0.1),
+                          PARAMS, grid, plan, use_table=False)
+        assert err.value.z == pytest.approx(0.01)
+
+    def test_excursion_first_met_in_a_later_stage_names_step(self,
+                                                             monkeypatch):
+        # with no headroom the table tops out at the nearly flat probe's
+        # |g|^2 of 0.04, which stage 1 stays under; over a 0.3 cm step the
+        # ring's index lifts the stage-2 intensity ~20% above it
+        monkeypatch.setattr(solver, "PROBE_PEAK_HEADROOM", 1.0)
+        sizes = []
+        lookup = ChiTable.__call__
+
+        def recording(table, G2, g2):
+            sizes.append(np.size(g2))
+            return lookup(table, G2, g2)
+
+        monkeypatch.setattr(ChiTable, "__call__", recording)
+        grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.3, cell_length=0.3)
+        plan = StepPlan(grid, dz=grid.dz)
+        with pytest.raises(NumericsError, match=r"step 1 at z = 0\.15 cm "
+                           r"\(\|g\|\^2 queried up to [0-9.]+, above the "
+                           r"table top 0\.04\)") as err:
+            propagate(gaussian_field(grid, w=10.0),
+                      ControlBeamSpec(waist_position_z0=0.1), PARAMS, grid,
+                      plan, snapshot_every=10**9)
+        assert err.value.z == pytest.approx(0.15)
+        # stage 1 passed on the whole grid; a subset lookup raised
+        assert sizes[-2] == grid.nx * grid.ny > sizes[-1] > 0
+
+    @pytest.mark.parametrize("order", (2, 4))
+    def test_each_lit_substep_makes_the_counted_calls(self, monkeypatch,
+                                                      order):
+        # counted as perfbench's tracer counts them: module attributes of
+        # the solver, ChiTable.__call__ outside table builds
+        calls = collections.Counter()
+        building = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if not building:
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def build(*args, **kwargs):
+            building.append(True)
+            try:
+                return build_chi_table(*args, **kwargs)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(solver, "build_chi_table", build)
+        monkeypatch.setattr(solver, "diffraction_step",
+                            counted("diffraction", solver.diffraction_step))
+        monkeypatch.setattr(solver, "control_intensity",
+                            counted("control", solver.control_intensity))
+        monkeypatch.setattr(ChiTable, "__call__",
+                            counted("lookup", ChiTable.__call__))
+        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
+        plan = StepPlan(grid, dz=grid.dz, order=order)
+        propagate(gaussian_field(grid),
+                  ControlBeamSpec(waist_position_z0=0.05), PARAMS, grid, plan,
+                  snapshot_every=10**9)
+        n = grid.n_steps * len(plan.substeps())
+        assert calls == {"diffraction": 2 * n, "control": n, "lookup": 4 * n}
 
     def test_focusing_past_the_table_range_names_step_and_intensity(self):
         # a lens of focal length 0.2 cm focuses the probe far beyond the
