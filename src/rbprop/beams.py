@@ -144,35 +144,19 @@ def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float) -> np.nda
     return _radial_intensity(spec, _radial_mesh(grid), z)
 
 
-def gaussian_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:
-    """g(x, y) = g0 exp(-r^2 / w^2) sampled at the entry plane."""
-    X, Y = grid.mesh()
-    values = spec.g0 * np.exp(-(X * X + Y * Y) / spec.width**2)
-    return ComplexField2D(values, grid, 0.0)
-
-
-def double_gaussian_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:
-    """Sum of two equal Gaussians centered at (x1, 0) and (x2, 0)."""
-    X, Y = grid.mesh()
-    x1, x2 = spec.centers
-    values = spec.g0 * (np.exp(-((X - x1) ** 2 + Y * Y) / spec.width**2)
-                        + np.exp(-((X - x2) ** 2 + Y * Y) / spec.width**2))
-    return ComplexField2D(values, grid, 0.0)
-
-
-def sech_multipeak_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:
-    """g0 * sum_i sech(sqrt((x - x_i)^2 + y^2) / w), equal peak widths."""
-    X, Y = grid.mesh()
-    out = np.zeros_like(X)
-    for xi in spec.centers:
-        out += 1.0 / np.cosh(np.sqrt((X - xi) ** 2 + Y * Y) / spec.width)
-    return ComplexField2D(spec.g0 * out, grid, 0.0)
-
-
 def make_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:
-    """Entry-plane probe field for any probe kind."""
-    if spec.kind == "gaussian":
-        return gaussian_probe(spec, grid)
-    if spec.kind == "double_gaussian":
-        return double_gaussian_probe(spec, grid)
-    return sech_multipeak_probe(spec, grid)
+    """Entry-plane probe g0 * sum_i f(x - x_i, y) for any probe kind.
+
+    The sum runs over ``spec.centers``, or the origin alone for a single
+    Gaussian.  The radial profile f is exp(-r^2 / w^2) for the Gaussian
+    kinds and sech(r / w) for the sech multi-peak probe.
+    """
+    X, Y = grid.mesh()
+    total = np.zeros_like(X)
+    for xi in spec.centers or (0.0,):
+        r2 = (X - xi) ** 2 + Y * Y
+        if spec.kind == "sech_multi":
+            total += 1.0 / np.cosh(np.sqrt(r2) / spec.width)
+        else:
+            total += np.exp(-r2 / spec.width**2)
+    return ComplexField2D(spec.g0 * total, grid, 0.0)

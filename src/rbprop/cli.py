@@ -71,8 +71,12 @@ def cmd_chi_scan(cfg, out_dir: Path, args) -> int:
 
 
 def cmd_propagate(cfg, out_dir: Path, args) -> int:
+    if cfg.probe.g0 == 0.0:
+        # a dark probe has no width for the diagnostics to measure
+        raise ConfigurationError(
+            ["[probe] g0_over_gamma = 0 must be positive to propagate"])
     manifest = _start_manifest(cfg)
-    plan = StepPlan(cfg.grid, dz=cfg.grid.dz, order=args.order)
+    plan = StepPlan(cfg.grid, order=args.order)
     probe = make_probe(cfg.probe, cfg.grid)
     result = propagate(
         probe, cfg.control, cfg.params, cfg.grid, plan,
@@ -82,9 +86,10 @@ def cmd_propagate(cfg, out_dir: Path, args) -> int:
         absorbing_boundary=cfg.run["absorbing_boundary"],
     )
     diagnostics = RunDiagnostics(input_power=probe.power())
-    for snap in result.snapshots:
+    digits = len(str(cfg.grid.n_steps))
+    for step, snap in zip(result.snapshot_steps, result.snapshots):
         diagnostics.append(diagnose(snap))
-        out = write_field(out_dir / f"field_z{snap.z:08.4f}.rbpf", snap)
+        out = write_field(out_dir / f"field_step{step:0{digits}d}.rbpf", snap)
         manifest.add_output(out)
     csv_path = write_diagnostics_csv(out_dir / "diagnostics.csv",
                                      diagnostics.records)

@@ -25,8 +25,7 @@ import scipy.fft
 from .beams import ControlBeamSpec, control_intensity
 from .field import ComplexField2D
 from .params import GridSpec, PhysicalParams
-from .susceptibility import ChiTable, FieldPoint, build_chi_table, \
-    chi_doppler_averaged
+from .susceptibility import FieldPoint, build_chi_table, chi_doppler_averaged
 
 # Triple-jump composition coefficients for the fourth-order scheme.
 _TJ = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -49,10 +48,13 @@ class NumericsError(RuntimeError):
 
 @dataclass
 class StepPlan:
-    """Splitting order, step size, and cached spectral phase factors."""
+    """Splitting order and cached spectral phase factors.
+
+    The step size is the grid's own ``dz``: a plan steps through the cell
+    as its ``GridSpec`` lays it out.
+    """
 
     grid: GridSpec
-    dz: float
     order: int = 2
     _phase_cache: dict = field(default_factory=dict, repr=False)
     _k2: np.ndarray | None = field(default=None, repr=False)
@@ -62,6 +64,10 @@ class StepPlan:
             raise ValueError("splitting order must be 2 or 4")
         kx, ky = self.grid.spatial_frequencies()
         self._k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+
+    @property
+    def dz(self) -> float:
+        return self.grid.dz
 
     def diffraction_phase(self, distance: float, k: float) -> np.ndarray:
         """exp(-i (kx^2 + ky^2) d / (2 k)), cached per distance."""
@@ -88,7 +94,7 @@ def diffraction_step(field: ComplexField2D, distance: float, k: float,
     with periodic boundaries from the discrete transform.
     """
     if plan is None:
-        plan = StepPlan(field.grid, dz=distance if distance else 1.0)
+        plan = StepPlan(field.grid)
     # one worker: on two cores a second one made 256^2 transforms slower
     spectrum = scipy.fft.fft2(field.values, workers=1)
     spectrum *= plan.diffraction_phase(distance, k)
@@ -115,7 +121,6 @@ class PropagationResult:
     field: ComplexField2D
     snapshots: list[ComplexField2D]
     snapshot_steps: list[int]
-    table: ChiTable | None
 
 
 # a point whose stage-1 |2 pi k dz chi| is at most this keeps its value
@@ -249,13 +254,16 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     probe intensity, half diffraction.  The fourth-order plan composes three
     such Strang sub-steps with triple-jump coefficients.
 
-    The susceptibility is looked up from an interpolation table over
-    (|G|^2, |g|^2) built once to cover the whole run: |G|^2 up to the
-    analytic maximum over z, |g|^2 up to PROBE_PEAK_HEADROOM times the input
-    maximum.  A probe that focuses past the table's |g|^2 range is a
-    NumericsError naming the step, z, the largest queried |g|^2 and the
-    table top.  ``use_table=False`` evaluates the velocity average directly
-    at every point the medium sub-flow looks up instead.
+    The step size and step count are the grid's (``grid.dz``,
+    ``grid.n_steps``).  The susceptibility is looked up from an
+    interpolation table over (|G|^2, |g|^2) built once to cover the whole
+    run: |G|^2 up to the control's analytic maximum over the cell, its peak
+    intensity at the waist or at the cell face nearest it, and |g|^2 up to
+    PROBE_PEAK_HEADROOM times the input maximum.  A probe that focuses past
+    the table's |g|^2 range is a NumericsError naming the step, z, the
+    largest queried |g|^2 and the table top.  ``use_table=False`` evaluates
+    the velocity average directly at every point the medium sub-flow looks
+    up instead.
 
     With the control off (G0 = 0) chi is identically zero and the medium
     sub-flow is the identity, so each sub-step is just its two diffraction
@@ -263,22 +271,21 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     NumericsError at z = 0, with the control on or off.
     """
     k = params.wavenumber
-    dz = plan.dz
-    n_steps = int(round(grid.cell_length / dz))
+    dz = grid.dz
+    n_steps = grid.n_steps
     # a finite amplitude can square to inf; NaN is left to the step check
     with np.errstate(over="ignore"):
         g2_peak = float(np.max(np.abs(probe.values) ** 2))
 
-    table = None
     if use_table:
-        z_samples = np.linspace(0.0, grid.cell_length, 101)
+        # the ring is brightest at the waist or the cell face nearest it
+        z_peak = np.clip(control.waist_position_z0, 0.0, grid.cell_length)
         # a top that overflows to inf is refused by build_chi_table
         with np.errstate(over="ignore"):
-            G2_max = float(max(control.peak_intensity(z) for z in z_samples))
+            G2_max = float(control.peak_intensity(z_peak))
             g2_max = PROBE_PEAK_HEADROOM * g2_peak
-        table = build_chi_table(G2_max, g2_max, params,
-                                target_error=table_target_error)
-        lookup = table
+        lookup = build_chi_table(G2_max, g2_max, params,
+                                 target_error=table_target_error)
     else:
         def lookup(G2, g2):
             return chi_doppler_averaged(FieldPoint(g2, G2), params)
@@ -327,4 +334,4 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
             snapshot_steps.append(step + 1)
 
     return PropagationResult(field=field, snapshots=snapshots,
-                             snapshot_steps=snapshot_steps, table=table)
+                             snapshot_steps=snapshot_steps)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_field,
-                          control_intensity, double_gaussian_probe,
-                          gaussian_probe, make_probe, sech_multipeak_probe)
+                          control_intensity, make_probe)
 from rbprop.params import GridSpec
 
 CTRL = ControlBeamSpec(G0=1.0, waist_wc=120e-4, waist_position_z0=5.0)
@@ -74,7 +73,7 @@ GRID = GridSpec(nx=256, ny=256, extent=0.12)
 class TestProbes:
     def test_gaussian_center_and_width_values(self):
         spec = ProbeSpec(kind="gaussian", g0=0.2, width=48e-4)
-        field = gaussian_probe(spec, GRID).values
+        field = make_probe(spec, GRID).values
         assert field[128, 128] == pytest.approx(0.2)
         x, _ = GRID.axes()
         i_w = int(np.argmin(np.abs(x - spec.width)))
@@ -89,27 +88,27 @@ class TestProbes:
     def test_double_gaussian_symmetric(self):
         spec = ProbeSpec(kind="double_gaussian", g0=0.2, width=48e-4,
                          centers=(-70e-4, 70e-4))
-        field = double_gaussian_probe(spec, GRID).values
+        field = make_probe(spec, GRID).values
         np.testing.assert_allclose(field[1:, :], field[1:, :][::-1, :],
                                    rtol=0, atol=1e-16)
 
     def test_double_gaussian_merges_at_zero_separation(self):
         spec = ProbeSpec(kind="double_gaussian", g0=0.2, width=48e-4,
                          centers=(-1e-9, 1e-9))
-        field = double_gaussian_probe(spec, GRID).values
+        field = make_probe(spec, GRID).values
         assert abs(field[128, 128]) == pytest.approx(0.4, rel=1e-8)
 
     def test_double_gaussian_resolved_at_default_separation(self):
         spec = ProbeSpec(kind="double_gaussian", g0=0.2, width=48e-4,
                          centers=(-70e-4, 70e-4))
-        row = np.abs(double_gaussian_probe(spec, GRID).values[:, 128]) ** 2
+        row = np.abs(make_probe(spec, GRID).values[:, 128]) ** 2
         peak = row.max()
         valley = row[128]
         assert peak / valley > 2.0
 
     def test_sech_values(self):
         spec = ProbeSpec(kind="sech_multi", g0=0.2, width=35e-4, centers=(0.0,))
-        field = sech_multipeak_probe(spec, GRID).values
+        field = make_probe(spec, GRID).values
         assert abs(field[128, 128]) == pytest.approx(0.2, rel=1e-12)
         x, _ = GRID.axes()
         i_w = int(np.argmin(np.abs(x - spec.width)))
@@ -121,7 +120,7 @@ class TestProbes:
         spec = ProbeSpec(kind="sech_multi", g0=0.2, width=35e-4,
                          centers=(-120e-4, 0.0, 120e-4))
         from rbprop.analysis import peak_positions
-        field = sech_multipeak_probe(spec, GRID)
+        field = make_probe(spec, GRID)
         assert len(peak_positions(field)) == 3
 
     def test_probes_even_in_y(self):

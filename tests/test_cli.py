@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rbprop.cli as cli
 from rbprop.cli import main
-from rbprop.fieldio import read_field
+from rbprop.fieldio import RunManifest, read_field
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -68,7 +69,9 @@ def test_propagate_then_analyze(tiny_config, tmp_path, capsys):
     rc = main(["propagate", "--config", str(tiny_config), "--out", str(out_dir)])
     assert rc == 0
     snapshots = sorted(out_dir.glob("*.rbpf"))
-    assert len(snapshots) == 3  # entry plane plus z = 0.05 and 0.1
+    # entry plane plus z = 0.05 and 0.1, named by step out of 10
+    assert [p.name for p in snapshots] == [
+        "field_step00.rbpf", "field_step05.rbpf", "field_step10.rbpf"]
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["defaulted_keys"]
     listed = {o["path"] for o in manifest["outputs"]}
@@ -87,12 +90,47 @@ def test_propagate_then_analyze(tiny_config, tmp_path, capsys):
     assert header == "x_cm,y_cm,intensity"
 
 
-def test_chi_scan_csv(tmp_path, capsys):
+def test_snapshots_closer_than_a_micron_keep_their_own_files(tmp_path,
+                                                             capsys):
+    # three 2e-5 cm steps: at four decimals of z in cm the first three
+    # snapshots would share one file name
+    cfg = tmp_path / "close.ini"
+    cfg.write_text((PRESETS / "guided_gaussian.ini").read_text()
+                   .replace("nx = 256", "nx = 32")
+                   .replace("ny = 256", "ny = 32")
+                   .replace("extent_cm = 0.24", "extent_cm = 0.03")
+                   .replace("dz_cm = 0.005", "dz_cm = 2e-5")
+                   .replace("cell_length_cm = 5.0", "cell_length_cm = 6e-5")
+                   .replace("snapshot_every = 200", "snapshot_every = 1"))
+    out_dir = tmp_path / "close"
+    assert main(["propagate", "--config", str(cfg),
+                 "--out", str(out_dir)]) == 0
+    assert "4 snapshots" in capsys.readouterr().out
+    names = sorted(p.name for p in out_dir.glob("*.rbpf"))
+    assert names == [f"field_step{i}.rbpf" for i in range(4)]
+    assert [read_field(out_dir / n).z for n in names] == pytest.approx(
+        [0.0, 2e-5, 4e-5, 6e-5], rel=1e-12, abs=0)
+    data = RunManifest.read(out_dir / "manifest.json")
+    assert [o["path"] for o in data["outputs"]] == names + ["diagnostics.csv"]
+    manifest = RunManifest(tool_version=data["tool_version"],
+                           config=data["config"],
+                           defaulted_keys=data["defaulted_keys"],
+                           seed=data["seed"], outputs=data["outputs"])
+    assert manifest.verify_outputs(out_dir) == []
+
+
+def scan_config(tmp_path, probe_g0="0.2"):
     cfg = tmp_path / "scan.ini"
     text = (PRESETS / "chi_map.ini").read_text()
     text = text.replace("r_points = 61", "r_points = 9")
     text = text.replace("delta_R_points = 151", "delta_R_points = 5")
+    text = text.replace("g0_over_gamma = 0.2", f"g0_over_gamma = {probe_g0}")
     cfg.write_text(text)
+    return cfg
+
+
+def test_chi_scan_csv(tmp_path, capsys):
+    cfg = scan_config(tmp_path)
     out_dir = tmp_path / "scan-out"
     rc = main(["chi-scan", "--config", str(cfg), "--out", str(out_dir)])
     assert rc == 0
@@ -129,6 +167,35 @@ def test_non_finite_probe_is_configuration_error(tmp_path, capsys, value):
     rc = main(["propagate", "--config", str(bad), "--out", str(tmp_path / "n")])
     assert rc == 1
     assert "[probe] g0_over_gamma" in capsys.readouterr().err
+
+
+def test_zero_probe_is_refused_before_propagating(tiny_config, tmp_path,
+                                                 capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("propagate reached with a zero probe")
+
+    monkeypatch.setattr(cli, "propagate", unreachable)
+    cfg = tmp_path / "dark-probe.ini"
+    cfg.write_text(tiny_config.read_text().replace("g0_over_gamma = 0.2",
+                                                   "g0_over_gamma = 0"))
+    out_dir = tmp_path / "dark-probe"
+    rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
+    assert rc == 1
+    assert ("configuration error: [probe] g0_over_gamma = 0 must be "
+            "positive" in capsys.readouterr().err)
+    assert not list(out_dir.glob("*.rbpf"))
+    assert not (out_dir / "manifest.json").exists()
+
+
+def test_chi_scan_accepts_a_zero_probe(tmp_path):
+    # there a zero probe amplitude is the weak-probe limit
+    out_dir = tmp_path / "weak"
+    assert main(["chi-scan", "--config", str(scan_config(tmp_path, "0")),
+                 "--out", str(out_dir)]) == 0
+    with open(out_dir / "chi_scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9 * 5
+    assert any(float(r["im_chi"]) != 0.0 for r in rows)
 
 
 def test_locked_output_directory_rejected(tiny_config, tmp_path, capsys):

@@ -38,7 +38,7 @@ class TestDiffraction:
 
     def test_two_half_steps_equal_one_full(self):
         grid = GridSpec(nx=64, ny=64, extent=0.1)
-        plan = StepPlan(grid, dz=0.02)
+        plan = StepPlan(grid)
         f = gaussian_field(grid)
         full = diffraction_step(f, 0.5, K, plan)
         halves = diffraction_step(diffraction_step(f, 0.25, K, plan), 0.25, K, plan)
@@ -70,16 +70,23 @@ class TestDiffraction:
 class TestStepPlan:
     def test_orders(self):
         grid = GridSpec(nx=32, ny=32)
-        assert StepPlan(grid, dz=0.01, order=2).substeps() == (1.0,)
-        subs = StepPlan(grid, dz=0.01, order=4).substeps()
+        assert StepPlan(grid, order=2).substeps() == (1.0,)
+        subs = StepPlan(grid, order=4).substeps()
         assert len(subs) == 3 and subs[0] == subs[2]
         assert sum(subs) == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError):
-            StepPlan(grid, dz=0.01, order=3)
+            StepPlan(grid, order=3)
+
+    def test_step_is_the_grids(self):
+        grid = GridSpec(nx=32, ny=32, dz=0.01, cell_length=0.1)
+        assert StepPlan(grid).dz == 0.01
+        # a step of its own would disagree with the grid's step count
+        with pytest.raises(TypeError):
+            StepPlan(grid, dz=0.25)
 
     def test_cached_phases_unimodular(self):
         grid = GridSpec(nx=32, ny=32)
-        plan = StepPlan(grid, dz=0.01)
+        plan = StepPlan(grid)
         phase = plan.diffraction_phase(0.005, K)
         np.testing.assert_allclose(np.abs(phase), 1.0, rtol=1e-14)
 
@@ -244,7 +251,7 @@ class TestPropagate:
     def test_control_off_equals_pure_diffraction(self):
         grid = GridSpec(nx=128, ny=128, extent=0.24, dz=0.01, cell_length=0.5)
         probe = gaussian_field(grid)
-        plan = StepPlan(grid, dz=grid.dz)
+        plan = StepPlan(grid)
         res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
                         snapshot_every=10**9)
         direct = probe
@@ -257,7 +264,7 @@ class TestPropagate:
     def test_dark_control_is_exactly_the_half_step_chain(self, order):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
-        plan = StepPlan(grid, dz=grid.dz, order=order)
+        plan = StepPlan(grid, order=order)
         res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
                         snapshot_every=10**9)
         chain = probe
@@ -271,7 +278,7 @@ class TestPropagate:
     def test_preserves_x_symmetry(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.2)
         probe = gaussian_field(grid)
-        plan = StepPlan(grid, dz=grid.dz)
+        plan = StepPlan(grid)
         res = propagate(probe, ControlBeamSpec(waist_position_z0=0.2), PARAMS,
                         grid, plan, snapshot_every=10**9)
         intensity = np.abs(res.field.values) ** 2
@@ -281,7 +288,7 @@ class TestPropagate:
     def test_snapshots_cadence(self):
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
-        plan = StepPlan(grid, dz=grid.dz)
+        plan = StepPlan(grid)
         res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
                         snapshot_every=4)
         assert res.snapshot_steps == [0, 4, 8, 10]
@@ -291,7 +298,7 @@ class TestPropagate:
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
         bad = gaussian_field(grid)
         bad.values[3, 3] = np.nan
-        plan = StepPlan(grid, dz=grid.dz)
+        plan = StepPlan(grid)
         with pytest.raises(NumericsError,
                            match=r"step 1 at z = 0\.01 cm") as err:
             propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan)
@@ -302,7 +309,7 @@ class TestPropagate:
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
         bad = gaussian_field(grid)
         bad.values[3, 3] = np.nan
-        plan = StepPlan(grid, dz=grid.dz)
+        plan = StepPlan(grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match=r"non-finite field "
@@ -328,7 +335,7 @@ class TestPropagate:
 
         monkeypatch.setattr(ChiTable, "__call__", recording)
         grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.3, cell_length=0.3)
-        plan = StepPlan(grid, dz=grid.dz)
+        plan = StepPlan(grid)
         with pytest.raises(NumericsError, match=r"step 1 at z = 0\.15 cm "
                            r"\(\|g\|\^2 queried up to [0-9.]+, above the "
                            r"table top 0\.04\)") as err:
@@ -359,7 +366,7 @@ class TestPropagate:
         monkeypatch.setattr(solver, "_medium_subflow", counting_subflow)
         monkeypatch.setattr(ChiTable, "__call__", counting_lookup)
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
-        plan = StepPlan(grid, dz=grid.dz, order=order)
+        plan = StepPlan(grid, order=order)
         propagate(gaussian_field(grid),
                   ControlBeamSpec(waist_position_z0=0.05), PARAMS, grid, plan,
                   snapshot_every=10**9)
@@ -372,7 +379,7 @@ class TestPropagate:
         X, Y = grid.mesh()
         lens = np.exp(-1j * K * (X**2 + Y**2) / (2.0 * 0.2))
         probe = ComplexField2D(gaussian_field(grid).values * lens, grid, 0.0)
-        plan = StepPlan(grid, dz=grid.dz)
+        plan = StepPlan(grid)
         with pytest.raises(NumericsError, match=r"step 15 at z = 0\.145 cm "
                            r"\(\|g\|\^2 queried up to [0-9.]+, above the "
                            r"table top 0\.48\)") as err:
@@ -380,14 +387,39 @@ class TestPropagate:
                       snapshot_every=10**9)
         assert err.value.z == pytest.approx(0.145)
 
+    @pytest.mark.parametrize("z0, top_at", ((-0.3, 0.0), (0.005, 0.005),
+                                            (1.4, 1.0)))
+    def test_table_covers_the_control_peak_in_the_cell(self, monkeypatch,
+                                                       z0, top_at):
+        # a 5 um waist has a Rayleigh range of 0.0099 cm; 0.005 cm from its
+        # waist the ring's peak |G|^2 is 20% below the waist's, more than a
+        # query may overshoot the table top
+        tops = []
+        build = solver.build_chi_table
+
+        def recording(G2_max, g2_max, params, **kwargs):
+            tops.append(G2_max)
+            return build(G2_max, g2_max, params, **kwargs)
+
+        monkeypatch.setattr(solver, "build_chi_table", recording)
+        # a grid spacing of 3.6 um puts a point near the 3.5 um ring radius
+        grid = GridSpec(nx=8, ny=8, extent=8 * 3.6e-4, dz=0.01,
+                        cell_length=1.0)
+        control = ControlBeamSpec(waist_wc=5e-4, waist_position_z0=z0)
+        res = propagate(gaussian_field(grid, w=7e-4), control, PARAMS, grid,
+                        StepPlan(grid), snapshot_every=10**9)
+        assert tops == [control.peak_intensity(top_at)]
+        assert res.field.z == pytest.approx(1.0)
+        assert np.all(np.isfinite(res.field.values))
+
     def test_order4_runs_and_agrees_with_order2(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
         res2 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
-                         grid, StepPlan(grid, dz=grid.dz, order=2),
+                         grid, StepPlan(grid, order=2),
                          snapshot_every=10**9)
         res4 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
-                         grid, StepPlan(grid, dz=grid.dz, order=4),
+                         grid, StepPlan(grid, order=4),
                          snapshot_every=10**9)
         scale = np.linalg.norm(res2.field.values)
         assert np.linalg.norm(res2.field.values - res4.field.values) / scale < 1e-4
