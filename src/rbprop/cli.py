@@ -18,9 +18,10 @@ import numpy as np
 from . import __version__
 from .analysis import RunDiagnostics, diagnose
 from .config import ConfigurationError, config_as_dict, parse_config
-from .fieldio import (OutputLock, OutputLockError, RunManifest,
-                      SnapshotFormatError, read_field, write_chi_scan_csv,
-                      write_diagnostics_csv, write_field, write_profile_csv)
+from .fieldio import (SNAPSHOT_SUFFIX, OutputLock, OutputLockError,
+                      RunManifest, SnapshotFormatError, read_field,
+                      write_chi_scan_csv, write_diagnostics_csv, write_field,
+                      write_profile_csv)
 from .params import prefactor_over_gamma
 from .solver import NumericsError, StepPlan, propagate
 from .susceptibility import (FieldPoint, OracleConvergenceError,
@@ -102,12 +103,27 @@ def cmd_propagate(cfg, out_dir: Path, args) -> int:
 
 
 def cmd_analyze(cfg, out_dir: Path, args) -> int:
-    snapshots = sorted(out_dir.glob("*.rbpf"))
+    # the run's own snapshots, in its order; files an earlier run left in
+    # the directory are not listed
+    listing = out_dir / "manifest.json"
+    try:
+        snapshots = [out_dir / o["path"]
+                     for o in RunManifest.read(listing)["outputs"]
+                     if o["path"].endswith(SNAPSHOT_SUFFIX)]
+    except FileNotFoundError:
+        raise ConfigurationError(
+            [f"no {listing.name} of a propagate run in {out_dir}"]) from None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            [f"cannot read the snapshot list in {listing}: {exc!r}"]) from exc
     if not snapshots:
-        raise ConfigurationError([f"no field snapshots in {out_dir}"])
+        raise ConfigurationError([f"{listing} lists no field snapshots"])
+    for path in snapshots:
+        if not path.exists():
+            raise SnapshotFormatError(f"{path}: listed in {listing.name} "
+                                      "but missing")
     manifest = _start_manifest(cfg)
-    fields = sorted((read_field(p, cfg.grid) for p in snapshots),
-                    key=lambda f: f.z)
+    fields = [read_field(p, cfg.grid) for p in snapshots]
     diagnostics = RunDiagnostics(input_power=fields[0].power())
     for fld in fields:
         diagnostics.append(diagnose(fld))

@@ -132,31 +132,8 @@ SKIP_INCREMENT = np.finfo(float).eps / 4
 GATHER_MIN_SKIPPED = 0.1
 
 
-class _SubflowBuffers:
-    """Flat scratch arrays of ``_medium_subflow``, allocated once per run.
-
-    Each holds one entry per grid point; stage 1 uses all of them and the
-    stages on the live subset use the leading entries.
-    """
-
-    def __init__(self, size: int):
-        self.g2 = np.empty(size)
-        self.scratch = np.empty(size)
-        self.start = np.empty(size, dtype=complex)
-        self.stage = np.empty(size, dtype=complex)
-        self.rate = np.empty(size, dtype=complex)
-        self.total = np.empty(size, dtype=complex)
-
-
-def _abs2(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    np.multiply(v.real, v.real, out=out)
-    np.multiply(v.imag, v.imag, out=scratch)
-    return np.add(out, scratch, out=out)
-
-
 def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
-                    distance: float, k: float,
-                    buffers: _SubflowBuffers | None = None) -> np.ndarray:
+                    distance: float, k: float) -> np.ndarray:
     """Fourth-order step of dg/dz = 2 i pi k chi(|G|^2, |g|^2) g.
 
     The susceptibility follows the instantaneous probe intensity, so the
@@ -176,68 +153,37 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
     lookup taking the control and probe intensities at those points.
     Otherwise stages 2-4 run on the whole grid and the kept points are
     written back, because there the gather and scatter would cost more than
-    the lookups they save.  Every call makes four lookups.
-
-    The stages work on the rate chi v, with the constant 2 i pi k folded
-    into the stage and final weights, in ``buffers`` (fresh ones if None),
-    so a run reuses the same arrays every sub-step; only the returned field
-    is new.
+    the lookups they save.  Every call makes four lookups and returns a new
+    array.
     """
-    flat = values.ravel()
-    G2 = control_I.ravel()
-    if buffers is None:
-        buffers = _SubflowBuffers(flat.size)
     weight = 2j * np.pi * k * distance
+    G2, start = control_I.ravel(), values.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        chi = lookup(G2, _abs2(flat, buffers.g2, buffers.scratch))
-        increment = np.abs(chi, out=buffers.scratch)
-        increment *= abs(weight)
+        chi = lookup(G2, start.real * start.real + start.imag * start.imag)
         # NaN and inf chi compare false, so they stay live
-        skipped = increment <= SKIP_INCREMENT
-        n_skipped = np.count_nonzero(skipped)
-        if n_skipped >= GATHER_MIN_SKIPPED * flat.size:
-            # flatnonzero's indices are in range, so "clip" changes no
-            # value; under the default "raise" a take into ``out`` goes
-            # through a temporary copy
-            live = np.flatnonzero(~skipped)
-            G2 = G2.take(live, mode="clip")
-            chi = chi.take(live, mode="clip")
-            start = flat.take(live, out=buffers.start[:live.size],
-                              mode="clip")
-        else:
-            live, start = None, flat
-        n = start.size
-        g2, scratch = buffers.g2[:n], buffers.scratch[:n]
-        stage, rate = buffers.stage[:n], buffers.rate[:n]
-        total = buffers.total[:n]
+        kept = np.abs(chi) * abs(weight) <= SKIP_INCREMENT
+        n_kept = np.count_nonzero(kept)
+        gather = n_kept >= GATHER_MIN_SKIPPED * start.size
+        if gather:
+            live = np.flatnonzero(~kept)
+            G2, chi, start = G2[live], chi[live], start[live]
 
-        def rate_at(v, out):
-            return np.multiply(lookup(G2, _abs2(v, g2, scratch)), v, out=out)
+        def rate(v):
+            return lookup(G2, v.real * v.real + v.imag * v.imag) * v
 
-        def stage_from(slope, w):
-            np.multiply(slope, w, out=stage)
-            return np.add(start, stage, out=stage)
-
-        # r1..r4 are the RK4 slopes k1..k4 without their common factor
-        # 2 i pi k
-        np.multiply(chi, start, out=total)                # total = r1
-        rate_at(stage_from(total, 0.5 * weight), rate)    # rate = r2
-        stage_from(rate, 0.5 * weight)
-        rate *= 2.0
-        total += rate                                     # r1 + 2 r2
-        rate_at(stage, rate)                              # rate = r3
-        stage_from(rate, weight)
-        rate *= 2.0
-        total += rate                                     # ... + 2 r3
-        total += rate_at(stage, rate)                     # ... + r4
-        total *= weight / 6.0
-    if live is None:
-        out = values + total.reshape(values.shape)
-        if n_skipped:
-            np.copyto(out, values, where=skipped.reshape(values.shape))
-    else:
+        # r1..r4 are the RK4 slopes without their common factor 2 i pi k
+        r1 = chi * start
+        r2 = rate(start + 0.5 * weight * r1)
+        r3 = rate(start + 0.5 * weight * r2)
+        r4 = rate(start + weight * r3)
+        stepped = start + weight / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    if gather:
         out = values.copy()
-        out.ravel()[live] = np.add(start, total, out=total)
+        out.ravel()[live] = stepped
+    else:
+        out = stepped.reshape(values.shape)
+        if n_kept:
+            np.copyto(out, values, where=kept.reshape(values.shape))
     return out
 
 
@@ -296,7 +242,6 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
 
     window = edge_window(grid) if absorbing_boundary else None
     dark = control.G0 == 0.0
-    buffers = None if dark else _SubflowBuffers(probe.values.size)
 
     field = probe.copy()
     field.z = 0.0
@@ -313,7 +258,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                 control_I = control_intensity(control, grid, z_mid)
                 try:
                     stepped = _medium_subflow(field.values, control_I, lookup,
-                                              sub, k, buffers)
+                                              sub, k)
                 except ValueError as exc:
                     # the table rejects queries beyond its range
                     raise NumericsError(

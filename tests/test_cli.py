@@ -272,6 +272,46 @@ def test_analyze_rejects_a_truncated_snapshot(tiny_config, tmp_path, capsys):
         assert f"unreadable snapshot: {snapshot}" in capsys.readouterr().err
 
 
+def test_analyze_reads_only_the_snapshots_the_manifest_lists(tiny_config,
+                                                             tmp_path):
+    out_dir = tmp_path / "rerun"
+    assert main(["propagate", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 0
+    # the rerun at half the step writes field_step10 at z = 0.05 cm beside
+    # the first run's field_step05 at the same z
+    half = tmp_path / "half.ini"
+    half.write_text(tiny_config.read_text()
+                    .replace("dz_cm = 0.01", "dz_cm = 0.005")
+                    .replace("snapshot_every = 5", "snapshot_every = 10"))
+    assert main(["propagate", "--config", str(half),
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "field_step05.rbpf").exists()
+    assert main(["analyze", "--config", str(half),
+                 "--out", str(out_dir)]) == 0
+    with open(out_dir / "analysis.csv") as fh:
+        z = [float(row["z_cm"]) for row in csv.DictReader(fh)]
+    assert z == pytest.approx([0.0, 0.05, 0.1], rel=1e-12, abs=1e-15)
+
+
+def test_analyze_needs_the_manifest_and_every_listed_snapshot(tiny_config,
+                                                              tmp_path,
+                                                              capsys):
+    out_dir = tmp_path / "gone"
+    assert main(["propagate", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 0
+    snapshot = out_dir / "field_step05.rbpf"
+    snapshot.unlink()
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 1
+    assert (f"unreadable snapshot: {snapshot}: listed in manifest.json but "
+            "missing") in capsys.readouterr().err
+    (out_dir / "manifest.json").unlink()
+    assert main(["analyze", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 1
+    assert "no manifest.json of a propagate run" in capsys.readouterr().err
+
+
 def test_snapshots_readable_and_grid_consistent(tiny_config, tmp_path):
     out_dir = tmp_path / "snap"
     assert main(["propagate", "--config", str(tiny_config),

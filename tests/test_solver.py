@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +9,15 @@ from hypothesis import strategies as st
 import rbprop.solver as solver
 from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_intensity,
                           make_probe)
+from rbprop.config import parse_config
 from rbprop.params import GridSpec, PhysicalParams
 from rbprop.solver import (ComplexField2D, NumericsError, StepPlan,
-                           _medium_subflow, _SubflowBuffers, diffraction_step,
-                           edge_window, propagate)
-from rbprop.susceptibility import ChiTable, build_chi_table
+                           _medium_subflow, diffraction_step, edge_window,
+                           propagate)
+from rbprop.susceptibility import (ChiTable, FieldPoint, build_chi_table,
+                                   chi_doppler_averaged)
 
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 PARAMS = PhysicalParams()
 K = PARAMS.wavenumber
 
@@ -138,13 +142,6 @@ class TestMediumSubflow:
         got = _medium_subflow(values, control_I, table, 0.01, K)
         # the two differ only in the order of float64 roundoff
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
-        # a run reuses one set of buffers; the result does not depend on it
-        buffers = _SubflowBuffers(values.size)
-        for _ in range(2):
-            again = _medium_subflow(values, control_I, table, 0.01, K,
-                                    buffers)
-            assert not np.shares_memory(again, buffers.total)
-            np.testing.assert_array_equal(again, got)
 
     @pytest.mark.parametrize("gather", (True, False))
     def test_points_below_the_skip_bound_keep_their_value(self, lit_medium,
@@ -431,3 +428,34 @@ def test_edge_window_profile():
     assert w.max() <= 1.0 and w.min() >= 0.0
     assert w[32, 32] == 1.0
     assert w[0, 32] == 0.0
+
+
+class _TableBuilt(Exception):
+    """Carries the chi table out of ``propagate`` before its first step."""
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="below both node floors ChiTable returns its "
+                   "corner node times |G|^2, but chi there tends to a "
+                   "function of |G|^2 / (|G|^2 + |g|^2)")
+def test_guided_table_matches_the_direct_average_at_every_lit_point(
+        monkeypatch):
+    cfg = parse_config(PRESETS / "guided_gaussian.ini")
+    build = solver.build_chi_table
+
+    def stop_after_build(*args, **kwargs):
+        raise _TableBuilt(build(*args, **kwargs))
+
+    monkeypatch.setattr(solver, "build_chi_table", stop_after_build)
+    probe = make_probe(cfg.probe, cfg.grid)
+    target = cfg.run["table_target_error"]
+    with pytest.raises(_TableBuilt) as built:
+        propagate(probe, cfg.control, cfg.params, cfg.grid,
+                  StepPlan(cfg.grid), table_target_error=target)
+    table = built.value.args[0]
+    G2 = control_intensity(cfg.control, cfg.grid, 0.0)
+    lit = G2 > 0.0
+    g2 = np.abs(probe.values[lit]) ** 2
+    expect = chi_doppler_averaged(FieldPoint(g2, G2[lit]), cfg.params)
+    err = np.abs(table(G2[lit], g2) - expect) / np.abs(expect)
+    assert err.max() < target
