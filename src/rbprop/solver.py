@@ -13,6 +13,13 @@ chi up on the whole grid.  A point where |2 pi k dz chi| <= eps / 4 keeps its
 value, which is within ~eps/4 |g| of its full RK4 update.  Where at least a
 tenth of the grid keeps its value, the last three stages run on the other
 points alone, gathered once (``_medium_subflow``).
+
+With the control off chi is identically zero and the medium sub-flow is the
+identity, so the split-step chain collapses to diffraction alone, and
+exp(-i k_perp^2 a / 2k) exp(-i k_perp^2 b / 2k) = exp(-i k_perp^2 (a + b) / 2k)
+merges it exactly.  A dark run makes one diffraction per segment, a segment
+running up to the next snapshot or the end of the cell; with the absorbing
+window every step is a segment.
 """
 
 from __future__ import annotations
@@ -211,19 +218,27 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     the velocity average directly at every point the medium sub-flow looks
     up instead.
 
-    With the control off (G0 = 0) chi is identically zero and the medium
-    sub-flow is the identity, so each sub-step is just its two diffraction
-    half-steps.  An input probe whose peak |g|^2 overflows to inf is a
-    NumericsError at z = 0, with the control on or off.
+    With the control off (G0 = 0) chi is identically zero, so no table is
+    built and the medium is never stepped.  The diffraction half-steps then
+    compose exactly, whatever the order: the run makes one
+    ``diffraction_step`` of a whole number of steps times dz up to each
+    snapshot and the end of the cell, or one of dz per step when
+    ``absorbing_boundary`` applies the window after every step.  Each
+    segment end is checked as a step end.  An input probe whose peak |g|^2
+    overflows to inf is a NumericsError at z = 0, with the control on or
+    off; one holding a NaN is the non-finite field it becomes in step 1.
     """
     k = params.wavenumber
     dz = grid.dz
     n_steps = grid.n_steps
-    # a finite amplitude can square to inf; NaN is left to the step check
+    dark = control.G0 == 0.0
+    # a finite amplitude can square to inf; both inf and NaN are refused below
     with np.errstate(over="ignore"):
         g2_peak = float(np.max(np.abs(probe.values) ** 2))
 
-    if use_table:
+    if dark:
+        lookup = None  # chi is identically zero: the medium is never stepped
+    elif use_table:
         # the ring is brightest at the waist or the cell face nearest it
         z_peak = np.clip(control.waist_position_z0, 0.0, grid.cell_length)
         # a top that overflows to inf is refused by build_chi_table
@@ -239,22 +254,36 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         raise NumericsError(
             0.0, f"input probe peak |g|^2 = {g2_peak:.6g} is not finite "
             "at z = 0 cm")
+    if np.isnan(g2_peak):
+        # the first diffraction spreads a NaN over the whole grid
+        raise NumericsError(
+            dz, f"non-finite field values in step 1 at z = {dz:.6g} cm")
 
     window = edge_window(grid) if absorbing_boundary else None
-    dark = control.G0 == 0.0
 
     field = probe.copy()
     field.z = 0.0
     snapshots = [field.copy()]
     snapshot_steps = [0]
+    segment_start = 0  # first step of the dark run's pending diffraction
 
     for step in range(n_steps):
-        z0 = step * dz
-        for frac in plan.substeps():
-            sub = frac * dz
-            z_mid = z0 + 0.5 * sub
-            field = diffraction_step(field, 0.5 * sub, k, plan)
-            if not dark:
+        snapshot = (step + 1) % snapshot_every == 0 or step == n_steps - 1
+        if dark:
+            if not snapshot and window is None:
+                continue
+            # diffraction phases compose exactly: one transform pair spans
+            # the segment, whose length is a step count times dz so that
+            # equal segments share a cached phase
+            field = diffraction_step(field, (step + 1 - segment_start) * dz,
+                                     k, plan)
+            segment_start = step + 1
+        else:
+            z0 = step * dz
+            for frac in plan.substeps():
+                sub = frac * dz
+                z_mid = z0 + 0.5 * sub
+                field = diffraction_step(field, 0.5 * sub, k, plan)
                 control_I = control_intensity(control, grid, z_mid)
                 try:
                     stepped = _medium_subflow(field.values, control_I, lookup,
@@ -265,8 +294,8 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                         z_mid, f"medium step failed in step {step + 1} at "
                         f"z = {z_mid:.6g} cm ({exc})") from exc
                 field = ComplexField2D(stepped, field.grid, field.z)
-            field = diffraction_step(field, 0.5 * sub, k, plan)
-            z0 += sub
+                field = diffraction_step(field, 0.5 * sub, k, plan)
+                z0 += sub
         field.z = (step + 1) * dz
         if window is not None:
             field.values *= window
@@ -274,7 +303,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
             raise NumericsError(
                 field.z, f"non-finite field values in step {step + 1} at "
                 f"z = {field.z:.6g} cm")
-        if (step + 1) % snapshot_every == 0 or step == n_steps - 1:
+        if snapshot:
             snapshots.append(field.copy())
             snapshot_steps.append(step + 1)
 

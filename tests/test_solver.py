@@ -27,6 +27,23 @@ def gaussian_field(grid, w=48e-4, g0=0.2):
     return ComplexField2D(g0 * np.exp(-(X**2 + Y**2) / w**2), grid, 0.0)
 
 
+def relative_l2(got, expect):
+    return np.linalg.norm(got - expect) / np.linalg.norm(expect)
+
+
+def half_step_chain(probe, plan, n_steps, window=None):
+    """A dark run as two diffraction half-steps per sub-step, unmerged."""
+    chain = probe
+    for _ in range(n_steps):
+        for frac in plan.substeps():
+            sub = frac * plan.dz
+            chain = diffraction_step(chain, 0.5 * sub, K, plan)
+            chain = diffraction_step(chain, 0.5 * sub, K, plan)
+        if window is not None:
+            chain.values *= window
+    return chain
+
+
 class TestDiffraction:
     def test_zero_distance_is_identity(self):
         grid = GridSpec(nx=64, ny=64, extent=0.1)
@@ -258,19 +275,102 @@ class TestPropagate:
         assert np.linalg.norm(res.field.values - direct.values) / scale < 1e-10
 
     @pytest.mark.parametrize("order", (2, 4))
-    def test_dark_control_is_exactly_the_half_step_chain(self, order):
+    def test_dark_run_diffracts_once_per_snapshot_interval(self, order):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
         plan = StepPlan(grid, order=order)
         res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        snapshot_every=10**9)
-        chain = probe
+                        snapshot_every=4)
+        assert res.snapshot_steps == [0, 4, 8, 10]
+        merged = probe
+        for start, end in zip(res.snapshot_steps, res.snapshot_steps[1:]):
+            merged = diffraction_step(merged, (end - start) * grid.dz, K,
+                                      plan)
+            snap = res.snapshots[res.snapshot_steps.index(end)]
+            np.testing.assert_array_equal(snap.values, merged.values)
+        # the split-step chain the merge replaces agrees to roundoff
+        chain = half_step_chain(probe, plan, grid.n_steps)
+        assert relative_l2(res.field.values, chain.values) < 1e-13
+
+    @pytest.mark.parametrize("order", (2, 4))
+    def test_dark_run_with_the_window_diffracts_and_absorbs_each_step(
+            self, order):
+        grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
+        # wide enough for the window to absorb a visible share of the power
+        probe = gaussian_field(grid, w=0.03)
+        plan = StepPlan(grid, order=order)
+        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
+                        snapshot_every=10**9, absorbing_boundary=True)
+        window = edge_window(grid)
+        stepped = probe
         for _ in range(grid.n_steps):
-            for frac in plan.substeps():
-                sub = frac * grid.dz
-                chain = diffraction_step(chain, 0.5 * sub, K, plan)
-                chain = diffraction_step(chain, 0.5 * sub, K, plan)
-        np.testing.assert_array_equal(res.field.values, chain.values)
+            stepped = diffraction_step(stepped, grid.dz, K, plan)
+            stepped.values *= window
+        np.testing.assert_array_equal(res.field.values, stepped.values)
+        assert res.field.power() < 0.999 * probe.power()
+        chain = half_step_chain(probe, plan, grid.n_steps, window)
+        assert relative_l2(res.field.values, chain.values) < 1e-13
+
+    def test_window_zeroes_the_outer_cells_of_a_lit_run(self):
+        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
+        plan = StepPlan(grid)
+        res = propagate(gaussian_field(grid, w=0.03),
+                        ControlBeamSpec(waist_position_z0=0.05), PARAMS, grid,
+                        plan, snapshot_every=1, absorbing_boundary=True)
+        assert res.snapshot_steps == list(range(grid.n_steps + 1))
+        for snap in res.snapshots[1:]:
+            values = snap.values
+            for edge in (values[0], values[-1], values[:, 0], values[:, -1]):
+                assert np.all(edge == 0.0)
+            assert np.all(values[1:-1, 1:-1] != 0.0)
+
+    def test_dark_run_follows_the_gaussian_beam(self, monkeypatch):
+        # closed form of dg/dz = (i / 2k) laplace_perp g from a waist w0 at
+        # z = 0: g = (-i zR / q) exp(i k r^2 / 2q), q = z - i zR; it carries
+        # the width, the amplitude and the Gouy phase together
+        grid = GridSpec(nx=256, ny=256, extent=0.24, dz=0.005,
+                        cell_length=1.0)
+        w0 = 48e-4
+        probe = gaussian_field(grid, w=w0, g0=1.0)
+        calls = []
+        diffraction = solver.diffraction_step
+
+        def counting(*args):
+            calls.append(args[1])
+            return diffraction(*args)
+
+        monkeypatch.setattr(solver, "diffraction_step", counting)
+        plan = StepPlan(grid)
+        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
+                        snapshot_every=60)
+        assert res.snapshot_steps == [0, 60, 120, 180, 200]
+        # one diffraction per segment, and two distinct segment lengths
+        assert len(calls) == 4 and len(plan._phase_cache) == 2
+        X, Y = grid.mesh()
+        r2 = X**2 + Y**2
+        zR = K * w0**2 / 2.0
+        for snap in res.snapshots:
+            q = snap.z - 1j * zR
+            expect = (-1j * zR / q) * np.exp(1j * K * r2 / (2.0 * q))
+            assert relative_l2(snap.values, expect) < 1e-13
+
+    def test_only_a_lit_run_builds_a_chi_table(self, monkeypatch):
+        builds = []
+        build = solver.build_chi_table
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_chi_table", counting)
+        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
+        probe = gaussian_field(grid)
+        propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid,
+                  StepPlan(grid), snapshot_every=10**9)
+        assert builds == []
+        propagate(probe, ControlBeamSpec(waist_position_z0=0.05), PARAMS,
+                  grid, StepPlan(grid), snapshot_every=10**9)
+        assert len(builds) == 1
 
     def test_preserves_x_symmetry(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.2)
