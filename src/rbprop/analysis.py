@@ -25,7 +25,6 @@ class DiagnosticsRecord:
 class RunDiagnostics:
     """Per-snapshot observables; z must be strictly increasing."""
 
-    input_power: float
     records: list[DiagnosticsRecord] = field(default_factory=list)
 
     def append(self, record: DiagnosticsRecord):
@@ -114,9 +113,7 @@ def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
     """
     wz = control.width_at(z)
     r = np.linspace(0.0, 5.0 * wz, n_radii)
-    G2 = _radial_intensity(control, r * r, z)
-    chi = chi_doppler_averaged(
-        FieldPoint(np.full_like(r, probe_level**2), G2), params)
+    chi = radial_chi_profile(params, control, z, probe_level, r)
     return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
 
 

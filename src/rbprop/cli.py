@@ -27,34 +27,30 @@ from .solver import NumericsError, StepPlan, propagate
 from .susceptibility import (FieldPoint, OracleConvergenceError,
                              TableRefinementError, chi_doppler_averaged,
                              chi_stationary, steady_state_oracle)
-from .beams import control_field, make_probe
+from .beams import _radial_intensity, make_probe
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICS = 2
 
 
-def _start_manifest(cfg) -> RunManifest:
-    # only oracle draws random numbers, and it writes no manifest
-    return RunManifest(
-        tool_version=__version__,
-        config=config_as_dict(cfg),
-        defaulted_keys=cfg.defaulted_keys,
-        seed=None,
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    )
+def _write_diagnostics(path: Path, fields) -> Path:
+    """One diagnostics row per field, in order, written as CSV to path."""
+    diagnostics = RunDiagnostics()
+    for fld in fields:
+        diagnostics.append(diagnose(fld))
+    return write_diagnostics_csv(path, diagnostics.records)
 
 
-def cmd_chi_scan(cfg, out_dir: Path, args) -> int:
+def cmd_chi_scan(cfg, out_dir: Path, args) -> list[Path]:
     scan = cfg.scan
-    manifest = _start_manifest(cfg)
     r_values = np.linspace(scan["r_min_cm"], scan["r_max_cm"], scan["r_points"])
     d_values = np.linspace(scan["delta_R_min_over_gamma"],
                            scan["delta_R_max_over_gamma"],
                            scan["delta_R_points"])
     z = scan["z_cm"]
     g2 = np.full(r_values.shape, cfg.probe.g0 ** 2)
-    G2 = np.abs(control_field(cfg.control, r_values, 0.0, z)) ** 2
+    G2 = _radial_intensity(cfg.control, r_values * r_values, z)
     chi = np.empty((d_values.size, r_values.size), dtype=complex)
     for i, d in enumerate(d_values):
         params_d = replace(cfg.params, delta_R=float(d))
@@ -64,19 +60,15 @@ def cmd_chi_scan(cfg, out_dir: Path, args) -> int:
     order = np.lexsort((d, r))  # by radius, then detuning
     out = write_chi_scan_csv(out_dir / "chi_scan.csv", r[order], d[order],
                              chi.ravel()[order])
-    manifest.add_output(out)
-    manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    manifest.write(out_dir / "manifest.json")
     print(f"wrote {out}")
-    return EXIT_OK
+    return [out]
 
 
-def cmd_propagate(cfg, out_dir: Path, args) -> int:
+def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
     if cfg.probe.g0 == 0.0:
         # a dark probe has no width for the diagnostics to measure
         raise ConfigurationError(
             ["[probe] g0_over_gamma = 0 must be positive to propagate"])
-    manifest = _start_manifest(cfg)
     plan = StepPlan(cfg.grid, order=args.order)
     probe = make_probe(cfg.probe, cfg.grid)
     result = propagate(
@@ -86,23 +78,19 @@ def cmd_propagate(cfg, out_dir: Path, args) -> int:
         table_target_error=cfg.run["table_target_error"],
         absorbing_boundary=cfg.run["absorbing_boundary"],
     )
-    diagnostics = RunDiagnostics(input_power=probe.power())
     digits = len(str(cfg.grid.n_steps))
+    outputs = []
     for step, snap in zip(result.snapshot_steps, result.snapshots):
-        diagnostics.append(diagnose(snap))
-        out = write_field(out_dir / f"field_step{step:0{digits}d}.rbpf", snap)
-        manifest.add_output(out)
-    csv_path = write_diagnostics_csv(out_dir / "diagnostics.csv",
-                                     diagnostics.records)
-    manifest.add_output(csv_path)
-    manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    manifest.write(out_dir / "manifest.json")
+        outputs.append(
+            write_field(out_dir / f"field_step{step:0{digits}d}.rbpf", snap))
+    outputs.append(_write_diagnostics(out_dir / "diagnostics.csv",
+                                      result.snapshots))
     print(f"propagated to z = {result.field.z:g} cm; "
           f"{len(result.snapshots)} snapshots in {out_dir}")
-    return EXIT_OK
+    return outputs
 
 
-def cmd_analyze(cfg, out_dir: Path, args) -> int:
+def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
     # the run's own snapshots, in its order; files an earlier run left in
     # the directory are not listed
     listing = out_dir / "manifest.json"
@@ -122,25 +110,15 @@ def cmd_analyze(cfg, out_dir: Path, args) -> int:
         if not path.exists():
             raise SnapshotFormatError(f"{path}: listed in {listing.name} "
                                       "but missing")
-    manifest = _start_manifest(cfg)
     fields = [read_field(p, cfg.grid) for p in snapshots]
-    diagnostics = RunDiagnostics(input_power=fields[0].power())
-    for fld in fields:
-        diagnostics.append(diagnose(fld))
-    last = fields[-1]
-    csv_path = write_diagnostics_csv(out_dir / "analysis.csv",
-                                     diagnostics.records)
-    manifest.add_output(csv_path)
-    profile_path = write_profile_csv(out_dir / "profile.csv", last)
-    manifest.add_output(profile_path)
-    manifest.finished_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    manifest.write(out_dir / "analysis_manifest.json")
-    print(f"analyzed {len(diagnostics.records)} snapshots; "
+    csv_path = _write_diagnostics(out_dir / "analysis.csv", fields)
+    profile_path = write_profile_csv(out_dir / "profile.csv", fields[-1])
+    print(f"analyzed {len(fields)} snapshots; "
           f"wrote {csv_path} and {profile_path}")
-    return EXIT_OK
+    return [csv_path, profile_path]
 
 
-def cmd_oracle(cfg, out_dir: Path, args) -> int:
+def cmd_oracle(cfg, args) -> int:
     rng = np.random.default_rng(args.seed)
     pref = prefactor_over_gamma(cfg.params)
     draws = cfg.oracle["draws"]
@@ -191,12 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "chi-scan": cmd_chi_scan,
-    "propagate": cmd_propagate,
-    "analyze": cmd_analyze,
-    "oracle": cmd_oracle,
+# the commands that write files, each with the manifest that lists them
+_WRITERS = {
+    "chi-scan": (cmd_chi_scan, "manifest.json"),
+    "propagate": (cmd_propagate, "manifest.json"),
+    "analyze": (cmd_analyze, "analysis_manifest.json"),
 }
+
+
+def _utc_now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def main(argv=None) -> int:
@@ -212,7 +194,20 @@ def main(argv=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         with OutputLock(out_dir):
-            return _COMMANDS[args.command](cfg, out_dir, args)
+            if args.command == "oracle":
+                return cmd_oracle(cfg, args)
+            command, manifest_name = _WRITERS[args.command]
+            # the seed is null: only oracle draws random numbers, and it
+            # writes no manifest
+            manifest = RunManifest(
+                tool_version=__version__, config=config_as_dict(cfg),
+                defaulted_keys=cfg.defaulted_keys, seed=None,
+                started_at=_utc_now())
+            for path in command(cfg, out_dir, args):
+                manifest.add_output(path)
+            manifest.finished_at = _utc_now()
+            manifest.write(out_dir / manifest_name)
+            return EXIT_OK
     except (ConfigurationError, OutputLockError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -91,13 +91,6 @@ class SimulationConfig:
     defaulted_keys: list[str] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
 
-    def narrowest_feature(self) -> float:
-        return self.probe.width
-
-    def validate(self) -> "SimulationConfig":
-        validate(self.params, self.grid, self.narrowest_feature())
-        return self
-
 
 def _coerce(section: str, key: str, text: str, typ, line: int):
     try:
@@ -208,6 +201,8 @@ def parse_config(path: str | Path) -> SimulationConfig:
         elif kind == "sech_multi":
             centers = (-120.0e-4, 0.0, 120.0e-4)
             defaulted.append("probe.centers_cm")
+    # the manifest lists the centers the run uses, defaults included
+    resolved["probe"]["centers_cm"] = centers
 
     params = PhysicalParams(
         gamma=resolved["atom"]["gamma_rad_s"],
@@ -241,39 +236,14 @@ def parse_config(path: str | Path) -> SimulationConfig:
     except ValueError as exc:
         raise ConfigurationError([str(exc)]) from None
 
-    cfg = SimulationConfig(
+    validate(params, grid, probe.width)
+    return SimulationConfig(
         params=params, grid=grid, control=control, probe=probe,
         run=resolved["run"], scan=resolved["scan"], oracle=resolved["oracle"],
         defaulted_keys=defaulted, raw=resolved,
     )
-    return cfg.validate()
-
-
-def serialize_config(cfg: SimulationConfig) -> str:
-    """Render the fully resolved configuration; re-parsing reproduces it."""
-    out = []
-    raw = dict(cfg.raw)
-    raw["control"] = dict(raw["control"])
-    raw["probe"] = dict(raw["probe"])
-    raw["control"]["waist_position_cm"] = cfg.control.waist_position_z0
-    raw["probe"]["centers_cm"] = ", ".join(f"{c:.9g}" for c in cfg.probe.centers)
-    for section, keys in raw.items():
-        out.append(f"[{section}]")
-        for key, value in keys.items():
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)  # shortest exact round-trip form
-            out.append(f"{key} = {value}")
-        out.append("")
-    return "\n".join(out)
 
 
 def config_as_dict(cfg: SimulationConfig) -> dict:
     """JSON-friendly resolved configuration (for the manifest)."""
-    out = {}
-    for section, keys in cfg.raw.items():
-        out[section] = {k: v for k, v in keys.items()}
-    out["control"]["waist_position_cm"] = cfg.control.waist_position_z0
-    out["probe"]["centers_cm"] = list(cfg.probe.centers)
-    return out
+    return {section: dict(keys) for section, keys in cfg.raw.items()}

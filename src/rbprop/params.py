@@ -7,7 +7,7 @@ conventions throughout, so the refractive index is n = 1 + 2*pi*chi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +71,6 @@ class PhysicalParams:
     def wavenumber(self) -> float:
         """k = 2*pi/lambda in 1/cm."""
         return 2.0 * np.pi / self.wavelength
-
-    def to_rad_s(self, value_gamma_units: float) -> float:
-        return value_gamma_units * self.gamma
-
-    def from_rad_s(self, value_rad_s: float) -> float:
-        return value_rad_s / self.gamma
 
     def violations(self) -> list[str]:
         out = []
@@ -151,8 +145,15 @@ class GridSpec:
             out.append("dz must be positive")
         if not self.cell_length > 0:
             out.append("cell_length must be positive")
-        if self.dz > 0 and self.cell_length > 0 and self.n_steps < 1:
-            out.append("cell_length/dz must round to at least one step")
+        if self.dz > 0 and self.cell_length > 0:
+            if self.n_steps < 1:
+                out.append("cell_length/dz must round to at least one step")
+            elif abs(self.n_steps * self.dz - self.cell_length) > 1e-9 * self.cell_length:
+                # the run would stop short of, or step past, the cell's end
+                out.append(
+                    f"cell_length_cm = {self.cell_length:.6g} is not a whole "
+                    f"number of dz_cm = {self.dz:.6g} steps "
+                    f"({self.cell_length / self.dz:.6g})")
         if narrowest_feature is not None and self.extent > 0 and self.nx > 0:
             # feature diameter (twice the 1/e amplitude width) must span >= 8 cells
             samples = 2.0 * narrowest_feature / self.dx

@@ -137,14 +137,14 @@ class TestIndexContrast:
 
 class TestDiagnostics:
     def test_strictly_increasing_z_enforced(self):
-        d = RunDiagnostics(input_power=1.0)
+        d = RunDiagnostics()
         d.append(DiagnosticsRecord(0.0, 1e-3, 1.0, ()))
         d.append(DiagnosticsRecord(0.5, 1e-3, 0.9, ()))
         with pytest.raises(ValueError):
             d.append(DiagnosticsRecord(0.5, 1e-3, 0.8, ()))
 
     def test_negative_power_rejected(self):
-        d = RunDiagnostics(input_power=1.0)
+        d = RunDiagnostics()
         with pytest.raises(ValueError):
             d.append(DiagnosticsRecord(0.0, 1e-3, -1.0, ()))
 

@@ -187,6 +187,21 @@ def test_zero_probe_is_refused_before_propagating(tiny_config, tmp_path,
     assert not (out_dir / "manifest.json").exists()
 
 
+def test_cell_of_a_fractional_step_count_is_refused(tiny_config, tmp_path,
+                                                   capsys):
+    # 0.1 cm in 0.03 cm steps would stop after 3 steps at z = 0.09 cm
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(tiny_config.read_text().replace("dz_cm = 0.01",
+                                                   "dz_cm = 0.03"))
+    out_dir = tmp_path / "short"
+    rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error: cell_length_cm = 0.1 is not a whole " \
+           "number of dz_cm = 0.03 steps" in err
+    assert not list(out_dir.glob("*.rbpf"))
+
+
 def test_chi_scan_accepts_a_zero_probe(tmp_path):
     # there a zero probe amplitude is the weak-probe limit
     out_dir = tmp_path / "weak"

@@ -45,12 +45,6 @@ def test_prefactor_scalings():
             == pytest.approx(8 * base, rel=1e-12)
 
 
-def test_gamma_unit_round_trip_exact():
-    p = PhysicalParams()
-    for v in (-170.0, 0.015, 70.0, 1e-3):
-        assert p.from_rad_s(p.to_rad_s(v)) == pytest.approx(v, rel=1e-15)
-
-
 def test_delta_c_derived():
     p = PhysicalParams(delta_p=-170.0, delta_R=-0.015)
     assert p.delta_c == pytest.approx(-169.985)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbprop.solver as solver
+from rbprop.analysis import beam_width
 from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_intensity,
                           make_probe)
 from rbprop.config import parse_config
@@ -77,7 +78,6 @@ class TestDiffraction:
         assert abs(out.power() - f.power()) <= 1e-12 * f.power()
 
     def test_gaussian_spreading_law(self):
-        from rbprop.analysis import beam_width
         grid = GridSpec(nx=256, ny=256, extent=0.24)
         w0 = 48e-4
         f = gaussian_field(grid, w=w0)
@@ -528,6 +528,57 @@ def test_edge_window_profile():
     assert w.max() <= 1.0 and w.min() >= 0.0
     assert w[32, 32] == 1.0
     assert w[0, 32] == 0.0
+
+
+def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
+        monkeypatch):
+    # chi = alpha r^2 keeps a Gaussian g = A exp(i k r^2 / 2q) Gaussian under
+    # dg/dz = (i / 2k) laplace_perp g + 2 i pi k chi g, with q' = 1 - gamma^2
+    # q^2 and A' = -A / q, gamma^2 = 4 pi alpha (Kogelnik, Appl. Opt. 4, 1562,
+    # 1965).  From a waist, q0 = -i zR:
+    #   q = tanh(gamma z + phi) / gamma,  A = sinh(phi) / sinh(gamma z + phi),
+    # phi = atanh(gamma q0), both even in gamma, so either square root
+    # serves.  Re alpha < 0 guides, Im alpha > 0 absorbs off
+    # axis, and together they keep the field at the domain edge below 1e-12
+    # of its peak over the whole run.
+    w0, length = 48e-4, 1.0
+    zR = K * w0**2 / 2.0
+    alpha = (-1.0 + 0.25j) / (4.0 * np.pi * zR**2)
+    gamma = np.sqrt(4.0 * np.pi * alpha)
+    phi = np.arctanh(-1j * zR * gamma)
+    errors = []
+    for dz in (0.025, 0.0125, 0.00625):
+        grid = GridSpec(nx=64, ny=64, extent=0.06, dz=dz, cell_length=length)
+        X, Y = grid.mesh()
+        r2 = X**2 + Y**2
+        monkeypatch.setattr(solver, "control_intensity",
+                            lambda spec, on_grid, z: r2)
+        monkeypatch.setattr(solver, "build_chi_table",
+                            lambda *args, **kwargs: lambda G2, g2: alpha * G2)
+        probe = gaussian_field(grid, w=w0, g0=1.0)
+        res = propagate(probe, ControlBeamSpec(), PARAMS, grid,
+                        StepPlan(grid), snapshot_every=round(0.25 / dz))
+        assert [s.z for s in res.snapshots] == pytest.approx(
+            [0.0, 0.25, 0.5, 0.75, 1.0], rel=1e-12, abs=0)
+        for snap in res.snapshots:
+            q = np.tanh(gamma * snap.z + phi) / gamma
+            A = np.sinh(phi) / np.sinh(gamma * snap.z + phi)
+            peak = np.abs(snap.values).max()
+            for edge in (snap.values[0], snap.values[:, 0]):
+                assert np.abs(edge).max() < 1e-12 * peak
+            if dz == 0.00625:
+                # |g|^2 = |A|^2 exp(-k Im(1/q) r^2)
+                a = K * (1.0 / q).imag
+                assert beam_width(snap) == pytest.approx(np.sqrt(2.0 / a),
+                                                         rel=1e-5)
+                assert snap.power() == pytest.approx(abs(A)**2 * np.pi / a,
+                                                     rel=4e-6)
+                on_axis = snap.values[grid.nx // 2, grid.ny // 2]
+                assert abs(np.angle(on_axis / A)) < 3e-6
+        expect = A * np.exp(1j * K * r2 / (2.0 * q))
+        errors.append(relative_l2(res.field.values, expect))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 2.0) < 0.1), orders
 
 
 class _TableBuilt(Exception):
