@@ -20,8 +20,8 @@ from .analysis import RunDiagnostics, diagnose
 from .config import ConfigurationError, config_as_dict, parse_config
 from .fieldio import (SNAPSHOT_SUFFIX, OutputLock, OutputLockError,
                       RunManifest, SnapshotFormatError, read_field,
-                      write_chi_scan_csv, write_diagnostics_csv, write_field,
-                      write_profile_csv)
+                      sha256_of, write_chi_scan_csv, write_diagnostics_csv,
+                      write_field, write_profile_csv)
 from .params import prefactor_over_gamma
 from .solver import NumericsError, StepPlan, propagate
 from .susceptibility import (FieldPoint, OracleConvergenceError,
@@ -91,11 +91,11 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
 
 
 def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
-    # the run's own snapshots, in its order; files an earlier run left in
-    # the directory are not listed
+    # the run's own snapshots, in its order, each with its checksum; files
+    # an earlier run left in the directory are not listed
     listing = out_dir / "manifest.json"
     try:
-        snapshots = [out_dir / o["path"]
+        snapshots = [(out_dir / o["path"], o["sha256"])
                      for o in RunManifest.read(listing)["outputs"]
                      if o["path"].endswith(SNAPSHOT_SUFFIX)]
     except FileNotFoundError:
@@ -106,11 +106,14 @@ def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
             [f"cannot read the snapshot list in {listing}: {exc!r}"]) from exc
     if not snapshots:
         raise ConfigurationError([f"{listing} lists no field snapshots"])
-    for path in snapshots:
+    for path, sha256 in snapshots:
         if not path.exists():
             raise SnapshotFormatError(f"{path}: listed in {listing.name} "
                                       "but missing")
-    fields = [read_field(p, cfg.grid) for p in snapshots]
+        if sha256_of(path) != sha256:
+            raise SnapshotFormatError(f"{path}: checksum does not match "
+                                      f"{listing.name}")
+    fields = [read_field(p, cfg.grid) for p, _ in snapshots]
     csv_path = _write_diagnostics(out_dir / "analysis.csv", fields)
     profile_path = write_profile_csv(out_dir / "profile.csv", fields[-1])
     print(f"analyzed {len(fields)} snapshots; "

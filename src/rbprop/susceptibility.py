@@ -14,8 +14,10 @@ stationary ratio is n0 / d0.
 The thermal average over the Maxwellian distribution of Doppler shifts (width
 D) is exact: the quadratic's two complex-conjugate poles turn it into the
 plasma dispersion function Z (Fried & Conte 1961), evaluated through the
-Faddeeva function ``scipy.special.wofz`` (Weideman 1994).  Every run takes
-this average.
+Faddeeva function ``scipy.special.wofz`` (Weideman 1994).  Every run that
+evaluates chi takes this average; scipy is imported at the first one, so a
+run that evaluates no chi (a control-off propagation, an analysis of stored
+snapshots) loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import wofz
 
 from .params import PhysicalParams, prefactor_over_gamma
 
@@ -241,6 +242,9 @@ def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
     between the two residues.  D = 0 and the dark state (d2 = 0) reduce to
     n0 / d0.
     """
+    # imported here: scipy.special adds ~0.17 s to every CLI start otherwise
+    from scipy.special import wofz
+
     n0, n1, d0, d1, d2 = coeffs
     with np.errstate(invalid="ignore", divide="ignore"):
         if doppler_width == 0.0:

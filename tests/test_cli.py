@@ -1,6 +1,9 @@
 import csv
 import fcntl
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 import rbprop.cli as cli
 from rbprop.cli import main
-from rbprop.fieldio import RunManifest, read_field
+from rbprop.fieldio import RunManifest, read_field, sha256_of, write_field
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -279,12 +282,42 @@ def test_analyze_rejects_a_truncated_snapshot(tiny_config, tmp_path, capsys):
     assert main(["propagate", "--config", str(cfg), "--out", str(out_dir)]) == 0
     snapshot = sorted(out_dir.glob("*.rbpf"))[-1]
     whole = snapshot.read_bytes()
-    for cut in (whole[:-16], whole[:20]):  # into the samples, the header
+    listing = out_dir / "manifest.json"
+    manifest = json.loads(listing.read_text())
+    # into the samples, the header
+    for cut, problem in ((whole[:-16], "does not match header"),
+                         (whole[:20], "header cut short at 20 bytes")):
         snapshot.write_bytes(cut)
+        # a manifest listing the cut file's own checksum, so that the reader
+        # itself meets the cut
+        for entry in manifest["outputs"]:
+            if entry["path"] == snapshot.name:
+                entry["sha256"] = sha256_of(snapshot)
+        listing.write_text(json.dumps(manifest))
         capsys.readouterr()
         rc = main(["analyze", "--config", str(cfg), "--out", str(out_dir)])
         assert rc == 1
-        assert f"unreadable snapshot: {snapshot}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unreadable snapshot: {snapshot}: " in err and problem in err
+
+
+def test_analyze_refuses_a_snapshot_its_manifest_does_not_match(tiny_config,
+                                                                tmp_path,
+                                                                capsys):
+    out_dir = tmp_path / "changed"
+    assert main(["propagate", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 0
+    # a well-formed snapshot of another field under a listed name
+    snapshot = out_dir / "field_step05.rbpf"
+    changed = read_field(snapshot)
+    changed.values *= 2.0
+    write_field(snapshot, changed)
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 1
+    assert (f"unreadable snapshot: {snapshot}: checksum does not match "
+            "manifest.json") in capsys.readouterr().err
+    assert not (out_dir / "analysis.csv").exists()
 
 
 def test_analyze_reads_only_the_snapshots_the_manifest_lists(tiny_config,
@@ -399,3 +432,44 @@ def test_direct_chi_matches_table_on_guided_grid(tmp_path):
     assert direct.z == pytest.approx(0.01)
     diff = np.linalg.norm(direct.values - table.values)
     assert diff / np.linalg.norm(direct.values) < 1e-4
+
+
+def scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running ``code``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = (code + "\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.split('.')[0] == 'scipy')))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main_call(command, config, out_dir):
+    argv = [command, "--config", str(config), "--out", str(out_dir)]
+    return f"from rbprop.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_modules_after("import rbprop.cli") == []
+
+
+def test_dark_propagate_and_analyze_load_no_scipy(tiny_config, tmp_path):
+    dark = tmp_path / "dark.ini"
+    dark.write_text(tiny_config.read_text().replace(
+        "g0_over_gamma = 1.0", "g0_over_gamma = 0.0"))
+    out_dir = tmp_path / "dark-out"
+    for command in ("propagate", "analyze"):
+        assert scipy_modules_after(main_call(command, dark, out_dir)) == []
+    assert (out_dir / "analysis.csv").exists()
+
+
+def test_chi_scan_loads_scipy_special_to_average(tmp_path):
+    out_dir = tmp_path / "scan-out"
+    modules = scipy_modules_after(
+        main_call("chi-scan", scan_config(tmp_path), out_dir))
+    assert "scipy.special" in modules
+    assert (out_dir / "chi_scan.csv").exists()

@@ -77,6 +77,25 @@ class TestDiffraction:
         out = diffraction_step(f, distance, K)
         assert abs(out.power() - f.power()) <= 1e-12 * f.power()
 
+    def test_matches_a_two_dimensional_scipy_transform(self):
+        # an independent transform: scipy's fft2 / ifft2 with the same phase
+        import scipy.fft
+
+        grid = GridSpec(nx=128, ny=96, extent=0.1)
+        plan = StepPlan(grid)
+        rng = np.random.default_rng(3)
+        f = ComplexField2D(rng.normal(size=(128, 96))
+                           + 1j * rng.normal(size=(128, 96)), grid, 0.25)
+        before = f.values.copy()
+        out = diffraction_step(f, 0.7, K, plan)
+        expect = scipy.fft.ifft2(scipy.fft.fft2(f.values)
+                                 * plan.diffraction_phase(0.7, K))
+        assert relative_l2(out.values, expect) < 1e-13
+        # Parseval: the step is unitary
+        assert abs(out.power() - f.power()) < 1e-13 * f.power()
+        np.testing.assert_array_equal(f.values, before)
+        assert out.z == pytest.approx(0.95, rel=1e-15)
+
     def test_gaussian_spreading_law(self):
         grid = GridSpec(nx=256, ny=256, extent=0.24)
         w0 = 48e-4
@@ -251,6 +270,32 @@ class TestMediumSubflow:
         expect = f.values * np.exp(2j * np.pi * K * chi0 * 0.01)
         # classical RK4 on the linear flow: local error (2 pi k chi d)^5 / 120
         np.testing.assert_allclose(got, expect, rtol=1e-10)
+
+    @pytest.mark.parametrize("increment, refused", [(2.4, False),
+                                                    (2.6, True)])
+    def test_refuses_an_increment_past_the_rk4_stability_bound(
+            self, increment, refused):
+        grid = GridSpec(nx=32, ny=32, extent=0.1)
+        f = gaussian_field(grid)
+        chi = np.zeros(f.values.shape, dtype=complex)
+        # one hot point with |2 pi k d chi| = increment; a NaN and an inf
+        # beside it stay the caller's non-finite field
+        chi[5, 7] = -increment / (2.0 * np.pi * K * 0.01)
+        chi[0, 0], chi[0, 1] = np.nan, np.inf
+
+        # the control intensity numbers the points, for the gathered stages
+        index = np.arange(chi.size, dtype=float).reshape(chi.shape)
+
+        def run():
+            return _medium_subflow(f.values, index,
+                                   lambda G2, g2: chi.ravel()[G2.astype(int)],
+                                   0.01, K)
+        if refused:
+            with pytest.raises(ValueError, match=r"\|2 pi k dz chi\| = 2\.6 "
+                               r"is above RK4's stability bound 2\.5"):
+                run()
+        else:
+            assert np.isfinite(run()[5, 7])
 
     def test_zero_chi_is_exact_identity(self):
         grid = GridSpec(nx=32, ny=32, extent=0.1)
@@ -579,6 +624,29 @@ def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
         errors.append(relative_l2(res.field.values, expect))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.1), orders
+
+
+def test_duct_past_the_rk4_stability_bound_is_refused(monkeypatch):
+    # the duct above at 4 pi alpha zR^2 = -2 + 0.5i and dz = 0.05 cm: at the
+    # corners of a 0.053 cm grid |2 pi k dz chi| reaches 6.9, where RK4's
+    # update grows without bound (this run used to end normally with 1.5e36
+    # times the closed form's power)
+    w0 = 48e-4
+    zR = K * w0**2 / 2.0
+    alpha = (-2.0 + 0.5j) / (4.0 * np.pi * zR**2)
+    grid = GridSpec(nx=64, ny=64, extent=0.053, dz=0.05, cell_length=1.0)
+    X, Y = grid.mesh()
+    r2 = X**2 + Y**2
+    monkeypatch.setattr(solver, "control_intensity",
+                        lambda spec, on_grid, z: r2)
+    monkeypatch.setattr(solver, "build_chi_table",
+                        lambda *args, **kwargs: lambda G2, g2: alpha * G2)
+    with pytest.raises(NumericsError, match=r"step 1 at z = 0\.025 cm "
+                       r"\(\|2 pi k dz chi\| = 6\.90\d* is above RK4's "
+                       r"stability bound 2\.5\)") as err:
+        propagate(gaussian_field(grid, w=w0, g0=1.0), ControlBeamSpec(),
+                  PARAMS, grid, StepPlan(grid), snapshot_every=5)
+    assert err.value.z == pytest.approx(0.025)
 
 
 class _TableBuilt(Exception):
