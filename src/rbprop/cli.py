@@ -24,8 +24,8 @@ from .fieldio import (SNAPSHOT_SUFFIX, OutputLock, OutputLockError,
                       write_field, write_profile_csv)
 from .params import prefactor_over_gamma
 from .solver import NumericsError, StepPlan, propagate
-from .susceptibility import (FieldPoint, OracleConvergenceError,
-                             TableRefinementError, chi_doppler_averaged,
+from .susceptibility import (ChiTableError, FieldPoint,
+                             OracleConvergenceError, chi_doppler_averaged,
                              chi_stationary, steady_state_oracle)
 from .beams import _radial_intensity, make_probe
 
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     except SnapshotFormatError as exc:
         print(f"unreadable snapshot: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericsError, OracleConvergenceError, TableRefinementError) as exc:
+    except (NumericsError, OracleConvergenceError, ChiTableError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

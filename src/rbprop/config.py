@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .beams import ControlBeamSpec, ProbeSpec
-from .params import ConfigurationError, GridSpec, PhysicalParams, validate
+from .params import ConfigurationError, GridSpec, PhysicalParams
 
 # schema: section -> key -> (type, default or MANDATORY)
 _MANDATORY = object()
@@ -73,9 +73,6 @@ _SCHEMA = {
 _COUNTS = {("run", "snapshot_every"), ("scan", "r_points"),
            ("scan", "delta_R_points"), ("oracle", "draws")}
 
-_BOOL_STRINGS = {"true": True, "yes": True, "1": True, "on": True,
-                 "false": False, "no": False, "0": False, "off": False}
-
 
 @dataclass
 class SimulationConfig:
@@ -95,7 +92,8 @@ class SimulationConfig:
 def _coerce(section: str, key: str, text: str, typ, line: int):
     try:
         if typ is bool:
-            v = _BOOL_STRINGS.get(text.strip().lower())
+            v = configparser.ConfigParser.BOOLEAN_STATES.get(
+                text.strip().lower())
             if v is None:
                 raise ValueError(text)
             return v
@@ -125,8 +123,9 @@ def _line_numbers(path: Path) -> dict:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             out[(section, None)] = lineno
-        elif "=" in line and section is not None:
-            key = line.split("=", 1)[0].strip()
+        elif section is not None and ("=" in line or ":" in line):
+            # configparser splits a line at its first "=" or ":"
+            key = line.split("=", 1)[0].split(":", 1)[0].strip()
             out[(section, key)] = lineno
     return out
 
@@ -220,6 +219,7 @@ def parse_config(path: str | Path) -> SimulationConfig:
         dz=resolved["grid"]["dz_cm"],
         cell_length=resolved["grid"]["cell_length_cm"],
     )
+    problems = params.violations()
     try:
         control = ControlBeamSpec(
             G0=resolved["control"]["g0_over_gamma"],
@@ -227,6 +227,9 @@ def parse_config(path: str | Path) -> SimulationConfig:
             waist_position_z0=resolved["control"]["waist_position_cm"],
             wavelength=params.wavelength,
         )
+    except ValueError as exc:
+        problems.append(str(exc))
+    try:
         probe = ProbeSpec(
             kind=kind,
             g0=resolved["probe"]["g0_over_gamma"],
@@ -234,9 +237,11 @@ def parse_config(path: str | Path) -> SimulationConfig:
             centers=centers,
         )
     except ValueError as exc:
-        raise ConfigurationError([str(exc)]) from None
-
-    validate(params, grid, probe.width)
+        problems.append(str(exc))
+        probe = None  # so no width for the resolution check
+    problems += grid.violations(None if probe is None else probe.width)
+    if problems:
+        raise ConfigurationError(problems)
     return SimulationConfig(
         params=params, grid=grid, control=control, probe=probe,
         run=resolved["run"], scan=resolved["scan"], oracle=resolved["oracle"],

@@ -227,7 +227,8 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     interpolation table over (|G|^2, |g|^2) built once to cover the whole
     run: |G|^2 up to the control's analytic maximum over the cell, its peak
     intensity at the waist or at the cell face nearest it, and |g|^2 up to
-    PROBE_PEAK_HEADROOM times the input maximum.  A probe that focuses past
+    PROBE_PEAK_HEADROOM times the input maximum; a |G|^2 top that is zero or
+    not finite is a ChiTableError.  A probe that focuses past
     the table's |g|^2 range is a NumericsError naming the step, z, the
     largest queried |g|^2 and the table top; so is a sub-step whose
     |2 pi k dz chi| passes RK4_STABLE_INCREMENT, naming the value.
@@ -241,23 +242,26 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     snapshot and the end of the cell, or one of dz per step when
     ``absorbing_boundary`` applies the window after every step.  Each
     segment end is checked as a step end.  An input probe whose peak |g|^2
-    overflows to inf is a NumericsError at z = 0, with the control on or
-    off; one holding a NaN is the non-finite field it becomes in step 1.
+    is not finite (an inf or NaN value, or an amplitude whose square
+    overflows) is a NumericsError at z = 0, whatever the run.
     """
     k = params.wavenumber
     dz = grid.dz
     n_steps = grid.n_steps
     dark = control.G0 == 0.0
-    # a finite amplitude can square to inf; both inf and NaN are refused below
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a finite amplitude can square to inf
         g2_peak = float(np.max(np.abs(probe.values) ** 2))
+    if not np.isfinite(g2_peak):
+        raise NumericsError(
+            0.0, f"input probe peak |g|^2 = {g2_peak:.6g} is not finite "
+            "at z = 0 cm")
 
     if dark:
         lookup = None  # chi is identically zero: the medium is never stepped
     elif use_table:
         # the ring is brightest at the waist or the cell face nearest it
         z_peak = np.clip(control.waist_position_z0, 0.0, grid.cell_length)
-        # a top that overflows to inf is refused by build_chi_table
+        # build_chi_table refuses a control peak that overflows to inf
         with np.errstate(over="ignore"):
             G2_max = float(control.peak_intensity(z_peak))
             g2_max = PROBE_PEAK_HEADROOM * g2_peak
@@ -266,14 +270,6 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     else:
         def lookup(G2, g2):
             return chi_doppler_averaged(FieldPoint(g2, G2), params)
-    if np.isinf(g2_peak):
-        raise NumericsError(
-            0.0, f"input probe peak |g|^2 = {g2_peak:.6g} is not finite "
-            "at z = 0 cm")
-    if np.isnan(g2_peak):
-        # the first diffraction spreads a NaN over the whole grid
-        raise NumericsError(
-            dz, f"non-finite field values in step 1 at z = {dz:.6g} cm")
 
     window = edge_window(grid) if absorbing_boundary else None
 

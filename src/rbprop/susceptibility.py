@@ -285,8 +285,8 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams):
     return out
 
 
-class TableRefinementError(RuntimeError):
-    """The interpolation table could not reach its target accuracy."""
+class ChiTableError(RuntimeError):
+    """The chi table has no finite range or misses its target accuracy."""
 
 
 class _LogAxis:
@@ -340,14 +340,17 @@ class ChiTable:
     is exactly zero at |G|^2 = 0.  chi / |G|^2 tends to a constant as
     |G|^2 -> 0 only while |g|^2 >> |G|^2: when both fields are weak, chi
     tends to a finite value, which a query below both node floors (read off
-    the corner node times |G|^2) does not reproduce.
+    the corner node times |G|^2) does not reproduce.  Both tops must be
+    positive and finite; ``build_chi_table`` checks them.
     """
 
+    # no table is identically zero; perfbench/child.py and tracer.py still
+    # read this flag, until the run telemetry moves into the package
+    zero = False
+
     def __init__(self, G_abs2_max: float, g_abs2_max: float,
-                 shape: tuple[int, int], params: PhysicalParams,
-                 zero: bool = False):
+                 shape: tuple[int, int], params: PhysicalParams):
         self.params = params
-        self.zero = zero
         self._G_axis = _LogAxis(G_abs2_max, shape[0])
         self._g_axis = _LogAxis(g_abs2_max, shape[1])
         self._G2 = self._G_axis.nodes
@@ -385,9 +388,6 @@ class ChiTable:
         G2q = np.asarray(G_abs2, dtype=float)
         g2q = np.asarray(g_abs2, dtype=float)
         shape = np.broadcast(G2q, g2q).shape
-        if self.zero:
-            out = np.zeros(shape, dtype=complex)
-            return complex(out) if out.shape == () else out
         for name, q, nodes in (("|G|^2", G2q, self._G2),
                                ("|g|^2", g2q, self._g2)):
             if np.any(q > nodes[-1] * (1 + self.OVERSHOOT)):
@@ -470,18 +470,15 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     spacing, that gives each axis the node count, at most MAX_NODES, that
     meets 0.6 of the target.  The sized table is verified once on
     ``max_relative_error``'s fixed probe set (1000 log-uniform points drawn
-    with seed 0).  Raises TableRefinementError if it misses the target
-    (direct evaluation is then advised) or if either top is not finite.
+    with seed 0).  Raises ChiTableError if the |G|^2 top is not in
+    (0, inf) or the |g|^2 top is not finite (a control-off run builds no
+    table), or if the table misses the target (direct evaluation is then
+    advised).
     """
-    if G_abs2_max <= 0.0:
-        # degenerate table: control off everywhere, chi identically zero
-        # (its |g|^2 axis stays finite for a zero, NaN or overflowed probe)
-        g_top = g_abs2_max if 1.0e-300 < g_abs2_max < np.inf else 1.0e-300
-        return ChiTable(2.0e-300, g_top, (2, 2), params, zero=True)
-    if not (np.isfinite(G_abs2_max) and np.isfinite(g_abs2_max)):
-        raise TableRefinementError(
+    if not (0.0 < G_abs2_max < np.inf and np.isfinite(g_abs2_max)):
+        raise ChiTableError(
             f"table tops |G|^2 = {G_abs2_max:.6g} and |g|^2 = "
-            f"{g_abs2_max:.6g} must both be finite")
+            f"{g_abs2_max:.6g} must be finite, with |G|^2 above 0")
     g_top = max(g_abs2_max, G_abs2_max * 1.0e-12)
     headroom = 0.6  # size below target so an independent probe set stays under
     pilot = ChiTable(G_abs2_max, g_top, (PILOT_NODES, PILOT_NODES), params)
@@ -496,7 +493,7 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     err = table.max_relative_error()
     if err < target_error:
         return table
-    raise TableRefinementError(
+    raise ChiTableError(
         f"interpolation error {err:.3e} above {target_error:g} on the "
         f"{shape[0]}x{shape[1]} table (at most {MAX_NODES} nodes per axis); "
         "use direct evaluation for this configuration")

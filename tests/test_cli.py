@@ -246,17 +246,20 @@ def test_numerical_failure_exit_code(tiny_config, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+INPUT_PROBE_NOT_FINITE = ("numerical failure: input probe peak |g|^2 = {} "
+                          "is not finite at z = 0 cm")
+
+
 @pytest.mark.parametrize("edits, message", [
-    # finite amplitudes whose squares, the chi table's tops, overflow to inf
+    # finite amplitudes whose squares overflow to inf: the probe's is
+    # refused as the run's input, the control's as the chi table's top
     ({"g0_over_gamma = 0.2": "g0_over_gamma = 1e200"},            # [probe]
-     "numerical failure: table tops |G|^2 = "),
+     INPUT_PROBE_NOT_FINITE.format("inf")),
     ({"g0_over_gamma = 1.0": "g0_over_gamma = 1e200"},            # [control]
      "numerical failure: table tops |G|^2 = "),
-    # control off: no table to refuse the top, so the input check does
     ({"g0_over_gamma = 1.0": "g0_over_gamma = 0.0",
       "g0_over_gamma = 0.2": "g0_over_gamma = 1e200"},
-     "numerical failure: input probe peak |g|^2 = inf is not finite at "
-     "z = 0 cm"),
+     INPUT_PROBE_NOT_FINITE.format("inf")),
 ], ids=["g0_over_gamma = 0.2", "g0_over_gamma = 1.0", "control off"])
 def test_overflowing_amplitude_is_numerical_failure(tiny_config, tmp_path,
                                                     capsys, edits, message):
@@ -272,6 +275,42 @@ def test_overflowing_amplitude_is_numerical_failure(tiny_config, tmp_path,
     assert message in err
     assert "|g|^2 = " in err and "inf" in err
     assert not list(out_dir.glob("*.rbpf"))
+
+
+# the run kinds propagate chooses between, as edits of the tiny config
+RUN_KINDS = {
+    "lit table": {},
+    "lit direct": {"snapshot_every = 5": "snapshot_every = 5\nchi_table = false"},
+    "dark": {"g0_over_gamma = 1.0": "g0_over_gamma = 0.0"},
+}
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+@pytest.mark.parametrize("value, shown", [(np.inf, "inf"), (np.nan, "nan"),
+                                          (1e200, "inf")],
+                         ids=["inf", "nan", "overflowing"])
+def test_non_finite_input_probe_is_refused_once_at_z_0(
+        tiny_config, tmp_path, capsys, monkeypatch, kind, value, shown):
+    make_probe = cli.make_probe
+
+    def spoiled(spec, grid):
+        probe = make_probe(spec, grid)
+        probe.values[5, 7] = value
+        return probe
+
+    monkeypatch.setattr(cli, "make_probe", spoiled)
+    text = tiny_config.read_text()
+    for old, new in RUN_KINDS[kind].items():
+        text = text.replace(old, new)
+    cfg = tmp_path / "spoiled.ini"
+    cfg.write_text(text)
+    out_dir = tmp_path / "s"
+    rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        INPUT_PROBE_NOT_FINITE.format(shown) + "\n"
+    assert not list(out_dir.glob("*.rbpf"))
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_analyze_rejects_a_truncated_snapshot(tiny_config, tmp_path, capsys):

@@ -67,6 +67,35 @@ class TestParseConfig:
             parse_config(path)
         assert any("nx" in v and "int" in v for v in err.value.violations)
 
+    @pytest.mark.parametrize("line", ["nx = 2x", "nx: 2x", "nx:2x"])
+    def test_type_error_names_the_line_whatever_the_delimiter(self, tmp_path,
+                                                              line):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        path = tmp_path / "typo.ini"
+        path.write_text(base.replace("nx = 256", line))
+        lineno = base.splitlines().index("nx = 256") + 1
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == [
+            f"line {lineno}: [grid] nx = '2x' is not a valid int"]
+
+    def test_beam_spec_and_grid_problems_reported_together(self, tmp_path):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        path = tmp_path / "three.ini"
+        text = base
+        for old, new in (("waist_cm = 0.0120", "waist_cm = -0.0120"),
+                         ("nx = 256", "nx = 100"),
+                         ("width_cm = 0.0048", "width_cm = -0.0048")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path.write_text(text)
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        # the failed probe spec has no width to check the resolution against
+        assert err.value.violations == ["waist_wc must be positive",
+                                        "width must be positive",
+                                        "nx must be a power of two, got 100"]
+
     # (section, key) -> the preset line to edit, and its non-finite form
     NON_FINITE = {
         ("control", "g0_over_gamma"): ("g0_over_gamma = 1.0",

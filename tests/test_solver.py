@@ -441,23 +441,29 @@ class TestPropagate:
         bad = gaussian_field(grid)
         bad.values[3, 3] = np.nan
         plan = StepPlan(grid)
-        with pytest.raises(NumericsError,
-                           match=r"step 1 at z = 0\.01 cm") as err:
+        with pytest.raises(NumericsError, match=r"input probe peak \|g\|\^2 "
+                           r"= nan is not finite at z = 0 cm") as err:
             propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan)
-        assert err.value.z == pytest.approx(0.01)
+        assert err.value.z == 0.0
 
-    def test_non_finite_lit_field_aborts_with_z(self):
-        # a table cannot be sized from a NaN peak, so average directly
+    def test_non_finite_lit_field_aborts_with_z(self, monkeypatch):
+        # a NaN control intensity at one point makes chi, and so the field,
+        # NaN there during step 1; its first diffraction spreads it
+        def one_nan(*args):
+            control_I = control_intensity(*args)
+            control_I[3, 3] = np.nan
+            return control_I
+
+        monkeypatch.setattr(solver, "control_intensity", one_nan)
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
-        bad = gaussian_field(grid)
-        bad.values[3, 3] = np.nan
         plan = StepPlan(grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match=r"non-finite field "
                                r"values in step 1 at z = 0\.01 cm") as err:
-                propagate(bad, ControlBeamSpec(waist_position_z0=0.1),
-                          PARAMS, grid, plan, use_table=False)
+                propagate(gaussian_field(grid),
+                          ControlBeamSpec(waist_position_z0=0.1), PARAMS,
+                          grid, plan)
         assert err.value.z == pytest.approx(0.01)
 
     def test_excursion_first_met_in_a_later_stage_names_step(self,

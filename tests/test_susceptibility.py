@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from rbprop import susceptibility
 from rbprop.params import PhysicalParams, prefactor_over_gamma
-from rbprop.susceptibility import (FieldPoint,
-                                   OracleConvergenceError,
-                                   TableRefinementError, _LogAxis,
+from rbprop.susceptibility import (ChiTableError, FieldPoint,
+                                   OracleConvergenceError, _LogAxis,
                                    build_chi_table, chi_doppler_averaged,
                                    chi_ratio, chi_stationary,
                                    steady_state_oracle)
@@ -280,13 +279,16 @@ class TestChiTable:
     def test_node_cap_holds_after_an_equal_range_build(self, monkeypatch):
         # 16 nodes per axis cannot reach the target over this range
         monkeypatch.setattr(susceptibility, "MAX_NODES", 16)
-        with pytest.raises(TableRefinementError, match="16x16 table"):
+        with pytest.raises(ChiTableError, match="16x16 table"):
             build_chi_table(0.185, 0.06, REF, target_error=1e-3)
 
-    def test_zero_table_for_control_off(self):
-        table = build_chi_table(0.0, 0.05, REF)
-        assert table.zero
-        assert table(0.0, 123.0) == 0.0
+    def test_zero_control_top_is_refused(self):
+        # a control-off run builds no table; one with a zero |G|^2 range is
+        # refused rather than read as identically zero
+        with pytest.raises(ChiTableError, match=r"table tops \|G\|\^2 = 0 "
+                           r"and \|g\|\^2 = 0\.05 must be finite, with "
+                           r"\|G\|\^2 above 0"):
+            build_chi_table(0.0, 0.05, REF)
 
     # narrow and wide Doppler widths and a far-detuned probe, each at a
     # tight and a loose target
@@ -304,7 +306,7 @@ class TestChiTable:
     @pytest.mark.parametrize("tops", [(np.inf, 0.06), (0.185, np.inf),
                                       (np.nan, 0.06), (0.185, np.nan)])
     def test_non_finite_top_is_refused(self, tops):
-        with pytest.raises(TableRefinementError,
+        with pytest.raises(ChiTableError,
                            match=r"\|G\|\^2 = .* and \|g\|\^2 = "):
             build_chi_table(*tops, REF)
 
@@ -315,7 +317,7 @@ def clipped_searchsorted(nodes, q):
 
 class TestLogAxis:
     # the guided preset's axes (602 and 1332 nodes over four decades) and
-    # the two-node |G|^2 axis of the zero table
+    # a two-node axis just above zero
     AXES = ((0.0481, 602), (0.48, 1332), (2.0e-300, 2))
 
     @pytest.mark.parametrize("top, n", AXES, ids=("602", "1332", "zero"))
