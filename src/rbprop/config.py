@@ -187,11 +187,17 @@ def parse_config(path: str | Path) -> SimulationConfig:
     if resolved["control"]["waist_position_cm"] is None:
         resolved["control"]["waist_position_cm"] = resolved["grid"]["cell_length_cm"]
 
-    centers_text = resolved["probe"]["centers_cm"]
-    centers = tuple(
-        _coerce("probe", "centers_cm", c, float,
-                lines.get(("probe", "centers_cm"), 0))
-        for c in centers_text.split(",") if c.strip())
+    # every unreadable center is reported with the problems found below
+    center_problems: list[str] = []
+    centers = []
+    for text in resolved["probe"]["centers_cm"].split(","):
+        if text.strip():
+            try:
+                centers.append(_coerce("probe", "centers_cm", text, float,
+                                       lines.get(("probe", "centers_cm"), 0)))
+            except ConfigurationError as exc:
+                center_problems.extend(exc.violations)
+    centers = tuple(centers)
     kind = resolved["probe"]["kind"]
     if not centers:
         if kind == "double_gaussian":
@@ -219,7 +225,7 @@ def parse_config(path: str | Path) -> SimulationConfig:
         dz=resolved["grid"]["dz_cm"],
         cell_length=resolved["grid"]["cell_length_cm"],
     )
-    problems = params.violations()
+    problems = center_problems + params.violations()
     try:
         control = ControlBeamSpec(
             G0=resolved["control"]["g0_over_gamma"],
@@ -229,16 +235,17 @@ def parse_config(path: str | Path) -> SimulationConfig:
         )
     except ValueError as exc:
         problems.append(str(exc))
-    try:
-        probe = ProbeSpec(
-            kind=kind,
-            g0=resolved["probe"]["g0_over_gamma"],
-            width=resolved["probe"]["width_cm"],
-            centers=centers,
-        )
-    except ValueError as exc:
-        problems.append(str(exc))
-        probe = None  # so no width for the resolution check
+    probe = None  # unless it is valid, no width for the resolution check
+    if not center_problems:  # the spec's checks need every center
+        try:
+            probe = ProbeSpec(
+                kind=kind,
+                g0=resolved["probe"]["g0_over_gamma"],
+                width=resolved["probe"]["width_cm"],
+                centers=centers,
+            )
+        except ValueError as exc:
+            problems.append(str(exc))
     problems += grid.violations(None if probe is None else probe.width)
     if problems:
         raise ConfigurationError(problems)

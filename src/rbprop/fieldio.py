@@ -4,6 +4,7 @@ and the output-directory lock."""
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import os
@@ -88,8 +89,113 @@ def write_diagnostics_csv(path: str | Path, records) -> Path:
     return path
 
 
-# rows formatted per string operation when writing a chi scan
-CSV_BLOCK = 4096
+# a "%.9e" text, right-aligned in a slot wide enough for "-1.000000000e-308"
+_SLOT = 17
+# rows formatted per buffer when writing a CSV table
+CSV_BLOCK = 8192
+# a scaled mantissa below 1e10 carries two roundings, an error of at most
+# 2.3e-6; its rint is proven unless its fraction is this close to a half
+_HALF_MARGIN = 1.0e-5
+
+
+@functools.cache
+def _ascii_tables():
+    """Read-only tables built at the first CSV write: "d.dddd" and "ddddd"
+    of each of 0..99999 (6- and 5-byte items), "e+XX" of each exponent in
+    -99..99 (4-byte items), and float(10**k) for k in 0..110."""
+    tail = np.empty((100_000, 5), dtype=np.uint8)
+    n = np.arange(100_000, dtype=np.int32)
+    for col in range(4, -1, -1):  # one column at a time keeps temporaries small
+        tail[:, col] = n % 10 + ord("0")
+        n //= 10
+    lead = np.empty((100_000, 6), dtype=np.uint8)
+    lead[:, 0] = tail[:, 0]
+    lead[:, 1] = ord(".")
+    lead[:, 2:] = tail[:, 1:]
+    exponent = np.frombuffer(b"".join(b"e%+03d" % k for k in range(-99, 100)),
+                             dtype="V4")
+    powers = np.array([float(10 ** k) for k in range(111)])
+    tables = (lead.view("V6")[:, 0], tail.view("V5")[:, 0], exponent, powers)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a, e, powers):
+    """a * 10**(9 - e): one rounding of an exact product or quotient of a
+    and a correctly rounded power of ten."""
+    k = 9 - e
+    return np.where(k >= 0, a * powers[np.maximum(k, 0)],
+                    a / powers[np.maximum(-k, 0)])
+
+
+def _format_e9(values, text, keep) -> None:
+    """Write "%.9e" % v of each value, right-aligned, into the rows of the
+    uint8 array text (_SLOT columns), and mark the bytes before it False in
+    the rows of keep, which arrive all True.
+
+    The ten digits are rint(a * 10**(9 - e)) with e from log10, corrected so
+    that the mantissa lies in [1e9, 1e10).  Where the float error bound
+    cannot prove the rounding (a fraction within _HALF_MARGIN of a half),
+    where rint carries into the next decade, and for |exponent| >= 100,
+    subnormals, NaN and inf, Python formats the value itself, so every text
+    equals Python's correctly rounded one.
+    """
+    lead, tail, exponent, powers = _ascii_tables()
+    finite = np.isfinite(values)
+    a = np.where(finite, np.abs(values), 0.0)  # no NaN reaches the arithmetic
+    nonzero = a > 0
+    e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
+    np.clip(e, -100, 100, out=e)
+    m = _scaled(a, e, powers)
+    off = np.flatnonzero(nonzero & ((m < 1.0e9) | (m >= 1.0e10)))
+    if off.size:
+        e[off] += np.where(m[off] < 1.0e9, -1, 1)
+        m[off] = _scaled(a[off], e[off], powers)
+    mant = np.rint(m)
+    proven = np.abs(np.abs(m - mant) - 0.5) > _HALF_MARGIN
+    # a mantissa that rounds up to 1e10 (9.9999999996 -> 1.000000000e+01)
+    # is left to Python too
+    fast = (finite & proven & (np.abs(e) < 100)
+            & (((mant >= 1.0e9) & (mant < 1.0e10)) | ~nonzero))
+    hi, lo = np.divmod(np.where(fast, mant, 0.0).astype(np.int64), 100_000)
+    text[:, 1] = ord("-")
+    text[:, 2:8].view("V6")[:, 0] = lead.take(hi)
+    text[:, 8:13].view("V5")[:, 0] = tail.take(lo)
+    text[:, 13:].view("V4")[:, 0] = exponent.take(np.clip(e, -99, 99) + 99)
+    keep[:, 0] = False
+    keep[:, 1] = np.signbit(values)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = ["%.9e" % v for v in values[slow].tolist()]
+        text[slow] = np.frombuffer(
+            "".join(t.rjust(_SLOT) for t in texts).encode(),
+            dtype=np.uint8).reshape(-1, _SLOT)
+        length = np.array([len(t) for t in texts])
+        keep[slow] = np.arange(_SLOT) >= _SLOT - length[:, None]
+
+
+def _write_rows(fh, columns, blank_every: int = 0) -> None:
+    """Write ",".join("%.9e" % c[i] for c in columns) + "\n" for each row i
+    of the equal-length float columns to the binary file fh, and a blank
+    line after every blank_every rows when it is positive."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = len(columns[0])
+    pitch = _SLOT + 1  # a slot and its separator
+    width = len(columns) * pitch + 1  # and room for a blank line
+    for start in range(0, n, CSV_BLOCK):
+        stop = min(start + CSV_BLOCK, n)
+        buf = np.empty((stop - start, width), dtype=np.uint8)
+        keep = np.ones(buf.shape, dtype=bool)
+        for c, values in enumerate(columns):
+            lo = c * pitch
+            _format_e9(values[start:stop], buf[:, lo:lo + _SLOT],
+                       keep[:, lo:lo + _SLOT])
+            buf[:, lo + _SLOT] = ord(",")
+        buf[:, width - 2:] = ord("\n")
+        rows = np.arange(start + 1, stop + 1)
+        keep[:, -1] = (rows % blank_every == 0) if blank_every > 0 else False
+        fh.write(buf[keep].tobytes())
 
 
 def write_chi_scan_csv(path: str | Path, r, delta_R, chi) -> Path:
@@ -98,13 +204,9 @@ def write_chi_scan_csv(path: str | Path, r, delta_R, chi) -> Path:
     One row per entry of the equal-length arrays, in the order given.
     """
     path = Path(path)
-    table = np.column_stack([r, delta_R, chi.real, chi.imag])
-    with open(path, "w") as fh:
-        fh.write("r_cm,delta_R_over_gamma,re_chi,im_chi\n")
-        for start in range(0, len(table), CSV_BLOCK):
-            block = table[start:start + CSV_BLOCK]
-            fh.write("%.9e,%.9e,%.9e,%.9e\n" * len(block)
-                     % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"r_cm,delta_R_over_gamma,re_chi,im_chi\n")
+        _write_rows(fh, [r, delta_R, chi.real, chi.imag])
     return path
 
 
@@ -112,13 +214,12 @@ def write_profile_csv(path: str | Path, field: ComplexField2D) -> Path:
     """Gnuplot-ready intensity profile: x_cm, y_cm, intensity (blank-line blocks)."""
     path = Path(path)
     x, y = field.grid.axes()
+    nx, ny = field.grid.nx, field.grid.ny
     intensity = np.abs(field.values) ** 2
-    chunks = ["x_cm,y_cm,intensity"]
-    for i in range(field.grid.nx):
-        for j in range(field.grid.ny):
-            chunks.append(f"{x[i]:.9e},{y[j]:.9e},{intensity[i, j]:.9e}")
-        chunks.append("")
-    path.write_text("\n".join(chunks) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x_cm,y_cm,intensity\n")
+        _write_rows(fh, [np.repeat(x, ny), np.tile(y, nx), intensity.ravel()],
+                    blank_every=ny)
     return path
 
 

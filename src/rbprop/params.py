@@ -192,16 +192,3 @@ def doppler_width_from_temperature(temperature_K: float, mass_g: float,
     kb = 1.380649e-16
     c = 2.99792458e10
     return np.sqrt(kb * temperature_K * omega_rad_s**2 / (mass_g * c**2))
-
-
-def validate(params: PhysicalParams, grid: GridSpec,
-             narrowest_feature: float | None = None) -> tuple[PhysicalParams, GridSpec]:
-    """Check every invariant and return the pair unchanged if all hold.
-
-    Raises ConfigurationError carrying the complete list of violations
-    otherwise.
-    """
-    problems = params.violations() + grid.violations(narrowest_feature)
-    if problems:
-        raise ConfigurationError(problems)
-    return params, grid

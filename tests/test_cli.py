@@ -148,6 +148,32 @@ def test_chi_scan_csv(tmp_path, capsys):
     assert on_axis and all(float(r["re_chi"]) == 0.0 for r in on_axis)
 
 
+def test_chi_scan_rows_sorted_by_radius_then_detuning_for_reversed_bounds(
+        tmp_path):
+    cfg = scan_config(tmp_path)
+    text = cfg.read_text()
+    for old, new in (("r_min_cm = -0.03", "r_min_cm = 0.02"),
+                     ("r_max_cm = 0.03", "r_max_cm = -0.01"),
+                     ("delta_R_min_over_gamma = -0.1",
+                      "delta_R_min_over_gamma = 0.05"),
+                     ("delta_R_max_over_gamma = 0.05",
+                      "delta_R_max_over_gamma = -0.1")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    out_dir = tmp_path / "reversed"
+    assert main(["chi-scan", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    lines = (out_dir / "chi_scan.csv").read_text().splitlines()[1:]
+    r_values = np.linspace(0.02, -0.01, 9)
+    d_values = np.linspace(0.05, -0.1, 5)
+    r = np.tile(r_values, d_values.size)
+    d = np.repeat(d_values, r_values.size)
+    assert [",".join(line.split(",")[:2]) for line in lines] == [
+        "%.9e,%.9e" % (r[i], d[i]) for i in np.lexsort((d, r))]
+    pairs = [tuple(map(float, line.split(",")[:2])) for line in lines]
+    assert pairs == sorted(pairs)
+
+
 def test_missing_config_is_configuration_error(tmp_path, capsys):
     rc = main(["propagate", "--config", str(tmp_path / "absent.ini"),
                "--out", str(tmp_path / "x")])

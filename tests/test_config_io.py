@@ -1,13 +1,19 @@
+import io
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rbprop import fieldio
 from rbprop.config import ConfigurationError, config_as_dict, parse_config
 from rbprop.fieldio import (OutputLock, OutputLockError, RunManifest,
-                            read_field, write_diagnostics_csv, write_field)
+                            read_field, write_chi_scan_csv,
+                            write_diagnostics_csv, write_field,
+                            write_profile_csv)
 from rbprop.params import GridSpec
 from rbprop.solver import ComplexField2D
 
@@ -95,6 +101,28 @@ class TestParseConfig:
         assert err.value.violations == ["waist_wc must be positive",
                                         "width must be positive",
                                         "nx must be a power of two, got 100"]
+
+    def test_every_bad_center_reported_with_the_other_problems(self, tmp_path):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        text = base
+        for old, new in (("kind = gaussian", "kind = double_gaussian\n"
+                          "centers_cm = -0.0070, abc, xyz"),
+                         ("nx = 256", "nx = 100"),
+                         ("waist_cm = 0.0120", "waist_cm = -0.0120")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "centers.ini"
+        path.write_text(text)
+        line = text.splitlines().index("centers_cm = -0.0070, abc, xyz") + 1
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == [
+            f"line {line}: [probe] centers_cm = ' abc' is not a valid "
+            "finite float",
+            f"line {line}: [probe] centers_cm = ' xyz' is not a valid "
+            "finite float",
+            "waist_wc must be positive",
+            "nx must be a power of two, got 100"]
 
     # (section, key) -> the preset line to edit, and its non-finite form
     NON_FINITE = {
@@ -207,6 +235,95 @@ class TestSnapshotFormat:
         from rbprop.fieldio import SnapshotFormatError
         with pytest.raises(SnapshotFormatError):
             read_field(path)
+
+
+def formatted(values) -> bytes:
+    """The CSV writers' text of one column of values."""
+    fh = io.BytesIO()
+    fieldio._write_rows(fh, [np.asarray(values, dtype=float)])
+    return fh.getvalue()
+
+
+def python_formatted(values) -> bytes:
+    return "".join("%.9e\n" % v for v in values).encode()
+
+
+def bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# any float64 bit pattern (NaN payloads, subnormals, both zeros, both
+# infinities), hypothesis's own float choices, and the range that the
+# arithmetic path formats
+ANY_FLOAT64 = st.one_of(st.integers(0, 2**64 - 1).map(bits_to_float),
+                        st.floats(), st.floats(-1e99, 1e99))
+
+
+def decade_edges():
+    for k in range(-99, 100):
+        for p in {10.0 ** k, float(10 ** k) if k >= 0 else 1 / 10 ** -k}:
+            roll = 9.9999999995 * p  # 9.9999999995e-5 and its kind
+            for v in (p, roll):
+                yield from (v, np.nextafter(v, 0.0), np.nextafter(v, np.inf))
+
+
+EDGES = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+         2.2250738585072014e-308, 2.225073858507201e-308,
+         1.7976931348623157e308, -1.7976931348623157e308,
+         1e-99, 9.99999999949e-100, 9.9999999995e-100, 1e100,
+         9.9999999995e-5, 9.99999999949e-5, 9.99999999951e-5,
+         1.0000000005, 1234567890.5, 2.5, 0.5,
+         # near ten-digit halves, a * 10**(9 - e) in floats lands on the
+         # half or across it, so its rint would give the wrong last digit
+         0.058926249235, 2.1185494885e-09, 1.1487487195e-41,
+         7.5668990175e+37, 1.2548770405e-99, 1.9219718025e-82,
+         1.9163722955e-20, 7.2808517985e+59, 8.2165585235e-47,
+         *decade_edges()]
+
+
+class TestCsvWriters:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(ANY_FLOAT64, min_size=1, max_size=64))
+    def test_formatter_equals_python_on_any_float64(self, values):
+        assert formatted(values) == python_formatted(values)
+
+    def test_formatter_equals_python_at_decade_and_rounding_edges(self):
+        values = EDGES + [-v for v in EDGES]
+        assert formatted(values) == python_formatted(values)
+
+    @pytest.mark.parametrize("block", [7, fieldio.CSV_BLOCK])
+    def test_chi_scan_csv_equals_python_text(self, tmp_path, monkeypatch,
+                                             block):
+        monkeypatch.setattr(fieldio, "CSV_BLOCK", block)
+        rng = np.random.default_rng(4)
+        r = np.linspace(-0.03, 0.03, 23)
+        d = rng.uniform(-0.1, 0.05, r.size)
+        chi = rng.normal(size=r.size) * 1e-4 + 1j * rng.normal(size=r.size)
+        chi[[0, 5]] = [0.0, complex(-0.0, np.nan)]
+        path = write_chi_scan_csv(tmp_path / "chi.csv", r, d, chi)
+        assert path.read_bytes() == (
+            "r_cm,delta_R_over_gamma,re_chi,im_chi\n" + "".join(
+                "%.9e,%.9e,%.9e,%.9e\n" % (r[i], d[i], c.real, c.imag)
+                for i, c in enumerate(chi))).encode()
+
+    @pytest.mark.parametrize("block", [7, fieldio.CSV_BLOCK])
+    def test_profile_csv_equals_python_text(self, tmp_path, monkeypatch,
+                                            block):
+        monkeypatch.setattr(fieldio, "CSV_BLOCK", block)
+        grid = GridSpec(nx=5, ny=3, extent=0.06, dz=0.01, cell_length=0.1)
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        values[1, 2] = 0.0
+        path = write_profile_csv(tmp_path / "profile.csv",
+                                 ComplexField2D(values, grid, z=0.1))
+        x, y = grid.axes()
+        intensity = np.abs(values) ** 2
+        # a blank line after each x, for gnuplot's splot
+        expected = "x_cm,y_cm,intensity\n" + "".join(
+            "".join(f"{x[i]:.9e},{y[j]:.9e},{intensity[i, j]:.9e}\n"
+                    for j in range(3)) + "\n"
+            for i in range(5))
+        assert path.read_text() == expected
 
 
 class TestManifestAndLock:

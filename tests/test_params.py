@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from rbprop.params import (ConfigurationError, GridSpec, PhysicalParams,
-                           dipole_prefactor, doppler_width_from_temperature,
-                           prefactor_over_gamma, validate)
+from rbprop.params import (GridSpec, PhysicalParams, dipole_prefactor,
+                           doppler_width_from_temperature,
+                           prefactor_over_gamma)
 
 
 def test_prefactor_vanishes_without_atoms():
@@ -55,38 +55,35 @@ def test_validate_accepts_reference_configuration():
     # reference one used throughout the test suite
     p = PhysicalParams(big_gamma=1e-3, delta_p=-170.0, delta_R=-0.015,
                        doppler_width=70.0, density=1e12)
-    params, grid = validate(p, GridSpec(), narrowest_feature=48e-4)
-    assert params is p
+    assert p.violations() == []
+    assert GridSpec().violations(narrowest_feature=48e-4) == []
 
 
 def test_validate_rejects_zero_gamma():
-    with pytest.raises(ConfigurationError) as err:
-        validate(PhysicalParams(gamma=0.0), GridSpec())
-    assert any("gamma must be positive" in v for v in err.value.violations)
+    violations = PhysicalParams(gamma=0.0).violations()
+    assert any("gamma must be positive" in v for v in violations)
 
 
 def test_validate_rejects_non_power_of_two():
-    with pytest.raises(ConfigurationError) as err:
-        validate(PhysicalParams(), GridSpec(nx=300))
-    assert any("power of two" in v for v in err.value.violations)
+    violations = GridSpec(nx=300).violations()
+    assert any("power of two" in v for v in violations)
 
 
 def test_validate_reports_all_violations_not_just_first():
-    with pytest.raises(ConfigurationError) as err:
-        validate(PhysicalParams(gamma=-1.0, density=0.0),
-                 GridSpec(nx=300, extent=-1.0))
-    text = "\n".join(err.value.violations)
-    assert len(err.value.violations) >= 4
+    violations = (PhysicalParams(gamma=-1.0, density=0.0).violations()
+                  + GridSpec(nx=300, extent=-1.0).violations())
+    text = "\n".join(violations)
+    assert len(violations) >= 4
     assert "gamma" in text and "density" in text
     assert "nx" in text and "extent" in text
 
 
 def test_validate_grid_resolution_against_feature():
     grid = GridSpec(nx=64, ny=64, extent=0.24)  # dx = 37.5 um
-    with pytest.raises(ConfigurationError) as err:
-        validate(PhysicalParams(), grid, narrowest_feature=48e-4)
-    assert any("8" in v for v in err.value.violations)
-    validate(PhysicalParams(), grid, narrowest_feature=200e-4)
+    violations = grid.violations(narrowest_feature=48e-4)
+    assert any("8" in v for v in violations)
+    assert (PhysicalParams().violations()
+            + grid.violations(narrowest_feature=200e-4)) == []
 
 
 def test_grid_geometry_helpers():
