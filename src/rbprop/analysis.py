@@ -29,22 +29,16 @@ class RunDiagnostics:
 
     def append(self, record: DiagnosticsRecord):
         if self.records and record.z <= self.records[-1].z:
-            raise ValueError("diagnostic records must have strictly increasing z")
+            raise ValueError(f"z = {record.z:.6g} cm follows z = "
+                             f"{self.records[-1].z:.6g} cm; z must increase")
         if record.total_power < 0:
             raise ValueError("total power cannot be negative")
         self.records.append(record)
 
 
-def beam_width(field: ComplexField2D, method: str = "moment") -> float:
-    """Beam width in cm, calibrated so an exact Gaussian g0 exp(-r^2/w^2)
-    returns w.
-
-    ``moment`` (default): sqrt(2 <r^2>) with <r^2> the intensity-weighted
-    second central moment.  ``e2fit``: least-squares fit of log intensity
-    against r^2 (centered, intensity-weighted), i.e. the radius where a
-    fitted Gaussian intensity profile falls to 1/e^2 of its peak; useful as a
-    cross-check when a faint pedestal inflates the moments.
-    """
+def beam_width(field: ComplexField2D) -> float:
+    """Beam width sqrt(2 <r^2>) in cm, <r^2> the intensity-weighted second
+    central moment; an exact Gaussian g0 exp(-r^2/w^2) returns w."""
     intensity = np.abs(field.values) ** 2
     total = intensity.sum()
     if total <= 0.0:
@@ -53,24 +47,7 @@ def beam_width(field: ComplexField2D, method: str = "moment") -> float:
     xc = float((intensity * X).sum() / total)
     yc = float((intensity * Y).sum() / total)
     r2 = (X - xc) ** 2 + (Y - yc) ** 2
-    if method == "moment":
-        return float(np.sqrt(2.0 * (intensity * r2).sum() / total))
-    if method == "e2fit":
-        peak = intensity.max()
-        mask = intensity > peak * np.exp(-4.0)
-        w = intensity[mask]
-        a = r2[mask]
-        b = np.log(intensity[mask] / peak)
-        # weighted LSQ for log I = c - 2 r^2 / w^2
-        sw = w.sum()
-        abar = (w * a).sum() / sw
-        bbar = (w * b).sum() / sw
-        slope = ((w * (a - abar) * (b - bbar)).sum()
-                 / (w * (a - abar) ** 2).sum())
-        if slope >= 0:
-            raise ValueError("intensity does not decay radially; fit failed")
-        return float(np.sqrt(-2.0 / slope))
-    raise ValueError(f"unknown width method {method!r}")
+    return float(np.sqrt(2.0 * (intensity * r2).sum() / total))
 
 
 def transmission(field_in: ComplexField2D, field_out: ComplexField2D) -> float:
@@ -81,16 +58,15 @@ def transmission(field_in: ComplexField2D, field_out: ComplexField2D) -> float:
     return float(np.sum(np.abs(field_out.values) ** 2) / p_in)
 
 
-def peak_positions(field: ComplexField2D, axis_y: float = 0.0,
+def peak_positions(field: ComplexField2D,
                    threshold: float = 0.05) -> list[float]:
-    """x locations of local intensity maxima along the row nearest axis_y.
+    """x locations of local intensity maxima along the row y = 0.
 
     Maxima below ``threshold`` times the row maximum are discarded; surviving
     positions are refined by three-point parabolic interpolation.
     """
-    x, y = field.grid.axes()
-    iy = int(np.argmin(np.abs(y - axis_y)))
-    row = np.abs(field.values[:, iy]) ** 2
+    x = field.grid.axes()[0]
+    row = np.abs(field.values[:, field.grid.ny // 2]) ** 2
     row_max = row.max()
     if row_max <= 0.0:
         return []
@@ -105,14 +81,14 @@ def peak_positions(field: ComplexField2D, axis_y: float = 0.0,
 
 
 def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
-                   probe_level: float, n_radii: int = 400) -> float:
+                   probe_level: float) -> float:
     """Peak-to-trough refractive index difference 2 pi (max - min) Re<chi>.
 
-    Sampled radially out to five beam radii at the given z, with the probe
-    intensity held uniformly at probe_level^2.
+    Sampled at 400 radii out to five beam radii at the given z, with the
+    probe intensity held uniformly at probe_level^2.
     """
     wz = control.width_at(z)
-    r = np.linspace(0.0, 5.0 * wz, n_radii)
+    r = np.linspace(0.0, 5.0 * wz, 400)
     chi = radial_chi_profile(params, control, z, probe_level, r)
     return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
 

@@ -76,7 +76,6 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
         snapshot_every=cfg.run["snapshot_every"],
         use_table=cfg.run["chi_table"],
         table_target_error=cfg.run["table_target_error"],
-        absorbing_boundary=cfg.run["absorbing_boundary"],
     )
     digits = len(str(cfg.grid.n_steps))
     outputs = []
@@ -114,7 +113,10 @@ def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
             raise SnapshotFormatError(f"{path}: checksum does not match "
                                       f"{listing.name}")
     fields = [read_field(p, cfg.grid) for p, _ in snapshots]
-    csv_path = _write_diagnostics(out_dir / "analysis.csv", fields)
+    try:
+        csv_path = _write_diagnostics(out_dir / "analysis.csv", fields)
+    except ValueError as exc:  # RunDiagnostics refuses z out of order
+        raise ConfigurationError([f"{listing}: {exc}"]) from None
     profile_path = write_profile_csv(out_dir / "profile.csv", fields[-1])
     print(f"analyzed {len(fields)} snapshots; "
           f"wrote {csv_path} and {profile_path}")
@@ -195,7 +197,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         with OutputLock(out_dir):
             if args.command == "oracle":
                 return cmd_oracle(cfg, args)

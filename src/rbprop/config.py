@@ -53,7 +53,6 @@ _SCHEMA = {
         "snapshot_every": (int, 100),
         "chi_table": (bool, True),
         "table_target_error": (float, 1.0e-4),
-        "absorbing_boundary": (bool, False),
     },
     "scan": {
         "r_min_cm": (float, -0.03),

@@ -304,7 +304,10 @@ class OutputLock:
         self._fd = None
 
     def __enter__(self):
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file, or a path under one, for example
+            raise OutputLockError(f"no output directory: {exc}") from None
         while True:
             fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
             try:

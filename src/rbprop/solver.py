@@ -17,9 +17,7 @@ points alone, gathered once (``_medium_subflow``).
 With the control off chi is identically zero and the medium sub-flow is the
 identity, so the split-step chain collapses to diffraction alone, and
 exp(-i k_perp^2 a / 2k) exp(-i k_perp^2 b / 2k) = exp(-i k_perp^2 (a + b) / 2k)
-merges it exactly.  A dark run makes one diffraction per segment, a segment
-running up to the next snapshot or the end of the cell; with the absorbing
-window every step is a segment.
+merges it exactly.  A dark run makes one diffraction per snapshot interval.
 """
 
 from __future__ import annotations
@@ -111,20 +109,6 @@ def diffraction_step(field: ComplexField2D, distance: float, k: float,
     return ComplexField2D(spectrum, field.grid, field.z + distance)
 
 
-def edge_window(grid: GridSpec, fraction: float = 0.1) -> np.ndarray:
-    """Raised-cosine absorber over the outer ``fraction`` of each axis."""
-    def axis_window(n: int) -> np.ndarray:
-        w = np.ones(n)
-        m = int(round(fraction * n))
-        if m > 0:
-            # falls from cos(pi/m) scale to exactly 0 at the outermost cell
-            ramp = 0.5 * (1.0 + np.cos(np.pi * np.arange(1, m + 1) / m))
-            w[:m] = ramp[::-1]
-            w[n - m:] = ramp
-        return w
-    return axis_window(grid.nx)[:, None] * axis_window(grid.ny)[None, :]
-
-
 @dataclass
 class PropagationResult:
     field: ComplexField2D
@@ -213,8 +197,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
               params: PhysicalParams, grid: GridSpec, plan: StepPlan,
               snapshot_every: int = 100,
               use_table: bool = True,
-              table_target_error: float = 1.0e-4,
-              absorbing_boundary: bool = False) -> PropagationResult:
+              table_target_error: float = 1.0e-4) -> PropagationResult:
     """March the probe from z = 0 to z = cell_length.
 
     Per step: half diffraction, one medium sub-flow with the control field
@@ -238,11 +221,9 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     With the control off (G0 = 0) chi is identically zero, so no table is
     built and the medium is never stepped.  The diffraction half-steps then
     compose exactly, whatever the order: the run makes one
-    ``diffraction_step`` of a whole number of steps times dz up to each
-    snapshot and the end of the cell, or one of dz per step when
-    ``absorbing_boundary`` applies the window after every step.  Each
-    segment end is checked as a step end.  An input probe whose peak |g|^2
-    is not finite (an inf or NaN value, or an amplitude whose square
+    ``diffraction_step`` per snapshot interval, a whole number of steps
+    times dz, and checks its end as a step end.  An input probe whose peak
+    |g|^2 is not finite (an inf or NaN value, or an amplitude whose square
     overflows) is a NumericsError at z = 0, whatever the run.
     """
     k = params.wavenumber
@@ -271,25 +252,22 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         def lookup(G2, g2):
             return chi_doppler_averaged(FieldPoint(g2, G2), params)
 
-    window = edge_window(grid) if absorbing_boundary else None
-
     field = probe.copy()
     field.z = 0.0
     snapshots = [field.copy()]
     snapshot_steps = [0]
-    segment_start = 0  # first step of the dark run's pending diffraction
+    interval_start = 0  # first step of the dark run's pending diffraction
 
     for step in range(n_steps):
         snapshot = (step + 1) % snapshot_every == 0 or step == n_steps - 1
         if dark:
-            if not snapshot and window is None:
+            if not snapshot:
                 continue
-            # diffraction phases compose exactly: one transform pair spans
-            # the segment, whose length is a step count times dz so that
-            # equal segments share a cached phase
-            field = diffraction_step(field, (step + 1 - segment_start) * dz,
+            # phases compose exactly: one transform pair spans the interval,
+            # a step count times dz, so that equal intervals share a phase
+            field = diffraction_step(field, (step + 1 - interval_start) * dz,
                                      k, plan)
-            segment_start = step + 1
+            interval_start = step + 1
         else:
             z0 = step * dz
             for frac in plan.substeps():
@@ -310,8 +288,6 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                 field = diffraction_step(field, 0.5 * sub, k, plan)
                 z0 += sub
         field.z = (step + 1) * dz
-        if window is not None:
-            field.values *= window
         if not np.all(np.isfinite(field.values)):
             raise NumericsError(
                 field.z, f"non-finite field values in step {step + 1} at "

@@ -38,13 +38,16 @@ FLOOR_RATIO = 1.0e-4
 PILOT_NODES = 64
 MAX_NODES = 2048
 
+ORACLE_RHS_TOL = 1.0e-12  # steady_state_oracle's |dy/dt| bound (gamma units)
+ORACLE_DRIFT_TOL = 1.0e-10  # and its relative chi drift between horizons
+
 
 class OracleConvergenceError(RuntimeError):
     """The density-matrix propagation did not reach a fixed point."""
 
-    def __init__(self, residual: float, message: str = ""):
+    def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(message or f"steady state not reached, residual {residual:.3e}")
+        super().__init__(f"steady state not reached, residual {residual:.3e}")
 
 
 class FieldPoint(NamedTuple):
@@ -178,16 +181,14 @@ class OracleResult:
 
 def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
                         big_gamma: float, prefactor: float,
-                        rhs_tol: float = 1.0e-12,
-                        drift_tol: float = 1.0e-10,
                         max_doublings: int = 200,
                         full_result: bool = False):
     """Susceptibility from the density-matrix equations of motion.
 
     Starting from all population in the control-arm ground state, the affine
     system is propagated by its exact matrix exponential over horizons that
-    double until every time derivative falls below ``rhs_tol`` (gamma units)
-    and the extracted susceptibility is stationary between horizons.  Returns
+    double until every time derivative is below ORACLE_RHS_TOL (gamma units)
+    and chi is stationary to ORACLE_DRIFT_TOL between horizons.  Returns
     prefactor * rho12 / g; the phase convention agrees with chi_stationary
     directly (verified numerically, no conjugation or sign flip needed).
 
@@ -214,9 +215,9 @@ def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
         y = P[:8, 8]
         residual = float(np.max(np.abs(A @ y + b)))
         chi = prefactor * (y[2] + 1j * y[3]) / g
-        if residual < rhs_tol:
-            if last_chi is not None and \
-                    abs(chi - last_chi) <= drift_tol * max(abs(chi), 1e-300):
+        if residual < ORACLE_RHS_TOL:
+            if last_chi is not None and abs(chi - last_chi) <= \
+                    ORACLE_DRIFT_TOL * max(abs(chi), 1e-300):
                 stable += 1
                 if stable >= 2:
                     pops = (float(y[0]), float(y[1]), float(1.0 - y[0] - y[1]))

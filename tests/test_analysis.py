@@ -26,10 +26,6 @@ class TestBeamWidth:
         f = field_from(gaussian(48e-4))
         assert beam_width(f) == pytest.approx(48e-4, rel=1e-3)
 
-    def test_e2fit_on_exact_gaussian(self):
-        f = field_from(gaussian(48e-4))
-        assert beam_width(f, method="e2fit") == pytest.approx(48e-4, rel=1e-6)
-
     def test_invariant_under_phase_and_scale(self):
         base = gaussian(30e-4)
         w0 = beam_width(field_from(base))
@@ -55,10 +51,6 @@ class TestBeamWidth:
         f = field_from(np.zeros((256, 256)))
         with pytest.raises(ValueError):
             beam_width(f)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            beam_width(field_from(gaussian(30e-4)), method="fwhm")
 
 
 class TestTransmission:
@@ -140,7 +132,7 @@ class TestDiagnostics:
         d = RunDiagnostics()
         d.append(DiagnosticsRecord(0.0, 1e-3, 1.0, ()))
         d.append(DiagnosticsRecord(0.5, 1e-3, 0.9, ()))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="z = 0.5 cm follows z = 0.5 cm"):
             d.append(DiagnosticsRecord(0.5, 1e-3, 0.8, ()))
 
     def test_negative_power_rejected(self):

@@ -188,6 +188,25 @@ def test_unknown_key_is_configuration_error(tiny_config, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("command", ["propagate", "chi-scan"])
+@pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
+def test_out_naming_a_file_is_configuration_error(tiny_config, tmp_path,
+                                                  capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    before = sorted(tmp_path.rglob("*"))
+    rc = main([command, "--config", str(tiny_config),
+               "--out", str(taken / below)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert str(taken / below) in err
+    # nothing created, the file left as it was
+    assert sorted(tmp_path.rglob("*")) == before
+    assert taken.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_probe_is_configuration_error(tmp_path, capsys, value):
     bad = tmp_path / "nonfinite.ini"
@@ -423,6 +442,25 @@ def test_analyze_needs_the_manifest_and_every_listed_snapshot(tiny_config,
     assert main(["analyze", "--config", str(tiny_config),
                  "--out", str(out_dir)]) == 1
     assert "no manifest.json of a propagate run" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_manifest_listing_snapshots_out_of_z_order(
+        tiny_config, tmp_path, capsys):
+    out_dir = tmp_path / "reversed"
+    assert main(["propagate", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 0
+    # every checksum still matches: only the order is wrong
+    listing = out_dir / "manifest.json"
+    manifest = json.loads(listing.read_text())
+    manifest["outputs"].reverse()
+    listing.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {listing}: z = 0.05 cm follows z = 0.1 cm; "
+        "z must increase\n")
+    assert not (out_dir / "analysis.csv").exists()
 
 
 def test_snapshots_readable_and_grid_consistent(tiny_config, tmp_path):

@@ -57,6 +57,17 @@ class TestParseConfig:
             parse_config(path)
         assert any("widht_cm" in v and "line" in v for v in err.value.violations)
 
+    def test_absorbing_boundary_is_an_unknown_key(self, tmp_path):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        assert base.rstrip().splitlines()[-2] == "[run]"
+        path = tmp_path / "window.ini"
+        path.write_text(base + "absorbing_boundary = false\n")
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        line = len(base.splitlines()) + 1
+        assert err.value.violations == [
+            f"line {line}: unknown key [run] absorbing_boundary"]
+
     def test_unknown_section_rejected(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         path = tmp_path / "sect.ini"

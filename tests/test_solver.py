@@ -13,8 +13,7 @@ from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_intensity,
 from rbprop.config import parse_config
 from rbprop.params import GridSpec, PhysicalParams
 from rbprop.solver import (ComplexField2D, NumericsError, StepPlan,
-                           _medium_subflow, diffraction_step, edge_window,
-                           propagate)
+                           _medium_subflow, diffraction_step, propagate)
 from rbprop.susceptibility import (ChiTable, FieldPoint, build_chi_table,
                                    chi_doppler_averaged)
 
@@ -32,7 +31,7 @@ def relative_l2(got, expect):
     return np.linalg.norm(got - expect) / np.linalg.norm(expect)
 
 
-def half_step_chain(probe, plan, n_steps, window=None):
+def half_step_chain(probe, plan, n_steps):
     """A dark run as two diffraction half-steps per sub-step, unmerged."""
     chain = probe
     for _ in range(n_steps):
@@ -40,8 +39,6 @@ def half_step_chain(probe, plan, n_steps, window=None):
             sub = frac * plan.dz
             chain = diffraction_step(chain, 0.5 * sub, K, plan)
             chain = diffraction_step(chain, 0.5 * sub, K, plan)
-        if window is not None:
-            chain.values *= window
     return chain
 
 
@@ -337,38 +334,6 @@ class TestPropagate:
         chain = half_step_chain(probe, plan, grid.n_steps)
         assert relative_l2(res.field.values, chain.values) < 1e-13
 
-    @pytest.mark.parametrize("order", (2, 4))
-    def test_dark_run_with_the_window_diffracts_and_absorbs_each_step(
-            self, order):
-        grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
-        # wide enough for the window to absorb a visible share of the power
-        probe = gaussian_field(grid, w=0.03)
-        plan = StepPlan(grid, order=order)
-        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        snapshot_every=10**9, absorbing_boundary=True)
-        window = edge_window(grid)
-        stepped = probe
-        for _ in range(grid.n_steps):
-            stepped = diffraction_step(stepped, grid.dz, K, plan)
-            stepped.values *= window
-        np.testing.assert_array_equal(res.field.values, stepped.values)
-        assert res.field.power() < 0.999 * probe.power()
-        chain = half_step_chain(probe, plan, grid.n_steps, window)
-        assert relative_l2(res.field.values, chain.values) < 1e-13
-
-    def test_window_zeroes_the_outer_cells_of_a_lit_run(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
-        plan = StepPlan(grid)
-        res = propagate(gaussian_field(grid, w=0.03),
-                        ControlBeamSpec(waist_position_z0=0.05), PARAMS, grid,
-                        plan, snapshot_every=1, absorbing_boundary=True)
-        assert res.snapshot_steps == list(range(grid.n_steps + 1))
-        for snap in res.snapshots[1:]:
-            values = snap.values
-            for edge in (values[0], values[-1], values[:, 0], values[:, -1]):
-                assert np.all(edge == 0.0)
-            assert np.all(values[1:-1, 1:-1] != 0.0)
-
     def test_dark_run_follows_the_gaussian_beam(self, monkeypatch):
         # closed form of dg/dz = (i / 2k) laplace_perp g from a waist w0 at
         # z = 0: g = (-i zR / q) exp(i k r^2 / 2q), q = z - i zR; it carries
@@ -431,10 +396,19 @@ class TestPropagate:
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
         plan = StepPlan(grid)
-        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        snapshot_every=4)
-        assert res.snapshot_steps == [0, 4, 8, 10]
-        assert res.snapshots[-1].z == pytest.approx(0.1)
+        # a dark run every 4 steps and at the cell end; a lit run every step
+        for control, every, steps in (
+                (ControlBeamSpec(G0=0.0), 4, [0, 4, 8, 10]),
+                (ControlBeamSpec(waist_position_z0=0.1), 1, list(range(11)))):
+            res = propagate(probe, control, PARAMS, grid, plan,
+                            snapshot_every=every)
+            assert res.snapshot_steps == steps
+            assert [snap.z for snap in res.snapshots] == pytest.approx(
+                [n * grid.dz for n in steps], rel=1e-12, abs=0)
+            values = [snap.values for snap in res.snapshots]
+            # each snapshot is its own copy of a field that moved
+            assert not any(np.array_equal(a, b)
+                           for a, b in zip(values, values[1:]))
 
     def test_non_finite_fields_abort_with_z(self):
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
@@ -571,14 +545,6 @@ class TestPropagate:
                          snapshot_every=10**9)
         scale = np.linalg.norm(res2.field.values)
         assert np.linalg.norm(res2.field.values - res4.field.values) / scale < 1e-4
-
-
-def test_edge_window_profile():
-    grid = GridSpec(nx=64, ny=64)
-    w = edge_window(grid, fraction=0.1)
-    assert w.max() <= 1.0 and w.min() >= 0.0
-    assert w[32, 32] == 1.0
-    assert w[0, 32] == 0.0
 
 
 def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
