@@ -164,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("oracle", "closed form vs density-matrix steady state")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="configuration file")
-        p.add_argument("--out", default="rbprop-out", help="output directory")
+        if name != "oracle":  # the oracle writes no files
+            p.add_argument("--out", default="rbprop-out",
+                           help="output directory")
         if name == "propagate":
             p.add_argument("--order", type=int, choices=(2, 4), default=2,
                            help="splitting order")
@@ -196,10 +198,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = parse_config(args.config)
+        if args.command == "oracle":
+            return cmd_oracle(cfg, args)
         out_dir = Path(args.out)
         with OutputLock(out_dir):
-            if args.command == "oracle":
-                return cmd_oracle(cfg, args)
             command, manifest_name = _WRITERS[args.command]
             # the seed is null: only oracle draws random numbers, and it
             # writes no manifest

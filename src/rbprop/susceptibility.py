@@ -14,14 +14,14 @@ stationary ratio is n0 / d0.
 The thermal average over the Maxwellian distribution of Doppler shifts (width
 D) is exact: the quadratic's two complex-conjugate poles turn it into the
 plasma dispersion function Z (Fried & Conte 1961), evaluated through the
-Faddeeva function ``scipy.special.wofz`` (Weideman 1994).  Every run that
-evaluates chi takes this average; scipy is imported at the first one, so a
-run that evaluates no chi (a control-off propagation, an analysis of stored
-snapshots) loads no scipy.
+Faddeeva function w.  ``_faddeeva`` computes w in numpy from Weideman's
+rational expansion (SIAM J. Numer. Anal. 31, 1994), whose coefficients are
+made at the first average.  Only the oracle loads scipy (``expm``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +31,10 @@ from .params import PhysicalParams, prefactor_over_gamma
 
 # points per evaluation block of the velocity average (bounds peak memory)
 AVERAGE_BLOCK = 65_536
+
+# terms of Weideman's expansion of the Faddeeva function (within 1.8e-14
+# relative of scipy.special.wofz for |Re z| <= 1e3, 1e-3 <= Im z <= 1e3)
+FADDEEVA_TERMS = 36
 
 # chi table: each axis spans FLOOR_RATIO times its top up to the top, is
 # sized from a pilot of PILOT_NODES nodes and holds at most MAX_NODES
@@ -231,6 +235,47 @@ def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
     raise OracleConvergenceError(residual)
 
 
+@functools.cache
+def _faddeeva_coefficients() -> tuple[float, np.ndarray]:
+    """Weideman's scale L and the FADDEEVA_TERMS coefficients a_N .. a_1.
+
+    The a_n are the Fourier coefficients of e^(-t^2) (L^2 + t^2) at
+    t = L tan(theta / 2), taken by an FFT over 4 N equispaced theta.
+    """
+    n = FADDEEVA_TERMS
+    m = 2 * n
+    L = np.sqrt(n / np.sqrt(2.0))
+    t = L * np.tan(np.arange(1 - m, m) * (np.pi / (2 * m)))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (L * L + t * t)))
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return float(L), a[n:0:-1]
+
+
+def _faddeeva(z) -> np.ndarray:
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z > 0.
+
+    Weideman's expansion w = 2 p(Z) / (L - iz)^2 + 1 / (sqrt(pi) (L - iz))
+    with Z = (L + iz) / (L - iz) and p the degree N - 1 polynomial of
+    ``_faddeeva_coefficients``, evaluated by Horner's rule in place.
+    """
+    L, coeffs = _faddeeva_coefficients()
+    iz = 1j * np.asarray(z, dtype=complex)
+    den = L - iz
+    Z = iz  # in iz's buffer
+    Z += L
+    Z /= den
+    p = coeffs[0] * Z
+    p += coeffs[1]
+    for c in coeffs[2:]:
+        p *= Z
+        p += c
+    p /= den
+    p *= 2.0
+    p += 1.0 / np.sqrt(np.pi)
+    p /= den
+    return p
+
+
 def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
     """Exact Maxwellian average of (n0 + n1 kv) / (d0 + d1 kv + d2 kv^2).
 
@@ -243,9 +288,6 @@ def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
     between the two residues.  D = 0 and the dark state (d2 = 0) reduce to
     n0 / d0.
     """
-    # imported here: scipy.special adds ~0.17 s to every CLI start otherwise
-    from scipy.special import wofz
-
     n0, n1, d0, d1, d2 = coeffs
     with np.errstate(invalid="ignore", divide="ignore"):
         if doppler_width == 0.0:
@@ -253,7 +295,7 @@ def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
         s = np.sqrt(2.0) * doppler_width
         x = -0.5 * d1 / d2
         y = np.sqrt(d0 / d2 - x * x)
-        w = wofz((x + 1j * y) / s)
+        w = _faddeeva((x + 1j * y) / s)
         avg = ((n0 + n1 * x) * (w.real / y) - n1 * w.imag) \
             * (np.sqrt(np.pi) / s) / d2
         return np.where(d2 == 0.0, n0 / d0, avg)
@@ -464,17 +506,18 @@ class ChiTable:
 def build_chi_table(G_abs2_max: float, g_abs2_max: float,
                     params: PhysicalParams,
                     target_error: float = 1.0e-4) -> ChiTable:
-    """Build a ChiTable covering [0, G_abs2_max] x [0, g_abs2_max] in one pass.
+    """Build a ChiTable covering [0, G_abs2_max] x [0, g_abs2_max].
 
     A pilot table of PILOT_NODES per axis measures the worst midpoint error
     along each axis; as bilinear error falls with the square of the node
     spacing, that gives each axis the node count, at most MAX_NODES, that
-    meets 0.6 of the target.  The sized table is verified once on
+    meets 0.6 of the target.  The sized table is verified on
     ``max_relative_error``'s fixed probe set (1000 log-uniform points drawn
-    with seed 0).  Raises ChiTableError if the |G|^2 top is not in
-    (0, inf) or the |g|^2 top is not finite (a control-off run builds no
-    table), or if the table misses the target (direct evaluation is then
-    advised).
+    with seed 0).  A table that misses the target is sized once more the
+    same way from its own midpoint errors and verified again.  Raises
+    ChiTableError if the |G|^2 top is not in (0, inf) or the |g|^2 top is
+    not finite (a control-off run builds no table), or if the resized table
+    still misses the target (direct evaluation is then advised).
     """
     if not (0.0 < G_abs2_max < np.inf and np.isfinite(g_abs2_max)):
         raise ChiTableError(
@@ -482,19 +525,27 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
             f"{g_abs2_max:.6g} must be finite, with |G|^2 above 0")
     g_top = max(g_abs2_max, G_abs2_max * 1.0e-12)
     headroom = 0.6  # size below target so an independent probe set stays under
-    pilot = ChiTable(G_abs2_max, g_top, (PILOT_NODES, PILOT_NODES), params)
 
-    def sized(axis: int) -> int:
-        factor = np.sqrt(pilot._axis_midpoint_error(axis)
-                         / (headroom * target_error))
-        return min(MAX_NODES, int(np.ceil(PILOT_NODES * max(factor, 1.0))) + 1)
+    def resized(table: ChiTable) -> ChiTable:
+        shape = []
+        for axis, n in enumerate(table.shape):
+            factor = np.sqrt(table._axis_midpoint_error(axis)
+                             / (headroom * target_error))
+            shape.append(min(MAX_NODES,
+                             int(np.ceil(n * max(factor, 1.0))) + 1))
+        if tuple(shape) == table.shape:  # both axes at MAX_NODES already
+            return table
+        return ChiTable(G_abs2_max, g_top, tuple(shape), params)
 
-    shape = (sized(0), sized(1))
-    table = ChiTable(G_abs2_max, g_top, shape, params)
+    table = resized(ChiTable(G_abs2_max, g_top, (PILOT_NODES, PILOT_NODES),
+                             params))
     err = table.max_relative_error()
+    if err >= target_error:
+        table = resized(table)
+        err = table.max_relative_error()
     if err < target_error:
         return table
     raise ChiTableError(
         f"interpolation error {err:.3e} above {target_error:g} on the "
-        f"{shape[0]}x{shape[1]} table (at most {MAX_NODES} nodes per axis); "
-        "use direct evaluation for this configuration")
+        f"{table.shape[0]}x{table.shape[1]} table (at most {MAX_NODES} "
+        "nodes per axis); use direct evaluation for this configuration")

@@ -60,11 +60,21 @@ def tiny_config(tmp_path):
 
 
 def test_oracle_subcommand_passes(tiny_config, tmp_path, capsys):
-    rc = main(["oracle", "--config", str(tiny_config),
-               "--out", str(tmp_path / "o"), "--seed", "7"])
+    rc = main(["oracle", "--config", str(tiny_config), "--seed", "7"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "max relative error" in out
+
+
+def test_oracle_creates_no_directory(tiny_config, tmp_path, monkeypatch):
+    # it writes no files, so it neither makes nor locks an output directory
+    # and has no --out to name one
+    monkeypatch.chdir(tmp_path)
+    assert main(["oracle", "--config", str(tiny_config)]) == 0
+    assert sorted(tmp_path.iterdir()) == [tiny_config]
+    assert main(["oracle", "--config", str(tiny_config),
+                 "--out", str(tmp_path / "x")]) == 1
+    assert sorted(tmp_path.iterdir()) == [tiny_config]
 
 
 def test_propagate_then_analyze(tiny_config, tmp_path, capsys):
@@ -266,10 +276,11 @@ def test_locked_output_directory_rejected(tiny_config, tmp_path, capsys):
     out_dir.mkdir()
     with open(out_dir / ".rbprop.lock", "w") as held:
         fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        rc = main(["oracle", "--config", str(tiny_config),
+        rc = main(["chi-scan", "--config", str(tiny_config),
                    "--out", str(out_dir)])
     assert rc == 1
     assert "locked" in capsys.readouterr().err
+    assert not (out_dir / "chi_scan.csv").exists()
 
 
 def test_stale_lock_file_does_not_block_a_run(tiny_config, tmp_path):
@@ -277,8 +288,9 @@ def test_stale_lock_file_does_not_block_a_run(tiny_config, tmp_path):
     out_dir = tmp_path / "stale"
     out_dir.mkdir()
     (out_dir / ".rbprop.lock").write_text("pid 1 at 0\n")
-    assert main(["oracle", "--config", str(tiny_config),
+    assert main(["chi-scan", "--config", str(tiny_config),
                  "--out", str(out_dir)]) == 0
+    assert (out_dir / "chi_scan.csv").exists()
     assert not (out_dir / ".rbprop.lock").exists()
 
 
@@ -480,9 +492,8 @@ def test_order4_plan_selectable(tiny_config, tmp_path):
 
 
 @pytest.mark.parametrize("command", ("chi-scan", "analyze", "oracle"))
-def test_propagate_options_rejected_elsewhere(tiny_config, tmp_path, command):
-    assert main([command, "--config", str(tiny_config),
-                 "--out", str(tmp_path), "--order", "4"]) == 1
+def test_propagate_options_rejected_elsewhere(tiny_config, command):
+    assert main([command, "--config", str(tiny_config), "--order", "4"]) == 1
 
 
 @pytest.mark.parametrize("command", ("propagate", "chi-scan", "analyze"))
@@ -570,9 +581,13 @@ def test_dark_propagate_and_analyze_load_no_scipy(tiny_config, tmp_path):
     assert (out_dir / "analysis.csv").exists()
 
 
-def test_chi_scan_loads_scipy_special_to_average(tmp_path):
-    out_dir = tmp_path / "scan-out"
-    modules = scipy_modules_after(
-        main_call("chi-scan", scan_config(tmp_path), out_dir))
-    assert "scipy.special" in modules
-    assert (out_dir / "chi_scan.csv").exists()
+def test_chi_scan_and_lit_propagate_load_no_scipy(tiny_config, tmp_path):
+    # both take the thermal average; only the oracle needs scipy
+    scan_out = tmp_path / "scan-out"
+    assert scipy_modules_after(
+        main_call("chi-scan", scan_config(tmp_path), scan_out)) == []
+    assert (scan_out / "chi_scan.csv").exists()
+    lit_out = tmp_path / "lit-out"
+    assert scipy_modules_after(
+        main_call("propagate", tiny_config, lit_out)) == []
+    assert (lit_out / "diagnostics.csv").exists()

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbprop import susceptibility
+from rbprop.beams import make_probe
+from rbprop.config import parse_config
 from rbprop.params import PhysicalParams, prefactor_over_gamma
 from rbprop.susceptibility import (ChiTableError, FieldPoint,
                                    OracleConvergenceError, _LogAxis,
@@ -16,6 +19,7 @@ from rbprop.susceptibility import (ChiTableError, FieldPoint,
 
 REF = PhysicalParams()  # reference medium used throughout
 PREF = prefactor_over_gamma(REF)
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def draw_params(rng):
@@ -176,6 +180,51 @@ class TestExactAverage:
         assert abs(chi) < 1e-14
 
 
+class TestFaddeeva:
+    # Re z in +-[1e-6, 1e3] and 0, Im z in [1e-3, 1e3], log-spaced
+    X, Y = np.meshgrid(
+        np.concatenate((-np.geomspace(1e-6, 1e3, 300), [0.0],
+                        np.geomspace(1e-6, 1e3, 300))),
+        np.geomspace(1e-3, 1e3, 300))
+
+    def test_matches_scipy_wofz(self):
+        wofz = pytest.importorskip("scipy.special").wofz
+        z = self.X + 1j * self.Y
+        w = susceptibility._faddeeva(z)
+        ref = wofz(z)
+        assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-13
+        # the average divides Re w by Im z, so Re w must hold on its own
+        # wherever it is not negligible against |w|
+        held = np.abs(ref.real) >= 1e-3 * np.abs(ref)
+        assert np.max(np.abs(w.real - ref.real)[held]
+                      / np.abs(ref.real)[held]) < 1e-10
+
+    def test_imaginary_axis_is_real_erfcx(self):
+        erfcx = pytest.importorskip("scipy.special").erfcx
+        y = self.Y[:, 0]
+        w = susceptibility._faddeeva(1j * y)
+        assert np.all(w.imag == 0.0)
+        assert np.max(np.abs(w.real - erfcx(y)) / erfcx(y)) < 1e-14
+        assert susceptibility._faddeeva(0.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_guided_table_nodes_match_the_wofz_average(self, monkeypatch):
+        # the 602x1332 nodes the guided preset's table evaluates
+        wofz = pytest.importorskip("scipy.special").wofz
+        cfg = parse_config(PRESETS / "guided_gaussian.ini")
+        z_peak = np.clip(cfg.control.waist_position_z0, 0.0,
+                         cfg.grid.cell_length)
+        G2_top = cfg.control.peak_intensity(z_peak)
+        g2_top = 12.0 * np.max(np.abs(make_probe(cfg.probe, cfg.grid).values)
+                               ** 2)
+        GG, gg = np.meshgrid(_LogAxis(G2_top, 602).nodes,
+                             _LogAxis(g2_top, 1332).nodes, indexing="ij")
+        nodes = FieldPoint(gg, GG)
+        got = chi_doppler_averaged(nodes, cfg.params)
+        monkeypatch.setattr(susceptibility, "_faddeeva", wofz)
+        ref = chi_doppler_averaged(nodes, cfg.params)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
+
+
 @pytest.fixture(scope="module")
 def table():
     return build_chi_table(0.185, 0.06, REF, target_error=1e-3)
@@ -302,6 +351,18 @@ class TestChiTable:
         table = build_chi_table(0.185, 0.06, replace(REF, **medium),
                                 target_error=target)
         assert table.max_relative_error(seed=99) < target
+
+    def test_a_table_that_misses_its_target_is_sized_once_more(self):
+        # the pilot sizes this wide-Doppler medium to 703x505, whose error
+        # on the verification probes is 1.04e-3; sized again from its own
+        # midpoint errors, the table meets the target
+        medium = replace(REF, big_gamma=0.0038553, delta_p=-148.335,
+                         delta_R=-0.0086980, doppler_width=141.12)
+        table = build_chi_table(0.146044, 0.767364, medium,
+                                target_error=1e-3)
+        assert table.shape[0] > 703 and table.shape[1] > 505
+        assert table.max_relative_error() < 1e-3
+        assert table.max_relative_error(seed=99) < 1e-3
 
     @pytest.mark.parametrize("tops", [(np.inf, 0.06), (0.185, np.inf),
                                       (np.nan, 0.06), (0.185, np.nan)])
