@@ -100,7 +100,7 @@ def diffraction_step(field: ComplexField2D, distance: float, k: float,
     if plan is None:
         plan = StepPlan(field.grid)
     # one axis at a time into one array: at 256^2 this measured faster than
-    # np.fft.fft2 and about as fast as scipy.fft.fft2 on one worker
+    # np.fft.fft2 (README, Numerical notes)
     spectrum = np.fft.fft(field.values, axis=1)
     np.fft.fft(spectrum, axis=0, out=spectrum)
     spectrum *= plan.diffraction_phase(distance, k)

@@ -562,8 +562,10 @@ def scipy_modules_after(code):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def main_call(command, config, out_dir):
-    argv = [command, "--config", str(config), "--out", str(out_dir)]
+def main_call(command, config, out_dir=None):
+    argv = [command, "--config", str(config)]
+    if out_dir is not None:
+        argv += ["--out", str(out_dir)]
     return f"from rbprop.cli import main\nassert main({argv!r}) == 0"
 
 
@@ -581,8 +583,12 @@ def test_dark_propagate_and_analyze_load_no_scipy(tiny_config, tmp_path):
     assert (out_dir / "analysis.csv").exists()
 
 
+def test_oracle_loads_no_scipy(tiny_config):
+    assert scipy_modules_after(main_call("oracle", tiny_config)) == []
+
+
 def test_chi_scan_and_lit_propagate_load_no_scipy(tiny_config, tmp_path):
-    # both take the thermal average; only the oracle needs scipy
+    # both take the thermal average
     scan_out = tmp_path / "scan-out"
     assert scipy_modules_after(
         main_call("chi-scan", scan_config(tmp_path), scan_out)) == []
