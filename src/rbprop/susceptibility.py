@@ -29,7 +29,9 @@ import numpy as np
 
 from .params import PhysicalParams, prefactor_over_gamma
 
-# points per evaluation block of the velocity average (bounds peak memory)
+# points per evaluation block of the velocity average: an average over any
+# number of points holds its complex output plus one block's work (~160
+# bytes a point, ~10 MiB at this size)
 AVERAGE_BLOCK = 65_536
 
 # terms of Weideman's expansion of the Faddeeva function (within 1.8e-14
@@ -287,24 +289,36 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams):
     Both one-photon detunings shift by the same kv (equal wavenumbers,
     co-propagating beams), so the two-photon detuning is velocity independent.
     The average is the exact Faddeeva form of ``_maxwell_average``.  Accepts
-    array-valued field points and returns a matching complex array, evaluated
-    in blocks of AVERAGE_BLOCK points.  Points with |G|^2 = 0 return exactly 0.
+    broadcastable array-valued field points and returns a complex array of
+    their broadcast shape.  Points with |G|^2 = 0 return exactly 0.
+
+    The points are evaluated in blocks of whole slabs along the first axis
+    (single points of a 1-d array, rows of a 2-d one), at most
+    AVERAGE_BLOCK points each unless one slab is larger.  Each block is
+    written into the one output array, which is then scaled in place, so
+    memory beyond the output is one block's work however many points there
+    are; broadcast inputs are never expanded past one block.
     """
-    g2, G2 = np.broadcast_arrays(np.asarray(point.g_abs2, dtype=float),
-                                 np.asarray(point.G_abs2, dtype=float))
-    shape = g2.shape
-    g2 = g2.ravel()
-    G2 = G2.ravel()
-    out = np.empty(g2.size, dtype=complex)
-    for start in range(0, g2.size, AVERAGE_BLOCK):
-        block = slice(start, start + AVERAGE_BLOCK)
-        coeffs = _ratio_coefficients(g2[block], G2[block], params.delta_p,
-                                     params.delta_c, params.big_gamma)
-        out[block] = _maxwell_average(coeffs, params.doppler_width)
-    out[G2 == 0.0] = 0.0
-    out = prefactor_over_gamma(params) * out.reshape(shape)
+    g2 = np.asarray(point.g_abs2, dtype=float)
+    G2 = np.asarray(point.G_abs2, dtype=float)
+    shape = np.broadcast_shapes(g2.shape, G2.shape)
+    out = np.empty(shape or (1,), dtype=complex)
+    g2 = np.broadcast_to(g2, out.shape)
+    G2 = np.broadcast_to(G2, out.shape)
+    slab = max(1, out[:1].size)  # points in one slab along the first axis
+    rows = max(1, AVERAGE_BLOCK // slab)
+    for start in range(0, out.shape[0], rows):
+        block = slice(start, start + rows)
+        G2_block = G2[block].ravel()
+        coeffs = _ratio_coefficients(g2[block].ravel(), G2_block,
+                                     params.delta_p, params.delta_c,
+                                     params.big_gamma)
+        chi = out[block].reshape(-1)  # a view: out is C-contiguous
+        chi[...] = _maxwell_average(coeffs, params.doppler_width)
+        chi[G2_block == 0.0] = 0.0
+    out *= prefactor_over_gamma(params)
     if shape == ():
-        return complex(out)
+        return complex(out[0])
     return out
 
 
@@ -365,6 +379,10 @@ class ChiTable:
     tends to a finite value, which a query below both node floors (read off
     the corner node times |G|^2) does not reproduce.  Both tops must be
     positive and finite; ``build_chi_table`` checks them.
+
+    The nodes are filled by one ``chi_doppler_averaged`` call on the two
+    axes as broadcast views and divided by |G|^2 in place, so a build holds
+    the table plus one AVERAGE_BLOCK of work.
     """
 
     # no table is identically zero; perfbench/child.py and tracer.py still
@@ -378,9 +396,9 @@ class ChiTable:
         self._g_axis = _LogAxis(g_abs2_max, shape[1])
         self._G2 = self._G_axis.nodes
         self._g2 = self._g_axis.nodes
-        GG, gg = np.meshgrid(self._G2, self._g2, indexing="ij")
-        chi = chi_doppler_averaged(FieldPoint(gg, GG), params)
-        self._h = chi / self._G2[:, None]
+        self._h = chi_doppler_averaged(
+            FieldPoint(self._g2[None, :], self._G2[:, None]), params)
+        self._h /= self._G2[:, None]
 
     @property
     def G_abs2_max(self) -> float:
@@ -433,7 +451,7 @@ class ChiTable:
 
         Each cell index is what ``clip(searchsorted(nodes, q) - 1, 0, n - 2)``
         gives for the clamped query, found by ``_LogAxis.cells``; the four
-        corners are gathered from the flattened table.
+        corners are gathered from the flattened table one at a time.
         """
         Gc = np.clip(G2q, self._G2[0], self._G2[-1])
         gc = np.clip(g2q, self._g2[0], self._g2[-1])
@@ -446,14 +464,20 @@ class ChiTable:
         sG = 1 - tG
         sg = 1 - tg
         h = self._h.ravel()
-        corner = iG * self._g2.size + ig
-        h00 = h.take(corner)
-        h01 = h.take(corner + 1)
-        corner += self._g2.size
-        h10 = h.take(corner)
-        h11 = h.take(corner + 1)
-        h = h00 * sG * sg + h10 * tG * sg + h01 * sG * tg + h11 * tG * tg
-        return G2q * h
+        n = self._g2.size
+        corner = iG * n + ig
+        # h00 sG sg + h10 tG sg + h01 sG tg + h11 tG tg, summed in place in
+        # that order, so the terms are never all held at once
+        out = h.take(corner)
+        out *= sG
+        out *= sg
+        for step, wG, wg in ((n, tG, sg), (1, sG, tg), (n + 1, tG, tg)):
+            term = h.take(corner + step)
+            term *= wG
+            term *= wg
+            out += term
+        out *= G2q
+        return out
 
     def _relative_error(self, G2q: np.ndarray, g2q: np.ndarray) -> float:
         """Max relative deviation of the lookup from the exact average."""
@@ -471,7 +495,10 @@ class ChiTable:
         """Worst relative interpolation error at cell midpoints of one axis.
 
         Midpoints are where bilinear interpolation is worst; measuring each
-        axis separately sizes the table anisotropically.
+        axis separately sizes the table anisotropically.  The lattice is
+        measured in blocks of whole rows, at most AVERAGE_BLOCK points each
+        (one row if a row is longer), and the max over blocks is the max
+        over the lattice.
         """
         if axis == 0:
             Gq = np.sqrt(self._G2[:-1] * self._G2[1:])
@@ -479,8 +506,9 @@ class ChiTable:
         else:
             Gq = self._G2
             gq = np.sqrt(self._g2[:-1] * self._g2[1:])
-        GG, gg = np.meshgrid(Gq, gq, indexing="ij")
-        return self._relative_error(GG, gg)
+        rows = max(1, AVERAGE_BLOCK // gq.size)
+        return max(self._relative_error(Gq[start:start + rows, None], gq)
+                   for start in range(0, Gq.size, rows))
 
 
 def build_chi_table(G_abs2_max: float, g_abs2_max: float,
@@ -494,7 +522,11 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     meets 0.6 of the target.  The sized table is verified on
     ``max_relative_error``'s fixed probe set (1000 log-uniform points drawn
     with seed 0).  A table that misses the target is sized once more the
-    same way from its own midpoint errors and verified again.  Raises
+    same way from its own midpoint errors and verified again; the missed
+    table is released first.  Every fill and midpoint measurement works in
+    blocks of at most AVERAGE_BLOCK points, so the build holds at most one
+    table plus one block of work: ~10 MiB for a fill, ~15 MiB for a midpoint
+    measurement, which also looks its block up.  Raises
     ChiTableError if the |G|^2 top is not in (0, inf) or the |g|^2 top is
     not finite (a control-off run builds no table), or if the resized table
     still misses the target (direct evaluation is then advised).
@@ -506,23 +538,26 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     g_top = max(g_abs2_max, G_abs2_max * 1.0e-12)
     headroom = 0.6  # size below target so an independent probe set stays under
 
-    def resized(table: ChiTable) -> ChiTable:
+    def sized(table: ChiTable) -> tuple[int, int]:
         shape = []
         for axis, n in enumerate(table.shape):
             factor = np.sqrt(table._axis_midpoint_error(axis)
                              / (headroom * target_error))
             shape.append(min(MAX_NODES,
                              int(np.ceil(n * max(factor, 1.0))) + 1))
-        if tuple(shape) == table.shape:  # both axes at MAX_NODES already
-            return table
-        return ChiTable(G_abs2_max, g_top, tuple(shape), params)
+        return tuple(shape)
 
-    table = resized(ChiTable(G_abs2_max, g_top, (PILOT_NODES, PILOT_NODES),
-                             params))
+    table = ChiTable(G_abs2_max, g_top,
+                     sized(ChiTable(G_abs2_max, g_top,
+                                    (PILOT_NODES, PILOT_NODES), params)),
+                     params)
     err = table.max_relative_error()
     if err >= target_error:
-        table = resized(table)
-        err = table.max_relative_error()
+        shape = sized(table)
+        if shape != table.shape:  # else both axes are at MAX_NODES already
+            del table  # free the missed table before its successor is filled
+            table = ChiTable(G_abs2_max, g_top, shape, params)
+            err = table.max_relative_error()
     if err < target_error:
         return table
     raise ChiTableError(

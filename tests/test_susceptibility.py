@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ from rbprop import susceptibility
 from rbprop.beams import make_probe
 from rbprop.config import parse_config
 from rbprop.params import PhysicalParams, prefactor_over_gamma
-from rbprop.susceptibility import (ChiTableError, FieldPoint,
+from rbprop.susceptibility import (ChiTable, ChiTableError, FieldPoint,
                                    OracleConvergenceError, _LogAxis,
                                    build_chi_table, chi_doppler_averaged,
                                    chi_ratio, chi_stationary,
@@ -20,6 +21,18 @@ from rbprop.susceptibility import (ChiTableError, FieldPoint,
 REF = PhysicalParams()  # reference medium used throughout
 PREF = prefactor_over_gamma(REF)
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
+
+# a wide-Doppler medium whose first sized table (703x505) misses a 1e-3
+# target on the verification probes, so the build sizes it once more
+RESIZED_MEDIUM = replace(REF, big_gamma=0.0038553, delta_p=-148.335,
+                         delta_R=-0.0086980, doppler_width=141.12)
+RESIZED_TOPS = (0.146044, 0.767364)
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bits, -0.0 and NaN payloads included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def draw_params(rng):
@@ -158,6 +171,45 @@ class TestExactAverage:
         for i in (0, 7, 65_535, 65_536, 69_999):
             assert vec[i] == pytest.approx(chi_doppler_averaged(
                 FieldPoint(float(g2[i]), float(G2[i])), REF), rel=1e-15)
+
+    def test_broadcast_inputs_give_the_meshgrid_bits(self, monkeypatch):
+        # blocks of three rows, the last one partial (37 = 12 x 3 + 1); the
+        # transposed inputs take four rows of 37 a block
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 160)
+        G2 = np.geomspace(1e-6, 0.2, 37)
+        G2[[0, 11]] = 0.0
+        g2 = np.geomspace(1e-5, 0.4, 53)
+        GG, gg = np.meshgrid(G2, g2, indexing="ij")
+        expect = chi_doppler_averaged(FieldPoint(gg, GG), REF)
+        for point in (FieldPoint(g2[None, :], G2[:, None]),
+                      FieldPoint(g2, G2[:, None]),
+                      FieldPoint(gg.T, GG.T)):
+            got = chi_doppler_averaged(point, REF)
+            if got.shape != expect.shape:
+                got = got.T
+            assert same_bits(got, expect)
+
+    def test_zero_control_entries_are_zero_and_inputs_unchanged(
+            self, monkeypatch):
+        # 100 points in blocks of 7, the last one partial
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        g2 = rng.uniform(0.0, 0.4, 100)
+        G2 = rng.uniform(0.0, 0.2, 100)
+        G2[::3] = 0.0
+        inputs = g2.copy(), G2.copy()
+        chi = chi_doppler_averaged(FieldPoint(g2, G2), REF)
+        assert np.all(chi[G2 == 0.0] == 0.0)
+        assert np.all(chi[G2 != 0.0] != 0.0)
+        assert np.array_equal(g2, inputs[0])
+        assert np.array_equal(G2, inputs[1])
+
+    def test_scalar_point_returns_complex(self, monkeypatch):
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 7)
+        chi = chi_doppler_averaged(FieldPoint(np.float64(0.3), 0.01), REF)
+        assert type(chi) is complex
+        assert chi == complex(chi_doppler_averaged(
+            FieldPoint(np.array([0.3]), np.array([0.01])), REF)[0])
 
     def test_dark_core_matches_dense_trapezoid(self):
         # |g|^2 ~ 0.4 in the dark vortex core at the shipped Raman detuning:
@@ -360,13 +412,36 @@ class TestChiTable:
         # the pilot sizes this wide-Doppler medium to 703x505, whose error
         # on the verification probes is 1.04e-3; sized again from its own
         # midpoint errors, the table meets the target
-        medium = replace(REF, big_gamma=0.0038553, delta_p=-148.335,
-                         delta_R=-0.0086980, doppler_width=141.12)
-        table = build_chi_table(0.146044, 0.767364, medium,
+        table = build_chi_table(*RESIZED_TOPS, RESIZED_MEDIUM,
                                 target_error=1e-3)
         assert table.shape[0] > 703 and table.shape[1] > 505
         assert table.max_relative_error() < 1e-3
         assert table.max_relative_error(seed=99) < 1e-3
+
+    def test_table_is_the_meshgrid_average_over_G2(self, monkeypatch):
+        # 37 x 53 nodes in blocks of three rows, the last one partial
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 160)
+        table = ChiTable(0.185, 0.06, (37, 53), REF)
+        GG, gg = np.meshgrid(table._G2, table._g2, indexing="ij")
+        expect = chi_doppler_averaged(FieldPoint(gg, GG), REF) \
+            / table._G2[:, None]
+        assert same_bits(table._h, expect)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_blocked_midpoint_error_is_the_full_lattice_max(self, monkeypatch,
+                                                            axis):
+        # three rows of midpoints per block: 36 rows fill twelve blocks,
+        # 37 leave a partial one
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 160)
+        table = ChiTable(0.185, 0.06, (37, 53), REF)
+        G2, g2 = table._G2, table._g2
+        if axis == 0:
+            G2 = np.sqrt(G2[:-1] * G2[1:])
+        else:
+            g2 = np.sqrt(g2[:-1] * g2[1:])
+        GG, gg = np.meshgrid(G2, g2, indexing="ij")
+        assert table._axis_midpoint_error(axis) \
+            == table._relative_error(GG, gg)
 
     @pytest.mark.parametrize("tops", [(np.inf, 0.06), (0.185, np.inf),
                                       (np.nan, 0.06), (0.185, np.nan)])
@@ -424,3 +499,33 @@ class TestNanLookups:
         assert np.all(np.isnan(got[nan & ~dark]))
         assert np.array_equal(got[~nan],
                               reference_bilinear(table, G2[~nan], g2[~nan]))
+
+
+def traced_peak(build):
+    """build()'s result and the most memory it held at once, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableMemory:
+    # tracemalloc sees numpy's array buffers, so these bound what a table
+    # build allocates beyond the table itself
+
+    def test_a_build_holds_its_table_and_one_block(self, monkeypatch):
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 4096)
+        table, peak = traced_peak(
+            lambda: ChiTable(0.0481, 0.48, (400, 1000), REF))
+        # one block's work is ~200 bytes a point; the table is 6.4 MB
+        assert peak - table._h.nbytes < 300 * susceptibility.AVERAGE_BLOCK
+
+    def test_a_resized_build_peaks_below_three_tables(self):
+        table, peak = traced_peak(lambda: build_chi_table(
+            *RESIZED_TOPS, RESIZED_MEDIUM, target_error=1e-3))
+        assert table.shape[0] > 703 and table.shape[1] > 505
+        assert peak < 3 * table._h.nbytes
