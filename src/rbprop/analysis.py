@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beams import ControlBeamSpec, _radial_intensity
+from .beams import ControlBeamSpec, _mesh, _radial_intensity
 from .field import ComplexField2D
 from .params import PhysicalParams
 from .susceptibility import FieldPoint, chi_doppler_averaged
@@ -43,11 +43,12 @@ def beam_width(field: ComplexField2D) -> float:
     total = intensity.sum()
     if total <= 0.0:
         raise ValueError("beam width is undefined for a zero-power field")
-    X, Y = field.grid.mesh()
+    X, Y = _mesh(field.grid)
     xc = float((intensity * X).sum() / total)
     yc = float((intensity * Y).sum() / total)
     r2 = (X - xc) ** 2 + (Y - yc) ** 2
-    return float(np.sqrt(2.0 * (intensity * r2).sum() / total))
+    r2 *= intensity  # in place: the moment holds at most two grid arrays
+    return float(np.sqrt(2.0 * r2.sum() / total))
 
 
 def transmission(field_in: ComplexField2D, field_out: ComplexField2D) -> float:

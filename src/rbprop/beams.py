@@ -117,31 +117,45 @@ def control_field(spec: ControlBeamSpec, x, y, z: float):
 
 
 @functools.lru_cache(maxsize=8)
+def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only X of shape (nx, 1) and Y of shape (1, ny), computed once
+    per GridSpec: ``grid.mesh()`` as broadcasting views, so an expression in
+    X and Y gives the full mesh's values and the mesh itself holds only the
+    two axes."""
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
+    X.flags.writeable = False
+    Y.flags.writeable = False
+    return X, Y
+
+
+@functools.lru_cache(maxsize=8)
 def _radial_mesh(grid: GridSpec) -> np.ndarray:
-    """Read-only r^2 on the grid, computed once per GridSpec."""
-    X, Y = grid.mesh()
+    """Read-only r^2 on the grid, from its cached mesh."""
+    X, Y = _mesh(grid)
     r2 = X * X + Y * Y
     r2.flags.writeable = False
     return r2
 
 
-def _radial_intensity(spec: ControlBeamSpec, r2, z: float):
+def _radial_intensity(spec: ControlBeamSpec, r2, z: float, out=None):
     """|G|^2 at squared radius r2 and height z; the one radial formula.
 
     |G|^2 = (G0 w_c / w(z)^2)^2 r^2 exp(-2 r^2 / w(z)^2), formed from r^2
-    alone in one result array (exactly 0 on the axis).
+    alone in one result array, ``out`` when given (exactly 0 on the axis).
     """
     wz2 = spec.width_at(z) ** 2
-    out = np.multiply(r2, -2.0 / wz2)
+    out = np.multiply(r2, -2.0 / wz2, out=out)
     np.exp(out, out=out)
     out *= r2
     out *= (spec.G0 * spec.waist_wc / wz2) ** 2
     return out
 
 
-def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float) -> np.ndarray:
-    """|G|^2 sampled on the grid at height z (cheaper than the complex field)."""
-    return _radial_intensity(spec, _radial_mesh(grid), z)
+def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """|G|^2 sampled on the grid at height z (cheaper than the complex field),
+    written into ``out`` (a float array of the grid's shape) when given."""
+    return _radial_intensity(spec, _radial_mesh(grid), z, out=out)
 
 
 def make_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:
@@ -151,8 +165,8 @@ def make_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:
     Gaussian.  The radial profile f is exp(-r^2 / w^2) for the Gaussian
     kinds and sech(r / w) for the sech multi-peak probe.
     """
-    X, Y = grid.mesh()
-    total = np.zeros_like(X)
+    X, Y = _mesh(grid)
+    total = np.zeros((grid.nx, grid.ny))
     for xi in spec.centers or (0.0,):
         r2 = (X - xi) ** 2 + Y * Y
         if spec.kind == "sech_multi":

@@ -34,14 +34,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICS = 2
 
 
-def _write_diagnostics(path: Path, fields) -> Path:
-    """One diagnostics row per field, in order, written as CSV to path."""
-    diagnostics = RunDiagnostics()
-    for fld in fields:
-        diagnostics.append(diagnose(fld))
-    return write_diagnostics_csv(path, diagnostics.records)
-
-
 def cmd_chi_scan(cfg, out_dir: Path, args) -> list[Path]:
     scan = cfg.scan
     r_values = np.linspace(scan["r_min_cm"], scan["r_max_cm"], scan["r_points"])
@@ -71,21 +63,31 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
             ["[probe] g0_over_gamma = 0 must be positive to propagate"])
     plan = StepPlan(cfg.grid, order=args.order)
     probe = make_probe(cfg.probe, cfg.grid)
+    digits = len(str(cfg.grid.n_steps))
+    outputs = []
+    diagnostics = RunDiagnostics()
+
+    def on_snapshot(step, snap):
+        # each snapshot is written and diagnosed when it is taken, so the run
+        # holds none; one that fails later leaves those it wrote, which an
+        # earlier run's manifest must not list
+        if not outputs:
+            (out_dir / "manifest.json").unlink(missing_ok=True)
+        outputs.append(
+            write_field(out_dir / f"field_step{step:0{digits}d}.rbpf", snap))
+        diagnostics.append(diagnose(snap))
+
     result = propagate(
         probe, cfg.control, cfg.params, cfg.grid, plan,
         snapshot_every=cfg.run["snapshot_every"],
         use_table=cfg.run["chi_table"],
         table_target_error=cfg.run["table_target_error"],
+        on_snapshot=on_snapshot,
     )
-    digits = len(str(cfg.grid.n_steps))
-    outputs = []
-    for step, snap in zip(result.snapshot_steps, result.snapshots):
-        outputs.append(
-            write_field(out_dir / f"field_step{step:0{digits}d}.rbpf", snap))
-    outputs.append(_write_diagnostics(out_dir / "diagnostics.csv",
-                                      result.snapshots))
+    outputs.append(write_diagnostics_csv(out_dir / "diagnostics.csv",
+                                         diagnostics.records))
     print(f"propagated to z = {result.field.z:g} cm; "
-          f"{len(result.snapshots)} snapshots in {out_dir}")
+          f"{len(result.snapshot_steps)} snapshots in {out_dir}")
     return outputs
 
 
@@ -105,6 +107,8 @@ def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
             [f"cannot read the snapshot list in {listing}: {exc!r}"]) from exc
     if not snapshots:
         raise ConfigurationError([f"{listing} lists no field snapshots"])
+    # one snapshot at a time: verified, read and diagnosed before the next
+    diagnostics = RunDiagnostics()
     for path, sha256 in snapshots:
         if not path.exists():
             raise SnapshotFormatError(f"{path}: listed in {listing.name} "
@@ -112,13 +116,15 @@ def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
         if sha256_of(path) != sha256:
             raise SnapshotFormatError(f"{path}: checksum does not match "
                                       f"{listing.name}")
-    fields = [read_field(p, cfg.grid) for p, _ in snapshots]
-    try:
-        csv_path = _write_diagnostics(out_dir / "analysis.csv", fields)
-    except ValueError as exc:  # RunDiagnostics refuses z out of order
-        raise ConfigurationError([f"{listing}: {exc}"]) from None
-    profile_path = write_profile_csv(out_dir / "profile.csv", fields[-1])
-    print(f"analyzed {len(fields)} snapshots; "
+        fld = read_field(path, cfg.grid)
+        try:
+            diagnostics.append(diagnose(fld))
+        except ValueError as exc:  # RunDiagnostics refuses z out of order
+            raise ConfigurationError([f"{listing}: {exc}"]) from None
+    csv_path = write_diagnostics_csv(out_dir / "analysis.csv",
+                                     diagnostics.records)
+    profile_path = write_profile_csv(out_dir / "profile.csv", fld)
+    print(f"analyzed {len(snapshots)} snapshots; "
           f"wrote {csv_path} and {profile_path}")
     return [csv_path, profile_path]
 

@@ -38,10 +38,11 @@ def write_field(path: str | Path, field: ComplexField2D) -> Path:
     header = SNAPSHOT_MAGIC + struct.pack(
         "<IQQdd", SNAPSHOT_VERSION, field.grid.nx, field.grid.ny,
         field.grid.extent, field.z)
+    # a view of the field's own buffer wherever it is already "<c16"
     data = np.ascontiguousarray(field.values, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data.data)
     return path
 
 
@@ -53,26 +54,32 @@ def read_field(path: str | Path, grid_template: GridSpec | None = None) -> Compl
     stored in the snapshot) and default to placeholders otherwise.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic {raw[:4]!r}")
-    if len(raw) < 40:
-        raise SnapshotFormatError(f"{path}: header cut short at {len(raw)} "
-                                  "bytes")
-    version, nx, ny, extent, z = struct.unpack("<IQQdd", raw[4:4 + 36])
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported version {version}")
-    expected = 4 + 36 + 16 * nx * ny
-    if len(raw) != expected:
-        raise SnapshotFormatError(
-            f"{path}: size {len(raw)} does not match header ({expected})")
-    values = np.frombuffer(raw[40:], dtype="<c16").reshape(nx, ny)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(40)
+        if header[:4] != SNAPSHOT_MAGIC:
+            raise SnapshotFormatError(f"{path}: bad magic {header[:4]!r}")
+        if size < 40:
+            raise SnapshotFormatError(f"{path}: header cut short at {size} "
+                                      "bytes")
+        version, nx, ny, extent, z = struct.unpack("<IQQdd", header[4:])
+        if version != SNAPSHOT_VERSION:
+            raise SnapshotFormatError(f"{path}: unsupported version "
+                                      f"{version}")
+        expected = 4 + 36 + 16 * nx * ny
+        if size != expected:
+            raise SnapshotFormatError(
+                f"{path}: size {size} does not match header ({expected})")
+        # the samples are read straight into the field's one array
+        values = np.empty((nx, ny), dtype="<c16")
+        if fh.readinto(values) != values.nbytes:
+            raise SnapshotFormatError(f"{path}: cut short while reading")
     if grid_template is not None:
         grid = GridSpec(nx=nx, ny=ny, extent=extent,
                         dz=grid_template.dz, cell_length=grid_template.cell_length)
     else:
         grid = GridSpec(nx=nx, ny=ny, extent=extent, dz=1.0, cell_length=1.0)
-    return ComplexField2D(values.copy(), grid, z)
+    return ComplexField2D(values, grid, z)
 
 
 def write_diagnostics_csv(path: str | Path, records) -> Path:

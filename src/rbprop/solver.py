@@ -12,7 +12,11 @@ one medium RK4 sub-flow with four chi lookups.  Stage 1 of the sub-flow looks
 chi up on the whole grid.  A point where |2 pi k dz chi| <= eps / 4 keeps its
 value, which is within ~eps/4 |g| of its full RK4 update.  Where at least a
 tenth of the grid keeps its value, the last three stages run on the other
-points alone, gathered once (``_medium_subflow``).
+points alone, gathered once (``_medium_subflow``).  The sub-step runs in
+arrays the run owns: both diffractions and the sub-flow write into the
+field's own array, and the control intensity and the sub-flow's arrays
+(``_SubflowWork``) are made once per run, so a sub-step allocates little
+more than its lookups' temporaries.
 
 With the control off chi is identically zero and the medium sub-flow is the
 identity, so the split-step chain collapses to diffraction alone, and
@@ -61,24 +65,24 @@ class StepPlan:
     grid: GridSpec
     order: int = 2
     _phase_cache: dict = field(default_factory=dict, repr=False)
-    _k2: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.order not in (2, 4):
             raise ValueError("splitting order must be 2 or 4")
-        kx, ky = self.grid.spatial_frequencies()
-        self._k2 = kx[:, None] ** 2 + ky[None, :] ** 2
 
     @property
     def dz(self) -> float:
         return self.grid.dz
 
     def diffraction_phase(self, distance: float, k: float) -> np.ndarray:
-        """exp(-i (kx^2 + ky^2) d / (2 k)), cached per distance."""
+        """exp(-i (kx^2 + ky^2) d / (2 k)), cached per distance (the grid's
+        kx^2 + ky^2 is formed for each new one, not kept)."""
         key = (round(distance, 15), round(k, 6))
         phase = self._phase_cache.get(key)
         if phase is None:
-            phase = np.exp(-1j * self._k2 * distance / (2.0 * k))
+            kx, ky = self.grid.spatial_frequencies()
+            k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+            phase = np.exp(-1j * k2 * distance / (2.0 * k))
             self._phase_cache[key] = phase
         return phase
 
@@ -90,18 +94,22 @@ class StepPlan:
 
 
 def diffraction_step(field: ComplexField2D, distance: float, k: float,
-                     plan: StepPlan | None = None) -> ComplexField2D:
+                     plan: StepPlan | None = None,
+                     out: np.ndarray | None = None) -> ComplexField2D:
     """Exact free-space paraxial propagation over ``distance``.
 
     Each spatial-frequency component is multiplied by
     exp(-i (kx^2 + ky^2) c d / (2 omega)) = exp(-i k_perp^2 d / (2 k)),
-    with periodic boundaries from the discrete transform.
+    with periodic boundaries from the discrete transform.  The result is
+    written into ``out``, a complex array of the field's shape, when given
+    (``field.values`` itself steps the field in place, with the same bits);
+    otherwise into a new array.
     """
     if plan is None:
         plan = StepPlan(field.grid)
     # one axis at a time into one array: at 256^2 this measured faster than
     # np.fft.fft2 (README, Numerical notes)
-    spectrum = np.fft.fft(field.values, axis=1)
+    spectrum = np.fft.fft(field.values, axis=1, out=out)
     np.fft.fft(spectrum, axis=0, out=spectrum)
     spectrum *= plan.diffraction_phase(distance, k)
     np.fft.ifft(spectrum, axis=0, out=spectrum)
@@ -111,6 +119,13 @@ def diffraction_step(field: ComplexField2D, distance: float, k: float,
 
 @dataclass
 class PropagationResult:
+    """The field at the cell end and the steps at which snapshots were taken.
+
+    ``snapshots`` holds a copy of each snapshot when ``propagate`` collected
+    them (no ``on_snapshot`` given), and is empty when it handed them to a
+    callback.
+    """
+
     field: ComplexField2D
     snapshots: list[ComplexField2D]
     snapshot_steps: list[int]
@@ -129,9 +144,37 @@ RK4_STABLE_INCREMENT = 2.5
 GATHER_MIN_SKIPPED = 0.1
 
 
+class _SubflowWork:
+    """The arrays of one medium sub-flow, reused from call to call.
+
+    Stage 1 uses ``g2`` for |g|^2 and then |2 pi k dz chi|, ``chi`` and
+    ``mask`` on the whole grid.  Stages 2-4 use the leading part of each
+    array, as long as the points they step: the gathered field ``start``,
+    the running RK4 sum ``total``, the stage value ``v`` and slope ``r``,
+    their |g|^2 in ``g2`` and chi in ``chi``.  Each |g|^2 is formed with
+    the real parts of ``chi`` as scratch, before the lookup fills it.  Pages
+    that are never written are never resident, so the gathered stages cost
+    memory for the live points only.
+    """
+
+    def __init__(self, size: int):
+        self.g2 = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
+        self.chi, self.start, self.total, self.v, self.r = (
+            np.empty(size, dtype=complex) for _ in range(5))
+
+
+def _abs2(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """v.real * v.real + v.imag * v.imag, with its roundings, into out."""
+    np.multiply(v.real, v.real, out=out)
+    np.multiply(v.imag, v.imag, out=scratch)
+    return np.add(out, scratch, out=out)
+
+
 def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
-                    distance: float, k: float) -> np.ndarray:
-    """Fourth-order step of dg/dz = 2 i pi k chi(|G|^2, |g|^2) g.
+                    distance: float, k: float,
+                    work: _SubflowWork | None = None) -> np.ndarray:
+    """Fourth-order step of dg/dz = 2 i pi k chi(|G|^2, |g|^2) g, in place.
 
     The susceptibility follows the instantaneous probe intensity, so the
     medium sub-flow is a pointwise nonlinear ODE; a classical RK4 stage keeps
@@ -139,65 +182,96 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
     order of the composed scheme.  For intensity-independent chi this reduces
     to the exponential factor to machine accuracy at practical step sizes.
 
-    ``lookup(G2, g2)`` returns chi at control intensities ``G2`` (entries of
-    ``control_I``, which has the shape of ``values``) and probe intensities
-    ``g2``; its result is only read, whatever its dtype.  Stage 1 looks up
-    chi on the whole grid.  A finite |2 pi k distance chi| above
-    RK4_STABLE_INCREMENT anywhere is a ValueError: the update would grow
-    without bound.  A point where |2 pi k distance chi| <=
-    SKIP_INCREMENT = eps / 4 keeps its value, which is within ~eps/4 |v| of
-    its full RK4 update.  The other points, NaN and inf chi included, are
-    live.  When at least GATHER_MIN_SKIPPED of the grid keeps its value, the
-    live points are gathered once and stages 2-4 run on them alone, each
-    lookup taking the control and probe intensities at those points.
-    Otherwise stages 2-4 run on the whole grid and the kept points are
-    written back, because there the gather and scatter would cost more than
-    the lookups they save.  Every call makes four lookups and returns a new
-    array.
+    ``lookup(G2, g2, out=None)`` returns chi at control intensities ``G2``
+    (entries of ``control_I``, which has the shape of ``values``) and probe
+    intensities ``g2``, written into ``out`` if it chooses; its result is
+    only read, whatever its dtype.  Stage 1 looks up chi on the whole grid.
+    A finite |2 pi k distance chi| above RK4_STABLE_INCREMENT anywhere is a
+    ValueError: the update would grow without bound.  A point where
+    |2 pi k distance chi| <= SKIP_INCREMENT = eps / 4 keeps its value, which
+    is within ~eps/4 |v| of its full RK4 update.  The other points, NaN and
+    inf chi included, are live.  When at least GATHER_MIN_SKIPPED of the
+    grid keeps its value, the live points are gathered once and stages 2-4
+    run on them alone, each lookup taking the control and probe intensities
+    at those points.  Otherwise stages 2-4 run on the whole grid, because
+    there the gather and scatter would cost more than the lookups they save.
+    Every call makes four lookups and then writes the live points' update
+    into ``values`` (a complex array), which it returns; a
+    ValueError leaves ``values`` as it was, and the kept points are never
+    written.  ``work`` holds the arrays the call steps in, made for this
+    call when not given.
     """
+    if work is None:
+        work = _SubflowWork(values.size)
     weight = 2j * np.pi * k * distance
     G2, start = control_I.ravel(), values.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        chi = lookup(G2, start.real * start.real + start.imag * start.imag)
-        increment = np.abs(chi) * abs(weight)
+        # complex, so that it gathers into a complex array whatever the
+        # lookup's dtype
+        chi = np.asarray(lookup(G2, _abs2(start, work.g2, work.chi.real),
+                                out=work.chi), dtype=complex)
+        increment = np.abs(chi, out=work.g2)
+        increment *= abs(weight)
         # NaN and inf increments are left to the caller's non-finite check
-        peak = np.max(increment, where=increment < np.inf, initial=0.0)
+        peak = np.max(increment, initial=0.0,
+                      where=np.less(increment, np.inf, out=work.mask))
         if peak > RK4_STABLE_INCREMENT:
             raise ValueError(
                 f"|2 pi k dz chi| = {peak:.6g} is above RK4's stability "
                 f"bound {RK4_STABLE_INCREMENT:g}")
         # NaN and inf chi compare false, so they stay live
-        kept = increment <= SKIP_INCREMENT
-        n_kept = np.count_nonzero(kept)
-        gather = n_kept >= GATHER_MIN_SKIPPED * start.size
+        kept = np.less_equal(increment, SKIP_INCREMENT, out=work.mask)
+        gather = np.count_nonzero(kept) >= GATHER_MIN_SKIPPED * start.size
+        live = np.logical_not(kept, out=kept)
         if gather:
-            live = np.flatnonzero(~kept)
-            G2, chi, start = G2[live], chi[live], start[live]
+            live = np.flatnonzero(live)
+            n = live.size
+            G2 = G2[live]
+            # the indices are in range: "clip" only spares take's buffered
+            # copy into out
+            start = start.take(live, out=work.start[:n], mode="clip")
+            chi = chi.take(live, out=work.total[:n], mode="clip")
+        n = start.size
+        g2, chi_n = work.g2[:n], work.chi[:n]
 
-        def rate(v):
-            return lookup(G2, v.real * v.real + v.imag * v.imag) * v
+        def rate(v, out):
+            """chi(|v|^2) v into out."""
+            return np.multiply(lookup(G2, _abs2(v, g2, chi_n.real),
+                                      out=chi_n), v, out=out)
 
-        # r1..r4 are the RK4 slopes without their common factor 2 i pi k
-        r1 = chi * start
-        r2 = rate(start + 0.5 * weight * r1)
-        r3 = rate(start + 0.5 * weight * r2)
-        r4 = rate(start + weight * r3)
-        stepped = start + weight / 6.0 * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        # the slopes r1..r4 lack their common factor 2 i pi k; total sums
+        # r1 + 2 r2 + 2 r3 + r4 in that order as they come, and each stage
+        # value v = start + c r is formed as c r, then start added
+        total = np.multiply(chi, start, out=work.total[:n])
+        v = np.multiply(0.5 * weight, total, out=work.v[:n])
+        v += start
+        r = rate(v, work.r[:n])
+        np.multiply(0.5 * weight, r, out=v)
+        v += start
+        r *= 2.0
+        total += r
+        rate(v, r)
+        np.multiply(weight, r, out=v)
+        v += start
+        r *= 2.0
+        total += r
+        total += rate(v, r)
+        total *= weight / 6.0
+        total += start
     if gather:
-        out = values.copy()
-        out.ravel()[live] = stepped
+        np.put(values, live, total)
     else:
-        out = stepped.reshape(values.shape)
-        if n_kept:
-            np.copyto(out, values, where=kept.reshape(values.shape))
-    return out
+        np.copyto(values, total.reshape(values.shape),
+                  where=live.reshape(values.shape))
+    return values
 
 
 def propagate(probe: ComplexField2D, control: ControlBeamSpec,
               params: PhysicalParams, grid: GridSpec, plan: StepPlan,
               snapshot_every: int = 100,
               use_table: bool = True,
-              table_target_error: float = 1.0e-4) -> PropagationResult:
+              table_target_error: float = 1.0e-4,
+              on_snapshot=None) -> PropagationResult:
     """March the probe from z = 0 to z = cell_length.
 
     Per step: half diffraction, one medium sub-flow with the control field
@@ -225,6 +299,17 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     times dz, and checks its end as a step end.  An input probe whose peak
     |g|^2 is not finite (an inf or NaN value, or an amplitude whose square
     overflows) is a NumericsError at z = 0, whatever the run.
+
+    The run steps one array of its own in place (the probe is copied once),
+    and a lit run reuses one control-intensity buffer and one
+    ``_SubflowWork``, so its memory is the same whatever its snapshot
+    count.  A snapshot is taken at z = 0 (after the table is built, so a
+    refusal at z = 0 takes none), every ``snapshot_every`` steps and at the
+    cell end: ``on_snapshot(step, field)`` is called with the run's own
+    field, which is valid until the call returns; keep a copy to hold it.
+    Without a callback each snapshot's copy is collected into
+    ``result.snapshots``.  A NumericsError met later leaves the snapshots
+    already handed over as they are.
     """
     k = params.wavenumber
     dz = grid.dz
@@ -249,14 +334,22 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         lookup = build_chi_table(G2_max, g2_max, params,
                                  target_error=table_target_error)
     else:
-        def lookup(G2, g2):
-            return chi_doppler_averaged(FieldPoint(g2, G2), params)
+        def lookup(G2, g2, out=None):
+            return chi_doppler_averaged(FieldPoint(g2, G2), params, out=out)
+
+    snapshots = []
+    if on_snapshot is None:
+        def on_snapshot(step, snap):
+            snapshots.append(snap.copy())
 
     field = probe.copy()
     field.z = 0.0
-    snapshots = [field.copy()]
+    on_snapshot(0, field)
     snapshot_steps = [0]
     interval_start = 0  # first step of the dark run's pending diffraction
+    if not dark:
+        control_I = np.empty(field.values.shape)
+        work = _SubflowWork(field.values.size)
 
     for step in range(n_steps):
         snapshot = (step + 1) % snapshot_every == 0 or step == n_steps - 1
@@ -266,26 +359,28 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
             # phases compose exactly: one transform pair spans the interval,
             # a step count times dz, so that equal intervals share a phase
             field = diffraction_step(field, (step + 1 - interval_start) * dz,
-                                     k, plan)
+                                     k, plan, out=field.values)
             interval_start = step + 1
         else:
             z0 = step * dz
             for frac in plan.substeps():
                 sub = frac * dz
                 z_mid = z0 + 0.5 * sub
-                field = diffraction_step(field, 0.5 * sub, k, plan)
-                control_I = control_intensity(control, grid, z_mid)
+                field = diffraction_step(field, 0.5 * sub, k, plan,
+                                         out=field.values)
+                control_I = control_intensity(control, grid, z_mid,
+                                              out=control_I)
                 try:
-                    stepped = _medium_subflow(field.values, control_I, lookup,
-                                              sub, k)
+                    _medium_subflow(field.values, control_I, lookup, sub, k,
+                                    work=work)
                 except ValueError as exc:
                     # the table rejects queries beyond its range, the
                     # sub-flow a step past RK4's stability bound
                     raise NumericsError(
                         z_mid, f"medium step failed in step {step + 1} at "
                         f"z = {z_mid:.6g} cm ({exc})") from exc
-                field = ComplexField2D(stepped, field.grid, field.z)
-                field = diffraction_step(field, 0.5 * sub, k, plan)
+                field = diffraction_step(field, 0.5 * sub, k, plan,
+                                         out=field.values)
                 z0 += sub
         field.z = (step + 1) * dz
         if not np.all(np.isfinite(field.values)):
@@ -293,7 +388,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                 field.z, f"non-finite field values in step {step + 1} at "
                 f"z = {field.z:.6g} cm")
         if snapshot:
-            snapshots.append(field.copy())
+            on_snapshot(step + 1, field)
             snapshot_steps.append(step + 1)
 
     return PropagationResult(field=field, snapshots=snapshots,

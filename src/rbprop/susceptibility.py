@@ -31,8 +31,9 @@ from .params import PhysicalParams, prefactor_over_gamma
 
 # points per evaluation block of the velocity average: an average over any
 # number of points holds its complex output plus one block's work (~160
-# bytes a point, ~10 MiB at this size)
-AVERAGE_BLOCK = 65_536
+# bytes a point, ~2.5 MiB at this size).  A guided-size table builds as fast
+# as with 65,536-point blocks and ~25% slower with 4096-point ones.
+AVERAGE_BLOCK = 16_384
 
 # terms of Weideman's expansion of the Faddeeva function (within 1.8e-14
 # relative of the tests' reference w for |Re z| <= 1e3, 1e-3 <= Im z <= 1e3)
@@ -283,7 +284,8 @@ def _maxwell_average(coeffs, doppler_width: float) -> np.ndarray:
         return np.where(d2 == 0.0, n0 / d0, avg)
 
 
-def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams):
+def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
+                         out=None):
     """Thermally averaged susceptibility <chi(delta_p - kv, delta_c - kv)>_v.
 
     Both one-photon detunings shift by the same kv (equal wavenumbers,
@@ -297,12 +299,15 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams):
     AVERAGE_BLOCK points each unless one slab is larger.  Each block is
     written into the one output array, which is then scaled in place, so
     memory beyond the output is one block's work however many points there
-    are; broadcast inputs are never expanded past one block.
+    are; broadcast inputs are never expanded past one block.  The output of
+    array-valued points is ``out``, a C-contiguous complex array of their
+    broadcast shape, when it is given.
     """
     g2 = np.asarray(point.g_abs2, dtype=float)
     G2 = np.asarray(point.G_abs2, dtype=float)
     shape = np.broadcast_shapes(g2.shape, G2.shape)
-    out = np.empty(shape or (1,), dtype=complex)
+    if out is None:
+        out = np.empty(shape or (1,), dtype=complex)
     g2 = np.broadcast_to(g2, out.shape)
     G2 = np.broadcast_to(G2, out.shape)
     slab = max(1, out[:1].size)  # points in one slab along the first axis
@@ -416,7 +421,7 @@ class ChiTable:
     # a query a few permille past the field it starts from)
     OVERSHOOT = 0.05
 
-    def __call__(self, G_abs2, g_abs2):
+    def __call__(self, G_abs2, g_abs2, out=None):
         """Interpolated averaged chi; clamps below the node floors.
 
         Below both node floors the clamped weights vanish (tG = tg = 0) and
@@ -424,7 +429,9 @@ class ChiTable:
         remaining queries are interpolated.  In a guided run that is a few
         percent of the grid: the probe's tail and the control's dark core
         and outer region sit under the floors.  A NaN query is never below
-        a floor, so it is interpolated and returns NaN.
+        a floor, so it is interpolated and returns NaN.  Array queries are
+        written into ``out``, a C-contiguous complex array of their broadcast
+        shape, when it is given.
         """
         G2q = np.asarray(G_abs2, dtype=float)
         g2q = np.asarray(g_abs2, dtype=float)
@@ -436,7 +443,8 @@ class ChiTable:
                                  f"above the table top {nodes[-1]:.6g}")
         G2q = np.broadcast_to(G2q, shape).ravel()
         g2q = np.broadcast_to(g2q, shape).ravel()
-        out = G2q * self._h[0, 0]
+        out = np.multiply(G2q, self._h[0, 0],
+                          out=None if out is None else out.reshape(-1))
         # written as "not below both floors" so NaN queries interpolate too
         live = np.flatnonzero(~((G2q <= self._G2[0]) & (g2q <= self._g2[0])))
         out[live] = self._interpolate(G2q.take(live), g2q.take(live))
@@ -525,7 +533,7 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     same way from its own midpoint errors and verified again; the missed
     table is released first.  Every fill and midpoint measurement works in
     blocks of at most AVERAGE_BLOCK points, so the build holds at most one
-    table plus one block of work: ~10 MiB for a fill, ~15 MiB for a midpoint
+    table plus one block of work: ~2.5 MiB for a fill, ~4 MiB for a midpoint
     measurement, which also looks its block up.  Raises
     ChiTableError if the |G|^2 top is not in (0, inf) or the |g|^2 top is
     not finite (a control-off run builds no table), or if the resized table

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rbprop.cli as cli
+import rbprop.solver as solver
 from rbprop.cli import main
 from rbprop.fieldio import RunManifest, read_field, sha256_of, write_field
 
@@ -301,6 +303,62 @@ def test_numerical_failure_exit_code(tiny_config, tmp_path, capsys):
     rc = main(["propagate", "--config", str(cfg), "--out", str(tmp_path / "z")])
     assert rc == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_no_manifest_of_an_earlier_one(tiny_config,
+                                                         tmp_path, capsys):
+    # snapshots are written as they are taken: a run that fails mid-way
+    # keeps those it wrote, and an earlier run's manifest would list files
+    # since overwritten
+    out_dir = tmp_path / "z"
+    assert main(["propagate", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 0
+    assert (out_dir / "manifest.json").exists()
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(tiny_config.read_text().replace(
+        "density_cm3 = 1.0e12", "density_cm3 = 1.0e300"))
+    capsys.readouterr()
+    assert main(["propagate", "--config", str(cfg),
+                 "--out", str(out_dir)]) == 2
+    assert "in step 1 at z = 0.005 cm" in capsys.readouterr().err
+    assert read_field(out_dir / "field_step00.rbpf").z == 0.0
+    assert not (out_dir / "manifest.json").exists()
+    assert main(["analyze", "--config", str(cfg),
+                 "--out", str(out_dir)]) == 1
+    assert "no manifest.json" in capsys.readouterr().err
+
+
+def test_propagate_memory_does_not_grow_with_the_snapshot_count(
+        tiny_config, tmp_path, monkeypatch, capsys):
+    # tracemalloc sees numpy's array buffers; the peak is taken from the end
+    # of the table build, which outweighs the stepping on this grid
+    build = solver.build_chi_table
+
+    def build_then_reset_peak(*args, **kwargs):
+        table = build(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return table
+
+    monkeypatch.setattr(solver, "build_chi_table", build_then_reset_peak)
+
+    def stepping_peak(every, name):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(tiny_config.read_text().replace(
+            "snapshot_every = 5", f"snapshot_every = {every}"))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["propagate", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    stepping_peak(10, "warm-up")  # fills the per-grid caches
+    every_step = stepping_peak(1, "every-step")  # 11 snapshots
+    two = stepping_peak(10, "ends-only")  # 2 snapshots
+    field_bytes = 64 * 64 * 16
+    assert every_step - two < field_bytes + 64 * 1024
 
 
 INPUT_PROBE_NOT_FINITE = ("numerical failure: input probe peak |g|^2 = {} "

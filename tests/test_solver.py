@@ -93,6 +93,17 @@ class TestDiffraction:
         np.testing.assert_array_equal(f.values, before)
         assert out.z == pytest.approx(0.95, rel=1e-15)
 
+    def test_steps_in_place_into_out(self):
+        grid = GridSpec(nx=64, ny=64, extent=0.12)
+        f = gaussian_field(grid)
+        plan = StepPlan(grid)
+        expect = diffraction_step(f, 0.3, K, plan)
+        values = f.values
+        got = diffraction_step(f, 0.3, K, plan, out=f.values)
+        assert got.values is values
+        assert got.z == expect.z
+        np.testing.assert_array_equal(got.values, expect.values)
+
     def test_gaussian_spreading_law(self):
         grid = GridSpec(nx=256, ny=256, extent=0.24)
         w0 = 48e-4
@@ -172,7 +183,7 @@ class TestMediumSubflow:
                                 0.01, K)
         # the medium moves the field by a few percent of itself here
         assert np.linalg.norm(expect - values) > 1e-3 * np.linalg.norm(values)
-        got = _medium_subflow(values, control_I, table, 0.01, K)
+        got = _medium_subflow(values.copy(), control_I, table, 0.01, K)
         # the two differ only in the order of float64 roundoff
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
 
@@ -189,11 +200,12 @@ class TestMediumSubflow:
                             0.0 if gather else 1.0)
         sizes = []
 
-        def lookup(G2, g2):
+        def lookup(G2, g2, out=None):
             sizes.append(g2.size)
-            return table(G2, g2)
+            return table(G2, g2, out=out)
 
-        got = _medium_subflow(values, control_I, lookup, 0.01, K)
+        # the sub-flow steps its input in place; it gets a copy
+        got = _medium_subflow(values.copy(), control_I, lookup, 0.01, K)
         # stage 1 on the whole grid, stages 2-4 on the live points alone
         # or on the whole grid again
         live = int(np.count_nonzero(~skipped)) if gather else values.size
@@ -215,11 +227,11 @@ class TestMediumSubflow:
                            (least, values.size - least)):
             sizes = []
 
-            def lookup(G2, g2, cut=cut):
+            def lookup(G2, g2, out=None, cut=cut):
                 sizes.append(g2.size)
                 return np.where(G2 < cut, 0.0, 1e-6)
 
-            got = _medium_subflow(values, order, lookup, 0.01, K)
+            got = _medium_subflow(values.copy(), order, lookup, 0.01, K)
             assert sizes == [values.size] + [later] * 3
             kept = order < cut
             np.testing.assert_array_equal(got[kept], values[kept])
@@ -231,7 +243,8 @@ class TestMediumSubflow:
         before = cached.copy()
         # the cached chi stands in for the control intensity, so each
         # lookup returns it at the points it is asked for
-        got = _medium_subflow(values, cached, lambda chi, g2: chi, 0.01, K)
+        got = _medium_subflow(values.copy(), cached,
+                              lambda chi, g2, out=None: chi, 0.01, K)
         np.testing.assert_array_equal(cached, before)
         np.testing.assert_allclose(
             got, allocating_rk4(values, lambda g2: before, 0.01, K),
@@ -239,17 +252,17 @@ class TestMediumSubflow:
 
     def test_non_finite_points_stay_live_without_warnings(self, lit_medium):
         values, control_I, table = lit_medium
-        clean = _medium_subflow(values, control_I, table, 0.01, K)
+        clean = _medium_subflow(values.copy(), control_I, table, 0.01, K)
         bad = values.copy()
         bad[3, 3] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _medium_subflow(bad, control_I, table, 0.01, K)
+            got = _medium_subflow(bad.copy(), control_I, table, 0.01, K)
             # a NaN or infinite chi where a zero one would be skipped
             bad_chi = [_medium_subflow(
-                values, control_I,
-                lambda G2, g2: np.where(G2 == G2.max(), chi, 0.0), 0.01, K)
-                for chi in (np.nan, np.inf)]
+                values.copy(), control_I,
+                lambda G2, g2, out=None: np.where(G2 == G2.max(), chi, 0.0),
+                0.01, K) for chi in (np.nan, np.inf)]
         assert np.isnan(got[3, 3])
         got[3, 3] = clean[3, 3]
         np.testing.assert_array_equal(got, clean)
@@ -262,8 +275,9 @@ class TestMediumSubflow:
         grid = GridSpec(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)
         chi0 = (2.0 + 1.0j) * 1e-6
-        got = _medium_subflow(f.values, np.ones(f.values.shape),
-                              lambda G2, g2: np.full(g2.shape, chi0), 0.01, K)
+        got = _medium_subflow(f.values.copy(), np.ones(f.values.shape),
+                              lambda G2, g2, out=None: np.full(g2.shape, chi0),
+                              0.01, K)
         expect = f.values * np.exp(2j * np.pi * K * chi0 * 0.01)
         # classical RK4 on the linear flow: local error (2 pi k chi d)^5 / 120
         np.testing.assert_allclose(got, expect, rtol=1e-10)
@@ -284,9 +298,9 @@ class TestMediumSubflow:
         index = np.arange(chi.size, dtype=float).reshape(chi.shape)
 
         def run():
-            return _medium_subflow(f.values, index,
-                                   lambda G2, g2: chi.ravel()[G2.astype(int)],
-                                   0.01, K)
+            return _medium_subflow(
+                f.values, index,
+                lambda G2, g2, out=None: chi.ravel()[G2.astype(int)], 0.01, K)
         if refused:
             with pytest.raises(ValueError, match=r"\|2 pi k dz chi\| = 2\.6 "
                                r"is above RK4's stability bound 2\.5"):
@@ -297,8 +311,12 @@ class TestMediumSubflow:
     def test_zero_chi_is_exact_identity(self):
         grid = GridSpec(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)
-        got = _medium_subflow(f.values, np.ones(f.values.shape),
-                              lambda G2, g2: np.zeros_like(g2), 0.01, K)
+        values = f.values.copy()
+        got = _medium_subflow(values, np.ones(f.values.shape),
+                              lambda G2, g2, out=None: np.zeros_like(g2),
+                              0.01, K)
+        # the sub-flow returns its input, stepped in place
+        assert got is values
         assert got is not f.values
         np.testing.assert_array_equal(got, f.values)
 
@@ -345,9 +363,9 @@ class TestPropagate:
         calls = []
         diffraction = solver.diffraction_step
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args[1])
-            return diffraction(*args)
+            return diffraction(*args, **kwargs)
 
         monkeypatch.setattr(solver, "diffraction_step", counting)
         plan = StepPlan(grid)
@@ -410,6 +428,36 @@ class TestPropagate:
             assert not any(np.array_equal(a, b)
                            for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("control, order, use_table", [
+        (ControlBeamSpec(waist_position_z0=0.1), 2, True),
+        (ControlBeamSpec(waist_position_z0=0.1), 4, True),
+        (ControlBeamSpec(waist_position_z0=0.1), 2, False),
+        (ControlBeamSpec(G0=0.0), 2, True),
+    ], ids=["lit order 2", "lit order 4", "direct average", "dark"])
+    def test_on_snapshot_sees_the_collected_snapshots(self, control, order,
+                                                      use_table):
+        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
+        probe = gaussian_field(grid)
+
+        def run(**kwargs):
+            return propagate(probe, control, PARAMS, grid,
+                             StepPlan(grid, order=order), snapshot_every=3,
+                             use_table=use_table, **kwargs)
+
+        collected = run()
+        handed = []
+        # the field handed over is the run's own, so the callback copies it
+        streamed = run(on_snapshot=lambda step, snap: handed.append(
+            (step, snap.copy())))
+        assert streamed.snapshots == []
+        assert [step for step, _ in handed] == streamed.snapshot_steps \
+            == collected.snapshot_steps == [0, 3, 6, 9, 10]
+        for (_, snap), kept in zip(handed, collected.snapshots):
+            assert snap.z == kept.z
+            np.testing.assert_array_equal(snap.values, kept.values)
+        np.testing.assert_array_equal(streamed.field.values,
+                                      collected.field.values)
+
     def test_non_finite_fields_abort_with_z(self):
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
         bad = gaussian_field(grid)
@@ -423,8 +471,8 @@ class TestPropagate:
     def test_non_finite_lit_field_aborts_with_z(self, monkeypatch):
         # a NaN control intensity at one point makes chi, and so the field,
         # NaN there during step 1; its first diffraction spreads it
-        def one_nan(*args):
-            control_I = control_intensity(*args)
+        def one_nan(*args, **kwargs):
+            control_I = control_intensity(*args, **kwargs)
             control_I[3, 3] = np.nan
             return control_I
 
@@ -451,9 +499,9 @@ class TestPropagate:
         sizes = []
         lookup = ChiTable.__call__
 
-        def recording(table, G2, g2):
+        def recording(table, G2, g2, **kwargs):
             sizes.append(np.size(g2))
-            return lookup(table, G2, g2)
+            return lookup(table, G2, g2, **kwargs)
 
         monkeypatch.setattr(ChiTable, "__call__", recording)
         grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.3, cell_length=0.3)
@@ -476,14 +524,14 @@ class TestPropagate:
         per_subflow = []
         subflow, lookup = solver._medium_subflow, ChiTable.__call__
 
-        def counting_subflow(*args):
+        def counting_subflow(*args, **kwargs):
             per_subflow.append(0)
-            return subflow(*args)
+            return subflow(*args, **kwargs)
 
-        def counting_lookup(table, G2, g2):
+        def counting_lookup(table, G2, g2, **kwargs):
             if per_subflow:
                 per_subflow[-1] += 1
-            return lookup(table, G2, g2)
+            return lookup(table, G2, g2, **kwargs)
 
         monkeypatch.setattr(solver, "_medium_subflow", counting_subflow)
         monkeypatch.setattr(ChiTable, "__call__", counting_lookup)
@@ -569,9 +617,10 @@ def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
         X, Y = grid.mesh()
         r2 = X**2 + Y**2
         monkeypatch.setattr(solver, "control_intensity",
-                            lambda spec, on_grid, z: r2)
+                            lambda spec, on_grid, z, out=None: r2)
         monkeypatch.setattr(solver, "build_chi_table",
-                            lambda *args, **kwargs: lambda G2, g2: alpha * G2)
+                            lambda *args, **kwargs:
+                        lambda G2, g2, out=None: alpha * G2)
         probe = gaussian_field(grid, w=w0, g0=1.0)
         res = propagate(probe, ControlBeamSpec(), PARAMS, grid,
                         StepPlan(grid), snapshot_every=round(0.25 / dz))
@@ -610,9 +659,10 @@ def test_duct_past_the_rk4_stability_bound_is_refused(monkeypatch):
     X, Y = grid.mesh()
     r2 = X**2 + Y**2
     monkeypatch.setattr(solver, "control_intensity",
-                        lambda spec, on_grid, z: r2)
+                        lambda spec, on_grid, z, out=None: r2)
     monkeypatch.setattr(solver, "build_chi_table",
-                        lambda *args, **kwargs: lambda G2, g2: alpha * G2)
+                        lambda *args, **kwargs:
+                        lambda G2, g2, out=None: alpha * G2)
     with pytest.raises(NumericsError, match=r"step 1 at z = 0\.025 cm "
                        r"\(\|2 pi k dz chi\| = 6\.90\d* is above RK4's "
                        r"stability bound 2\.5\)") as err:

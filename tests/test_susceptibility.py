@@ -168,9 +168,18 @@ class TestExactAverage:
         G2 = rng.uniform(0.0, 0.2, 70_000)
         G2[::7] = 0.0
         vec = chi_doppler_averaged(FieldPoint(g2, G2), REF)
-        for i in (0, 7, 65_535, 65_536, 69_999):
+        for i in (0, 7, 16_383, 16_384, 65_535, 65_536, 69_999):
             assert vec[i] == pytest.approx(chi_doppler_averaged(
                 FieldPoint(float(g2[i]), float(G2[i])), REF), rel=1e-15)
+
+    def test_average_into_out_gives_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        g2 = rng.uniform(0.0, 0.4, (3, 50))
+        G2 = rng.uniform(0.0, 0.2, (3, 50))
+        out = np.full(G2.shape, np.nan, dtype=complex)
+        got = chi_doppler_averaged(FieldPoint(g2, G2), REF, out=out)
+        assert got is out
+        assert same_bits(out, chi_doppler_averaged(FieldPoint(g2, G2), REF))
 
     def test_broadcast_inputs_give_the_meshgrid_bits(self, monkeypatch):
         # blocks of three rows, the last one partial (37 = 12 x 3 + 1); the
@@ -352,6 +361,13 @@ class TestChiTable:
         got = table(G2, g2)
         assert got.shape == (48, 100)
         assert np.array_equal(got, reference_bilinear(table, G2, g2))
+
+    def test_lookup_into_out_gives_the_same_bits(self, table):
+        G2, g2 = lookup_queries(table)
+        out = np.full(G2.shape, np.nan, dtype=complex)
+        got = table(G2, g2, out=out)
+        assert np.shares_memory(got, out)
+        assert same_bits(out, table(G2, g2))
 
     def test_scalar_queries_return_complex(self, table):
         G2, g2 = lookup_queries(table, n=3, seed=4)
