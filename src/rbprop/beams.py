@@ -119,9 +119,9 @@ def control_field(spec: ControlBeamSpec, x, y, z: float):
 @functools.lru_cache(maxsize=8)
 def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Read-only X of shape (nx, 1) and Y of shape (1, ny), computed once
-    per GridSpec: ``grid.mesh()`` as broadcasting views, so an expression in
-    X and Y gives the full mesh's values and the mesh itself holds only the
-    two axes."""
+    per GridSpec: the "ij" meshgrid of ``grid.axes()`` as broadcasting
+    views, so an expression in X and Y gives the full mesh's values and the
+    mesh itself holds only the two axes."""
     X, Y = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
     X.flags.writeable = False
     Y.flags.writeable = False

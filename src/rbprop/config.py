@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .beams import ControlBeamSpec, ProbeSpec
+from .beams import PROBE_KINDS, ControlBeamSpec, ProbeSpec
 from .params import ConfigurationError, GridSpec, PhysicalParams
 
 # schema: section -> key -> (type, default or MANDATORY)
@@ -71,6 +71,10 @@ _SCHEMA = {
 # integer keys that count something and must be at least 1
 _COUNTS = {("run", "snapshot_every"), ("scan", "r_points"),
            ("scan", "delta_R_points"), ("oracle", "draws")}
+# float keys that must be above 0
+_POSITIVE = {("run", "table_target_error")}
+# string keys that take one of a few values
+_CHOICES = {("probe", "kind"): PROBE_KINDS}
 
 
 @dataclass
@@ -135,7 +139,9 @@ def parse_config(path: str | Path) -> SimulationConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError([f"config file {path} does not exist"])
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a "%" in a value is text like any other
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     cp.optionxform = str  # keys are case sensitive (delta_R vs delta_r)
     try:
         cp.read(path)
@@ -169,9 +175,14 @@ def parse_config(path: str | Path) -> SimulationConfig:
                 except ConfigurationError as exc:
                     problems.extend(exc.violations)
                     continue
+                where = f"line {lineno}: [{section}] {key} = {value!r}"
                 if (section, key) in _COUNTS and value < 1:
-                    problems.append(f"line {lineno}: [{section}] {key} = "
-                                    f"{value} must be at least 1")
+                    problems.append(f"{where} must be at least 1")
+                if (section, key) in _POSITIVE and not value > 0:
+                    problems.append(f"{where} must be positive")
+                choices = _CHOICES.get((section, key))
+                if choices is not None and value not in choices:
+                    problems.append(f"{where} is not one of {choices}")
                 resolved[section][key] = value
             elif default is _MANDATORY:
                 problems.append(f"missing mandatory key [{section}] {key}")

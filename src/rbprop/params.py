@@ -123,10 +123,6 @@ class GridSpec:
         y = (np.arange(self.ny) - self.ny // 2) * self.dy
         return x, y
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        x, y = self.axes()
-        return np.meshgrid(x, y, indexing="ij")
-
     def spatial_frequencies(self) -> tuple[np.ndarray, np.ndarray]:
         """Angular spatial frequencies (kx, ky) in rad/cm, FFT ordering."""
         kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, self.dx)

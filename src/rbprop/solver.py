@@ -280,13 +280,14 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     such Strang sub-steps with triple-jump coefficients.
 
     The step size and step count are the grid's (``grid.dz``,
-    ``grid.n_steps``).  The susceptibility is looked up from an
-    interpolation table over (|G|^2, |g|^2) built once to cover the whole
-    run: |G|^2 up to the control's analytic maximum over the cell, its peak
-    intensity at the waist or at the cell face nearest it, and |g|^2 up to
-    PROBE_PEAK_HEADROOM times the input maximum; a |G|^2 top that is zero or
-    not finite is a ChiTableError.  A probe that focuses past
-    the table's |g|^2 range is a NumericsError naming the step, z, the
+    ``grid.n_steps``), which must be the plan's: a plan made for another
+    grid is a ValueError before any work.  The susceptibility is looked up
+    from an interpolation table over (|G|^2, |g|^2) built once to cover the
+    whole run: |G|^2 up to the control's analytic maximum over the cell,
+    its peak intensity at the waist or at the cell face nearest it, and
+    |g|^2 up to PROBE_PEAK_HEADROOM times the input maximum; a |G|^2 top
+    that is zero or not finite is a ChiTableError.  A probe that focuses
+    past the table's |g|^2 range is a NumericsError naming the step, z, the
     largest queried |g|^2 and the table top; so is a sub-step whose
     |2 pi k dz chi| passes RK4_STABLE_INCREMENT, naming the value.
     ``use_table=False`` evaluates the velocity average directly at every
@@ -311,6 +312,9 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     ``result.snapshots``.  A NumericsError met later leaves the snapshots
     already handed over as they are.
     """
+    if plan.grid != grid:
+        raise ValueError(f"the step plan's grid {plan.grid} is not the "
+                         f"run's grid {grid}")
     k = params.wavenumber
     dz = grid.dz
     n_steps = grid.n_steps

@@ -331,44 +331,24 @@ class ChiTableError(RuntimeError):
     """The chi table has no finite range or misses its target accuracy."""
 
 
-class _LogAxis:
-    """``np.geomspace(FLOOR_RATIO * top, top, n)`` with a cell search by
-    index arithmetic.
+def _log_cells(q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Cell index of each query in [nodes[0], nodes[-1]] on a log-uniform axis.
 
-    Every node sits within roundoff of its log-uniform position, so for a
-    query q in [nodes[0], nodes[-1]], floor((log q - log nodes[0]) / step)
-    is off by at most one cell; one comparison against each neighbouring
-    node corrects it, and ``cells`` returns exactly
-    ``clip(searchsorted(nodes, q) - 1, 0, n - 2)``.
+    The cell is floor((log q - log nodes[0]) (n - 1)
+    / (log nodes[-1] - log nodes[0])), at most n - 2; a NaN query gets the
+    last cell.  Every node sits within roundoff of its log-uniform position,
+    so the cell brackets q to within a few ulps: a query just outside it
+    reads the cell's bilinear formula within roundoff of the neighbouring
+    cell's value, and a query on a node reads the node's value exactly from
+    either cell.
     """
-
-    def __init__(self, top: float, n: int):
-        self.nodes = np.geomspace(top * FLOOR_RATIO, top, n)
-        logs = np.log(self.nodes)
-        self._log0 = logs[0]
-        self._per_log = (n - 1) / (logs[-1] - logs[0])
-        self._last = n - 2
-        # the cell i holds nodes[i] < q <= nodes[i + 1]; the open outer
-        # bounds keep a query on the first or last node in its end cell
-        self._lower = self.nodes[:-1].copy()
-        self._lower[0] = -np.inf
-        self._upper = self.nodes[1:].copy()
-        self._upper[-1] = np.inf
-
-    def cells(self, q: np.ndarray) -> np.ndarray:
-        """Cell index of each query clamped to [nodes[0], nodes[-1]].
-
-        A NaN query gets the last cell, as it does from searchsorted.
-        """
-        t = np.log(q)
-        t -= self._log0
-        t *= self._per_log
-        # fmin also maps NaN to the last cell, so the cast never sees NaN
-        np.fmin(t, self._last, out=t)
-        i = t.astype(np.intp)
-        i -= q <= self._lower.take(i)
-        i += q > self._upper.take(i)
-        return i
+    log0 = np.log(nodes[0])
+    t = np.log(q)
+    t -= log0
+    t *= (nodes.size - 1) / (np.log(nodes[-1]) - log0)
+    # fmin also maps NaN to the last cell, so the cast never sees NaN
+    np.fmin(t, nodes.size - 2, out=t)
+    return t.astype(np.intp)
 
 
 class ChiTable:
@@ -377,13 +357,14 @@ class ChiTable:
     chi depends only on (|G|^2, |g|^2) once the detunings and velocity
     average are fixed, so a run evaluates it through a tensor-product table
     over ``shape`` log-uniform samples of the two squared amplitudes, each
-    axis a ``_LogAxis`` below its top.  The stored quantity is chi / |G|^2,
-    and each lookup multiplies the interpolated value by |G|^2, so the table
-    is exactly zero at |G|^2 = 0.  chi / |G|^2 tends to a constant as
-    |G|^2 -> 0 only while |g|^2 >> |G|^2: when both fields are weak, chi
-    tends to a finite value, which a query below both node floors (read off
-    the corner node times |G|^2) does not reproduce.  Both tops must be
-    positive and finite; ``build_chi_table`` checks them.
+    axis ``np.geomspace`` from FLOOR_RATIO times its top up to the top.  The
+    stored quantity is chi / |G|^2, and each lookup multiplies the
+    interpolated value by |G|^2, so the table is exactly zero at |G|^2 = 0.
+    chi / |G|^2 tends to a constant as |G|^2 -> 0 only while
+    |g|^2 >> |G|^2: when both fields are weak, chi tends to a finite value,
+    which a query below both node floors (read off the corner node times
+    |G|^2) does not reproduce.  Both tops must be positive and finite;
+    ``build_chi_table`` checks them.
 
     The nodes are filled by one ``chi_doppler_averaged`` call on the two
     axes as broadcast views and divided by |G|^2 in place, so a build holds
@@ -397,10 +378,8 @@ class ChiTable:
     def __init__(self, G_abs2_max: float, g_abs2_max: float,
                  shape: tuple[int, int], params: PhysicalParams):
         self.params = params
-        self._G_axis = _LogAxis(G_abs2_max, shape[0])
-        self._g_axis = _LogAxis(g_abs2_max, shape[1])
-        self._G2 = self._G_axis.nodes
-        self._g2 = self._g_axis.nodes
+        self._G2 = np.geomspace(G_abs2_max * FLOOR_RATIO, G_abs2_max, shape[0])
+        self._g2 = np.geomspace(g_abs2_max * FLOOR_RATIO, g_abs2_max, shape[1])
         self._h = chi_doppler_averaged(
             FieldPoint(self._g2[None, :], self._G2[:, None]), params)
         self._h /= self._G2[:, None]
@@ -457,14 +436,14 @@ class ChiTable:
     def _interpolate(self, G2q: np.ndarray, g2q: np.ndarray) -> np.ndarray:
         """|G|^2 times the clamped bilinear interpolant of chi / |G|^2.
 
-        Each cell index is what ``clip(searchsorted(nodes, q) - 1, 0, n - 2)``
-        gives for the clamped query, found by ``_LogAxis.cells``; the four
-        corners are gathered from the flattened table one at a time.
+        Each clamped query's cell is found from its logarithm alone
+        (``_log_cells``); the four corners are gathered from the flattened
+        table one at a time.
         """
         Gc = np.clip(G2q, self._G2[0], self._G2[-1])
         gc = np.clip(g2q, self._g2[0], self._g2[-1])
-        iG = self._G_axis.cells(Gc)
-        ig = self._g_axis.cells(gc)
+        iG = _log_cells(Gc, self._G2)
+        ig = _log_cells(gc, self._g2)
         G1, G2v = self._G2.take(iG), self._G2.take(iG + 1)
         g1, g2v = self._g2.take(ig), self._g2.take(ig + 1)
         tG = (Gc - G1) / (G2v - G1)
@@ -492,11 +471,12 @@ class ChiTable:
         exact = chi_doppler_averaged(FieldPoint(g2q, G2q), self.params)
         return float(np.max(np.abs(self(G2q, g2q) - exact) / np.abs(exact)))
 
-    def max_relative_error(self, n_probes: int = 1000, seed: int = 0) -> float:
-        """Max relative interpolation error on a seeded log-uniform probe set."""
-        rng = np.random.default_rng(seed)
-        G2q = np.exp(rng.uniform(np.log(self._G2[0]), np.log(self._G2[-1]), n_probes))
-        g2q = np.exp(rng.uniform(np.log(self._g2[0]), np.log(self._g2[-1]), n_probes))
+    def max_relative_error(self) -> float:
+        """Max relative interpolation error on 1000 log-uniform probes drawn
+        with seed 0 over the node range."""
+        rng = np.random.default_rng(0)
+        G2q = np.exp(rng.uniform(np.log(self._G2[0]), np.log(self._G2[-1]), 1000))
+        g2q = np.exp(rng.uniform(np.log(self._g2[0]), np.log(self._g2[-1]), 1000))
         return self._relative_error(G2q, g2q)
 
     def _axis_midpoint_error(self, axis: int) -> float:
@@ -537,8 +517,11 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     measurement, which also looks its block up.  Raises
     ChiTableError if the |G|^2 top is not in (0, inf) or the |g|^2 top is
     not finite (a control-off run builds no table), or if the resized table
-    still misses the target (direct evaluation is then advised).
+    still misses the target (direct evaluation is then advised); a
+    ``target_error`` that is not above 0 is a ValueError.
     """
+    if not target_error > 0.0:
+        raise ValueError(f"target_error = {target_error!r} must be positive")
     if not (0.0 < G_abs2_max < np.inf and np.isfinite(g_abs2_max)):
         raise ChiTableError(
             f"table tops |G|^2 = {G_abs2_max:.6g} and |g|^2 = "

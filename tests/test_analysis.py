@@ -17,7 +17,7 @@ def field_from(values):
 
 
 def gaussian(w, g0=0.2, x0=0.0):
-    X, Y = GRID.mesh()
+    X, Y = np.meshgrid(*GRID.axes(), indexing="ij")
     return g0 * np.exp(-((X - x0) ** 2 + Y**2) / w**2)
 
 
@@ -38,7 +38,7 @@ class TestBeamWidth:
         values = gaussian(w, x0=-a) + gaussian(w, x0=+a)
         f = field_from(values)
         # brute-force second-moment integral on the grid
-        X, Y = GRID.mesh()
+        X, Y = np.meshgrid(*GRID.axes(), indexing="ij")
         intensity = np.abs(values) ** 2
         tot = intensity.sum()
         xc = (intensity * X).sum() / tot

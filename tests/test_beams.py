@@ -56,7 +56,7 @@ class TestControlField:
 
     def test_intensity_helper_matches_field(self):
         grid = GridSpec(nx=32, ny=32, extent=0.06)
-        X, Y = grid.mesh()
+        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
         direct = np.abs(control_field(CTRL, X, Y, 2.0)) ** 2
         np.testing.assert_allclose(control_intensity(CTRL, grid, 2.0),
                                    direct, rtol=1e-12, atol=1e-30)

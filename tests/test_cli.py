@@ -200,6 +200,25 @@ def test_unknown_key_is_configuration_error(tiny_config, tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("old, new", [
+    ("kind = gaussian", "kind = gauss%ian"),
+    ("g0_over_gamma = 0.2", "g0_over_gamma = 0.2%"),
+    ("table_target_error = 1.0e-3", "table_target_error = 0"),
+    ("table_target_error = 1.0e-3", "table_target_error = -1e-4"),
+], ids=("kind%", "g0%", "target0", "target<0"))
+def test_bad_value_is_configuration_error(tiny_config, tmp_path, capsys,
+                                          old, new):
+    bad = tmp_path / "bad.ini"
+    text = tiny_config.read_text().replace(old, new)
+    bad.write_text(text)
+    rc = main(["propagate", "--config", str(bad), "--out", str(tmp_path / "b")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    line = text.splitlines().index(new) + 1
+    assert err.startswith(f"configuration error: line {line}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["propagate", "chi-scan"])
 @pytest.mark.parametrize("below", ["", "sub", "sub/dir"])
 def test_out_naming_a_file_is_configuration_error(tiny_config, tmp_path,

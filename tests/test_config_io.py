@@ -189,6 +189,33 @@ class TestParseConfig:
             f"line {len(text.splitlines())}: unknown key [oracle] wobble",
             f"line {line}: [{section}] {key} = {value} must be at least 1"]
 
+    # a "%" once reached configparser's interpolation, and a target error
+    # that is not positive the table sizing
+    BAD_VALUES = [
+        ("kind = gaussian", "kind = gauss%ian",
+         "[probe] kind = 'gauss%ian' is not one of "
+         "('gaussian', 'double_gaussian', 'sech_multi')"),
+        ("g0_over_gamma = 0.2", "g0_over_gamma = 0.2%",
+         "[probe] g0_over_gamma = '0.2%' is not a valid finite float"),
+        ("snapshot_every = 200", "table_target_error = 0",
+         "[run] table_target_error = 0.0 must be positive"),
+        ("snapshot_every = 200", "table_target_error = -1e-4",
+         "[run] table_target_error = -0.0001 must be positive"),
+    ]
+
+    @pytest.mark.parametrize("old, new, message", BAD_VALUES,
+                             ids=("kind%", "g0%", "target0", "target<0"))
+    def test_bad_value_names_its_line(self, tmp_path, old, new, message):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        assert base.count(old) == 1
+        text = base.replace(old, new)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        line = text.splitlines().index(new) + 1
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == [f"line {line}: {message}"]
+
     def test_grid_resolution_enforced(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         path = tmp_path / "coarse.ini"

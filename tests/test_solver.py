@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ K = PARAMS.wavenumber
 
 
 def gaussian_field(grid, w=48e-4, g0=0.2):
-    X, Y = grid.mesh()
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     return ComplexField2D(g0 * np.exp(-(X**2 + Y**2) / w**2), grid, 0.0)
 
 
@@ -322,6 +323,26 @@ class TestMediumSubflow:
 
 
 class TestPropagate:
+    @pytest.mark.parametrize("change", [dict(extent=0.1536), dict(dz=0.01)],
+                             ids=("extent", "dz"))
+    def test_plan_of_another_grid_is_refused_before_any_work(
+            self, monkeypatch, change):
+        cfg = parse_config(PRESETS / "guided_gaussian.ini")
+        grid = GridSpec(nx=64, ny=64, extent=0.0768, dz=0.005,
+                        cell_length=0.2)
+        plan = StepPlan(replace(grid, **change))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a table was built for a mismatched plan")
+
+        monkeypatch.setattr(solver, "build_chi_table", unreachable)
+        snapshots = []
+        with pytest.raises(ValueError, match="the step plan's grid"):
+            propagate(make_probe(cfg.probe, grid), cfg.control, cfg.params,
+                      grid, plan, on_snapshot=lambda *args: snapshots.append(
+                          args))
+        assert snapshots == []
+
     def test_control_off_equals_pure_diffraction(self):
         grid = GridSpec(nx=128, ny=128, extent=0.24, dz=0.01, cell_length=0.5)
         probe = gaussian_field(grid)
@@ -374,7 +395,7 @@ class TestPropagate:
         assert res.snapshot_steps == [0, 60, 120, 180, 200]
         # one diffraction per segment, and two distinct segment lengths
         assert len(calls) == 4 and len(plan._phase_cache) == 2
-        X, Y = grid.mesh()
+        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
         r2 = X**2 + Y**2
         zR = K * w0**2 / 2.0
         for snap in res.snapshots:
@@ -546,7 +567,7 @@ class TestPropagate:
         # a lens of focal length 0.2 cm focuses the probe far beyond the
         # table's |g|^2 top, 12 x the input peak 0.04
         grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.01, cell_length=0.3)
-        X, Y = grid.mesh()
+        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
         lens = np.exp(-1j * K * (X**2 + Y**2) / (2.0 * 0.2))
         probe = ComplexField2D(gaussian_field(grid).values * lens, grid, 0.0)
         plan = StepPlan(grid)
@@ -614,7 +635,7 @@ def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
     errors = []
     for dz in (0.025, 0.0125, 0.00625):
         grid = GridSpec(nx=64, ny=64, extent=0.06, dz=dz, cell_length=length)
-        X, Y = grid.mesh()
+        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
         r2 = X**2 + Y**2
         monkeypatch.setattr(solver, "control_intensity",
                             lambda spec, on_grid, z, out=None: r2)
@@ -656,7 +677,7 @@ def test_duct_past_the_rk4_stability_bound_is_refused(monkeypatch):
     zR = K * w0**2 / 2.0
     alpha = (-2.0 + 0.5j) / (4.0 * np.pi * zR**2)
     grid = GridSpec(nx=64, ny=64, extent=0.053, dz=0.05, cell_length=1.0)
-    X, Y = grid.mesh()
+    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     r2 = X**2 + Y**2
     monkeypatch.setattr(solver, "control_intensity",
                         lambda spec, on_grid, z, out=None: r2)

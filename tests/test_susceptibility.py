@@ -13,10 +13,9 @@ from rbprop.beams import make_probe
 from rbprop.config import parse_config
 from rbprop.params import PhysicalParams, prefactor_over_gamma
 from rbprop.susceptibility import (ChiTable, ChiTableError, FieldPoint,
-                                   OracleConvergenceError, _LogAxis,
-                                   build_chi_table, chi_doppler_averaged,
-                                   chi_ratio, chi_stationary,
-                                   steady_state_oracle)
+                                   OracleConvergenceError, build_chi_table,
+                                   chi_doppler_averaged, chi_ratio,
+                                   chi_stationary, steady_state_oracle)
 
 REF = PhysicalParams()  # reference medium used throughout
 PREF = prefactor_over_gamma(REF)
@@ -281,8 +280,8 @@ class TestFaddeeva:
         G2_top = cfg.control.peak_intensity(z_peak)
         g2_top = 12.0 * np.max(np.abs(make_probe(cfg.probe, cfg.grid).values)
                                ** 2)
-        GG, gg = np.meshgrid(_LogAxis(G2_top, 602).nodes,
-                             _LogAxis(g2_top, 1332).nodes, indexing="ij")
+        GG, gg = np.meshgrid(log_axis(G2_top, 602), log_axis(g2_top, 1332),
+                             indexing="ij")
         nodes = FieldPoint(gg, GG)
         got = chi_doppler_averaged(nodes, cfg.params)
         monkeypatch.setattr(susceptibility, "_faddeeva", wofz)
@@ -290,9 +289,24 @@ class TestFaddeeva:
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
 
 
+def log_axis(top, n):
+    """The nodes of a ChiTable axis with this top and node count."""
+    return np.geomspace(top * susceptibility.FLOOR_RATIO, top, n)
+
+
 @pytest.fixture(scope="module")
 def table():
     return build_chi_table(0.185, 0.06, REF, target_error=1e-3)
+
+
+def probe_error(table, n_probes, seed):
+    """Max relative lookup error on n_probes log-uniform probes over the
+    node range, drawn with seed: a probe set independent of the build's."""
+    rng = np.random.default_rng(seed)
+    G2, g2 = (np.exp(rng.uniform(np.log(nodes[0]), np.log(nodes[-1]),
+                                 n_probes))
+              for nodes in (table._G2, table._g2))
+    return table._relative_error(G2, g2)
 
 
 def reference_bilinear(table, G_abs2, g_abs2):
@@ -387,7 +401,9 @@ class TestChiTable:
         np.testing.assert_array_equal(table(np.zeros_like(g2s), g2s), 0.0)
 
     def test_random_queries_meet_target(self, table):
-        assert table.max_relative_error(n_probes=300, seed=123) < 1e-3
+        assert probe_error(table, 300, 123) < 1e-3
+        # the build verifies on 1000 probes drawn with seed 0
+        assert table.max_relative_error() == probe_error(table, 1000, 0)
 
     def test_rejects_out_of_range(self, table):
         with pytest.raises(ValueError):
@@ -396,6 +412,12 @@ class TestChiTable:
             table(0.1, table.g_abs2_max * 1.2)
         with pytest.raises(ValueError):
             table(np.array([0.0, 0.1]), np.array([0.0, table.g_abs2_max * 1.2]))
+
+    @pytest.mark.parametrize("target", [0.0, -1e-4, np.nan])
+    def test_target_error_must_be_positive(self, target):
+        with pytest.raises(ValueError, match="target_error = .* must be "
+                           "positive"):
+            build_chi_table(0.185, 0.06, REF, target_error=target)
 
     def test_node_cap_holds_after_an_equal_range_build(self, monkeypatch):
         # 16 nodes per axis cannot reach the target over this range
@@ -422,7 +444,7 @@ class TestChiTable:
                                                          target):
         table = build_chi_table(0.185, 0.06, replace(REF, **medium),
                                 target_error=target)
-        assert table.max_relative_error(seed=99) < target
+        assert probe_error(table, 1000, 99) < target
 
     def test_a_table_that_misses_its_target_is_sized_once_more(self):
         # the pilot sizes this wide-Doppler medium to 703x505, whose error
@@ -432,7 +454,7 @@ class TestChiTable:
                                 target_error=1e-3)
         assert table.shape[0] > 703 and table.shape[1] > 505
         assert table.max_relative_error() < 1e-3
-        assert table.max_relative_error(seed=99) < 1e-3
+        assert probe_error(table, 1000, 99) < 1e-3
 
     def test_table_is_the_meshgrid_average_over_G2(self, monkeypatch):
         # 37 x 53 nodes in blocks of three rows, the last one partial
@@ -467,31 +489,56 @@ class TestChiTable:
             build_chi_table(*tops, REF)
 
 
-def clipped_searchsorted(nodes, q):
-    return np.clip(np.searchsorted(nodes, q) - 1, 0, nodes.size - 2)
+def axis_queries(nodes):
+    """Each node, its floating-point neighbours, each cell's arithmetic and
+    geometric midpoints, and both ends."""
+    return np.concatenate([
+        nodes,
+        np.nextafter(nodes, -np.inf),
+        np.nextafter(nodes, np.inf),
+        0.5 * (nodes[:-1] + nodes[1:]),
+        np.sqrt(nodes[:-1] * nodes[1:]),
+        [nodes[0], nodes[-1]],
+    ])
 
 
-class TestLogAxis:
-    # the guided preset's axes (602 and 1332 nodes over four decades) and
-    # a two-node axis just above zero
+@pytest.fixture(scope="module")
+def guided_axes_table():
+    # the guided preset's 602x1332 axes over four decades below their tops
+    return ChiTable(0.0481, 0.48, (602, 1332), REF)
+
+
+class TestLogCells:
+    # the guided preset's axes and a two-node axis just above zero
     AXES = ((0.0481, 602), (0.48, 1332), (2.0e-300, 2))
 
     @pytest.mark.parametrize("top, n", AXES, ids=("602", "1332", "zero"))
-    def test_cells_equal_clipped_searchsorted(self, top, n):
-        axis = _LogAxis(top, n)
-        nodes = axis.nodes
-        queries = np.concatenate([
-            nodes,
-            np.nextafter(nodes, -np.inf),
-            np.nextafter(nodes, np.inf),
-            0.5 * (nodes[:-1] + nodes[1:]),
-            np.sqrt(nodes[:-1] * nodes[1:]),
-            [nodes[0], nodes[-1]],
-        ])
+    def test_each_cell_brackets_its_query(self, top, n):
+        nodes = log_axis(top, n)
         # the lookup clamps its queries to the node range first
-        q = np.clip(queries, nodes[0], nodes[-1])
-        np.testing.assert_array_equal(axis.cells(q),
-                                      clipped_searchsorted(nodes, q))
+        q = np.clip(axis_queries(nodes), nodes[0], nodes[-1])
+        cells = susceptibility._log_cells(q, nodes)
+        assert np.all((cells >= 0) & (cells <= n - 2))
+        ulps = 4 * np.spacing(q)
+        assert np.all(nodes[cells] - ulps <= q)
+        assert np.all(q <= nodes[cells + 1] + ulps)
+        assert susceptibility._log_cells(np.array([np.nan]), nodes)[0] \
+            == n - 2
+
+    def test_lookups_match_the_binary_search_cells(self, guided_axes_table):
+        # a query off its binary-search cell by roundoff reads the
+        # neighbouring cell's formula, within roundoff of the same value
+        table = guided_axes_table
+        Gq, gq = axis_queries(table._G2), axis_queries(table._g2)
+        for G2, g2 in ((np.resize(Gq, gq.size), gq),
+                       (Gq, np.resize(gq[::-1], Gq.size))):
+            np.testing.assert_allclose(table(G2, g2),
+                                       reference_bilinear(table, G2, g2),
+                                       rtol=1e-15, atol=0.0)
+        # on a node either cell gives the node's value exactly
+        G2 = np.resize(table._G2, table._g2.size)
+        assert np.array_equal(table(G2, table._g2),
+                              reference_bilinear(table, G2, table._g2))
 
 
 class TestNanLookups:
