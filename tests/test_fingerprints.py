@@ -110,7 +110,7 @@ def test_propagation_matches_its_fingerprint(name, reference):
     assert_matches(propagation_fingerprint(name), reference[name])
 
 
-def test_chi_scan_matches_its_fingerprint(tmp_path, reference, capsys):
+def test_chi_scan_matches_its_fingerprint(tmp_path, reference):
     assert_matches(scan_fingerprint(tmp_path), reference[SCAN])
 
 

@@ -502,12 +502,6 @@ def axis_queries(nodes):
     ])
 
 
-@pytest.fixture(scope="module")
-def guided_axes_table():
-    # the guided preset's 602x1332 axes over four decades below their tops
-    return ChiTable(0.0481, 0.48, (602, 1332), REF)
-
-
 class TestLogCells:
     # the guided preset's axes and a two-node axis just above zero
     AXES = ((0.0481, 602), (0.48, 1332), (2.0e-300, 2))
@@ -525,10 +519,10 @@ class TestLogCells:
         assert susceptibility._log_cells(np.array([np.nan]), nodes)[0] \
             == n - 2
 
-    def test_lookups_match_the_binary_search_cells(self, guided_axes_table):
+    def test_lookups_match_the_binary_search_cells(self):
         # a query off its binary-search cell by roundoff reads the
         # neighbouring cell's formula, within roundoff of the same value
-        table = guided_axes_table
+        table = ChiTable(0.0481, 0.48, (602, 1332), REF)  # AXES[:2]
         Gq, gq = axis_queries(table._G2), axis_queries(table._g2)
         for G2, g2 in ((np.resize(Gq, gq.size), gq),
                        (Gq, np.resize(gq[::-1], Gq.size))):
