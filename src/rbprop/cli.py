@@ -77,7 +77,7 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
             write_field(out_dir / f"field_step{step:0{digits}d}.rbpf", snap))
         diagnostics.append(diagnose(snap))
 
-    result = propagate(
+    end = propagate(
         probe, cfg.control, cfg.params, cfg.grid, plan,
         snapshot_every=cfg.run["snapshot_every"],
         use_table=cfg.run["chi_table"],
@@ -86,8 +86,8 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
     )
     outputs.append(write_diagnostics_csv(out_dir / "diagnostics.csv",
                                          diagnostics.records))
-    print(f"propagated to z = {result.field.z:g} cm; "
-          f"{len(result.snapshot_steps)} snapshots in {out_dir}")
+    print(f"propagated to z = {end.z:g} cm; "
+          f"{len(diagnostics.records)} snapshots in {out_dir}")
     return outputs
 
 
@@ -116,7 +116,7 @@ def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
         if sha256_of(path) != sha256:
             raise SnapshotFormatError(f"{path}: checksum does not match "
                                       f"{listing.name}")
-        fld = read_field(path, cfg.grid)
+        fld = read_field(path)
         try:
             diagnostics.append(diagnose(fld))
         except ValueError as exc:  # RunDiagnostics refuses z out of order

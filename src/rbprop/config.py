@@ -72,7 +72,10 @@ _SCHEMA = {
 _COUNTS = {("run", "snapshot_every"), ("scan", "r_points"),
            ("scan", "delta_R_points"), ("oracle", "draws")}
 # float keys that must be above 0
-_POSITIVE = {("run", "table_target_error")}
+_POSITIVE = {("run", "table_target_error"), ("control", "waist_cm"),
+             ("probe", "width_cm")}
+# float keys that must not be below 0
+_NON_NEGATIVE = {("control", "g0_over_gamma"), ("probe", "g0_over_gamma")}
 # string keys that take one of a few values
 _CHOICES = {("probe", "kind"): PROBE_KINDS}
 
@@ -152,6 +155,8 @@ def parse_config(path: str | Path) -> SimulationConfig:
     problems: list[str] = []
     resolved: dict[str, dict] = {}
     defaulted: list[str] = []
+    unread = False  # a key with no value to resolve the config from
+    out_of_range: set[str] = set()  # sections with a value out of range
 
     for section in cp.sections():
         if section not in _SCHEMA:
@@ -174,23 +179,30 @@ def parse_config(path: str | Path) -> SimulationConfig:
                                     lineno)
                 except ConfigurationError as exc:
                     problems.extend(exc.violations)
+                    unread = True
                     continue
                 where = f"line {lineno}: [{section}] {key} = {value!r}"
+                found = len(problems)
                 if (section, key) in _COUNTS and value < 1:
                     problems.append(f"{where} must be at least 1")
                 if (section, key) in _POSITIVE and not value > 0:
                     problems.append(f"{where} must be positive")
+                if (section, key) in _NON_NEGATIVE and value < 0:
+                    problems.append(f"{where} must be non-negative")
                 choices = _CHOICES.get((section, key))
                 if choices is not None and value not in choices:
                     problems.append(f"{where} is not one of {choices}")
+                if len(problems) > found:
+                    out_of_range.add(section)
                 resolved[section][key] = value
             elif default is _MANDATORY:
                 problems.append(f"missing mandatory key [{section}] {key}")
+                unread = True
             else:
                 resolved[section][key] = default
                 defaulted.append(f"{section}.{key}")
 
-    if problems:
+    if unread:
         raise ConfigurationError(problems)
 
     # waist position default: control focused at the back of the cell
@@ -235,18 +247,23 @@ def parse_config(path: str | Path) -> SimulationConfig:
         dz=resolved["grid"]["dz_cm"],
         cell_length=resolved["grid"]["cell_length_cm"],
     )
-    problems = center_problems + params.violations()
-    try:
-        control = ControlBeamSpec(
-            G0=resolved["control"]["g0_over_gamma"],
-            waist_wc=resolved["control"]["waist_cm"],
-            waist_position_z0=resolved["control"]["waist_position_cm"],
-            wavelength=params.wavelength,
-        )
-    except ValueError as exc:
-        problems.append(str(exc))
+    problems += center_problems + params.violations()
+    # a spec is built only from values in range, which its own checks would
+    # report again without their line
+    control = None
+    if "control" not in out_of_range:
+        try:
+            control = ControlBeamSpec(
+                G0=resolved["control"]["g0_over_gamma"],
+                waist_wc=resolved["control"]["waist_cm"],
+                waist_position_z0=resolved["control"]["waist_position_cm"],
+                wavelength=params.wavelength,
+            )
+        except ValueError as exc:
+            problems.append(str(exc))
     probe = None  # unless it is valid, no width for the resolution check
-    if not center_problems:  # the spec's checks need every center
+    # the spec's checks need every center
+    if not center_problems and "probe" not in out_of_range:
         try:
             probe = ProbeSpec(
                 kind=kind,

@@ -46,12 +46,12 @@ def write_field(path: str | Path, field: ComplexField2D) -> Path:
     return path
 
 
-def read_field(path: str | Path, grid_template: GridSpec | None = None) -> ComplexField2D:
+def read_field(path: str | Path) -> ComplexField2D:
     """Read a snapshot written by write_field.
 
-    The embedded nx, ny, extent reconstruct the transverse grid; dz and
-    cell_length are taken from ``grid_template`` when given (they are not
-    stored in the snapshot) and default to placeholders otherwise.
+    The embedded nx, ny, extent reconstruct the transverse grid.  A snapshot
+    stores no dz or cell_length, so the field's grid carries the
+    placeholders dz = cell_length = 1; nothing that reads a field uses them.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -74,11 +74,7 @@ def read_field(path: str | Path, grid_template: GridSpec | None = None) -> Compl
         values = np.empty((nx, ny), dtype="<c16")
         if fh.readinto(values) != values.nbytes:
             raise SnapshotFormatError(f"{path}: cut short while reading")
-    if grid_template is not None:
-        grid = GridSpec(nx=nx, ny=ny, extent=extent,
-                        dz=grid_template.dz, cell_length=grid_template.cell_length)
-    else:
-        grid = GridSpec(nx=nx, ny=ny, extent=extent, dz=1.0, cell_length=1.0)
+    grid = GridSpec(nx=nx, ny=ny, extent=extent, dz=1.0, cell_length=1.0)
     return ComplexField2D(values, grid, z)
 
 

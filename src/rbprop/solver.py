@@ -16,7 +16,8 @@ points alone, gathered once (``_medium_subflow``).  The sub-step runs in
 arrays the run owns: both diffractions and the sub-flow write into the
 field's own array, and the control intensity and the sub-flow's arrays
 (``_SubflowWork``) are made once per run, so a sub-step allocates little
-more than its lookups' temporaries.
+more than its lookups' temporaries.  ``propagate`` keeps no snapshots: it
+hands each one to its caller's ``on_snapshot`` as it is taken.
 
 With the control off chi is identically zero and the medium sub-flow is the
 identity, so the split-step chain collapses to diffraction alone, and
@@ -115,20 +116,6 @@ def diffraction_step(field: ComplexField2D, distance: float, k: float,
     np.fft.ifft(spectrum, axis=0, out=spectrum)
     np.fft.ifft(spectrum, axis=1, out=spectrum)
     return ComplexField2D(spectrum, field.grid, field.z + distance)
-
-
-@dataclass
-class PropagationResult:
-    """The field at the cell end and the steps at which snapshots were taken.
-
-    ``snapshots`` holds a copy of each snapshot when ``propagate`` collected
-    them (no ``on_snapshot`` given), and is empty when it handed them to a
-    callback.
-    """
-
-    field: ComplexField2D
-    snapshots: list[ComplexField2D]
-    snapshot_steps: list[int]
 
 
 # a point whose stage-1 |2 pi k dz chi| is at most this keeps its value
@@ -267,12 +254,11 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
 
 
 def propagate(probe: ComplexField2D, control: ControlBeamSpec,
-              params: PhysicalParams, grid: GridSpec, plan: StepPlan,
-              snapshot_every: int = 100,
+              params: PhysicalParams, grid: GridSpec, plan: StepPlan, *,
+              on_snapshot, snapshot_every: int = 100,
               use_table: bool = True,
-              table_target_error: float = 1.0e-4,
-              on_snapshot=None) -> PropagationResult:
-    """March the probe from z = 0 to z = cell_length.
+              table_target_error: float = 1.0e-4) -> ComplexField2D:
+    """March the probe from z = 0 to z = cell_length; return the end field.
 
     Per step: half diffraction, one medium sub-flow with the control field
     held at the step midpoint and the susceptibility following the local
@@ -280,13 +266,15 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     such Strang sub-steps with triple-jump coefficients.
 
     The step size and step count are the grid's (``grid.dz``,
-    ``grid.n_steps``), which must be the plan's: a plan made for another
-    grid is a ValueError before any work.  The susceptibility is looked up
-    from an interpolation table over (|G|^2, |g|^2) built once to cover the
-    whole run: |G|^2 up to the control's analytic maximum over the cell,
-    its peak intensity at the waist or at the cell face nearest it, and
-    |g|^2 up to PROBE_PEAK_HEADROOM times the input maximum; a |G|^2 top
-    that is zero or not finite is a ChiTableError.  A probe that focuses
+    ``grid.n_steps``), which must be the plan's, and the probe must sample
+    the grid's transverse plane (its nx, ny and extent): a plan made for
+    another grid, or a probe on another transverse grid, is a ValueError
+    before any work.  The susceptibility is looked up from an interpolation
+    table over (|G|^2, |g|^2) built once to cover the whole run: |G|^2 up
+    to the control's analytic maximum over the cell, its peak intensity at
+    the waist or at the cell face nearest it, and |g|^2 up to
+    PROBE_PEAK_HEADROOM times the input maximum; a |G|^2 top that is zero
+    or not finite is a ChiTableError.  A probe that focuses
     past the table's |g|^2 range is a NumericsError naming the step, z, the
     largest queried |g|^2 and the table top; so is a sub-step whose
     |2 pi k dz chi| passes RK4_STABLE_INCREMENT, naming the value.
@@ -308,13 +296,18 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     refusal at z = 0 takes none), every ``snapshot_every`` steps and at the
     cell end: ``on_snapshot(step, field)`` is called with the run's own
     field, which is valid until the call returns; keep a copy to hold it.
-    Without a callback each snapshot's copy is collected into
-    ``result.snapshots``.  A NumericsError met later leaves the snapshots
-    already handed over as they are.
+    The field returned is that same field at the cell end.  A NumericsError
+    met later leaves the snapshots already handed over as they are.
     """
     if plan.grid != grid:
         raise ValueError(f"the step plan's grid {plan.grid} is not the "
                          f"run's grid {grid}")
+    transverse = (grid.nx, grid.ny, grid.extent)
+    if (probe.grid.nx, probe.grid.ny, probe.grid.extent) != transverse:
+        raise ValueError(
+            f"the probe's grid (nx, ny, extent) = ({probe.grid.nx}, "
+            f"{probe.grid.ny}, {probe.grid.extent}) is not the run's "
+            f"{transverse}")
     k = params.wavenumber
     dz = grid.dz
     n_steps = grid.n_steps
@@ -341,15 +334,9 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         def lookup(G2, g2, out=None):
             return chi_doppler_averaged(FieldPoint(g2, G2), params, out=out)
 
-    snapshots = []
-    if on_snapshot is None:
-        def on_snapshot(step, snap):
-            snapshots.append(snap.copy())
-
     field = probe.copy()
     field.z = 0.0
     on_snapshot(0, field)
-    snapshot_steps = [0]
     interval_start = 0  # first step of the dark run's pending diffraction
     if not dark:
         control_I = np.empty(field.values.shape)
@@ -393,7 +380,4 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                 f"z = {field.z:.6g} cm")
         if snapshot:
             on_snapshot(step + 1, field)
-            snapshot_steps.append(step + 1)
-
-    return PropagationResult(field=field, snapshots=snapshots,
-                             snapshot_steps=snapshot_steps)
+    return field

@@ -106,12 +106,38 @@ class TestParseConfig:
             assert text.count(old) == 1
             text = text.replace(old, new)
         path.write_text(text)
+        lines = text.splitlines()
+        waist = lines.index("waist_cm = -0.0120") + 1
+        width = lines.index("width_cm = -0.0048") + 1
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
         # the failed probe spec has no width to check the resolution against
-        assert err.value.violations == ["waist_wc must be positive",
-                                        "width must be positive",
-                                        "nx must be a power of two, got 100"]
+        assert err.value.violations == [
+            f"line {waist}: [control] waist_cm = -0.012 must be positive",
+            f"line {width}: [probe] width_cm = -0.0048 must be positive",
+            "nx must be a power of two, got 100"]
+
+    def test_every_problem_of_one_beam_spec_names_its_line(self, tmp_path):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        text = base
+        for old, new in (("waist_cm = 0.0120", "waist_cm = 0"),
+                         ("g0_over_gamma = 0.2", "g0_over_gamma = -1"),
+                         ("width_cm = 0.0048", "width_cm = -0.0048")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "probe.ini"
+        path.write_text(text)
+        lines = text.splitlines()
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        # the probe spec's own checks stop at its first problem
+        assert err.value.violations == [
+            f"line {lines.index(line) + 1}: {message}" for line, message in (
+                ("waist_cm = 0", "[control] waist_cm = 0.0 must be positive"),
+                ("g0_over_gamma = -1",
+                 "[probe] g0_over_gamma = -1.0 must be non-negative"),
+                ("width_cm = -0.0048",
+                 "[probe] width_cm = -0.0048 must be positive"))]
 
     def test_every_bad_center_reported_with_the_other_problems(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
@@ -124,15 +150,17 @@ class TestParseConfig:
             text = text.replace(old, new)
         path = tmp_path / "centers.ini"
         path.write_text(text)
-        line = text.splitlines().index("centers_cm = -0.0070, abc, xyz") + 1
+        lines = text.splitlines()
+        line = lines.index("centers_cm = -0.0070, abc, xyz") + 1
+        waist = lines.index("waist_cm = -0.0120") + 1
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
         assert err.value.violations == [
+            f"line {waist}: [control] waist_cm = -0.012 must be positive",
             f"line {line}: [probe] centers_cm = ' abc' is not a valid "
             "finite float",
             f"line {line}: [probe] centers_cm = ' xyz' is not a valid "
             "finite float",
-            "waist_wc must be positive",
             "nx must be a power of two, got 100"]
 
     # (section, key) -> the preset line to edit, and its non-finite form
@@ -201,10 +229,18 @@ class TestParseConfig:
          "[run] table_target_error = 0.0 must be positive"),
         ("snapshot_every = 200", "table_target_error = -1e-4",
          "[run] table_target_error = -0.0001 must be positive"),
+        # a beam spec's own checks name neither the key nor the line
+        ("width_cm = 0.0048", "width_cm = -0.0048",
+         "[probe] width_cm = -0.0048 must be positive"),
+        ("waist_cm = 0.0120", "waist_cm = 0",
+         "[control] waist_cm = 0.0 must be positive"),
+        ("g0_over_gamma = 1.0", "g0_over_gamma = -1.0",
+         "[control] g0_over_gamma = -1.0 must be non-negative"),
     ]
 
     @pytest.mark.parametrize("old, new, message", BAD_VALUES,
-                             ids=("kind%", "g0%", "target0", "target<0"))
+                             ids=("kind%", "g0%", "target0", "target<0",
+                                  "width<0", "waist0", "control_g0<0"))
     def test_bad_value_names_its_line(self, tmp_path, old, new, message):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         assert base.count(old) == 1

@@ -2,16 +2,19 @@
 
 Each run's snapshots are reduced to a few numbers: z, power, second-moment
 width, peak |g|^2, the on-axis phase and the 3x3 lowest spatial-frequency
-coefficients.  The chi_map scan is reduced to every thousandth row of its
-CSV and the CSV's column sums.  Each quantity is compared at 1e-12 relative
-to its largest magnitude in the run, not bitwise: FFT rounding can differ
-across platforms, and criterion 10 of the acceptance suite covers bitwise
-reruns on one machine.
+coefficients.  A scan is reduced to a stride of the rows of its CSV (every
+thousandth of the chi_map scan's 9211, every twentieth of the control_ring
+scan's 241) and the CSV's column sums.  Each quantity is compared at 1e-12
+relative to its largest magnitude in the run, not bitwise: FFT rounding can
+differ across platforms, and criterion 10 of the acceptance suite covers
+bitwise reruns on one machine.
 
 The runs: the dark ``free_space`` preset; ``guided_gaussian`` cut to 0.05 cm
-at orders 2 and 4, whose later RK4 stages run on the gathered live points;
-``sech_multipeak`` cut to 0.05 cm, which keeps one point per sub-flow and so
-runs them on the whole grid; and the ``chi_map`` scan.
+at orders 2 and 4, whose later RK4 stages run on the gathered live points,
+and at order 2 with the velocity average evaluated directly instead of from
+the chi table; ``sech_multipeak`` cut to 0.05 cm, which keeps one point per
+sub-flow and so runs them on the whole grid; and the ``chi_map`` and
+``control_ring`` scans.
 
 A change that moves outputs on purpose regenerates the reference file with
 
@@ -38,19 +41,22 @@ REFERENCE = Path(__file__).with_name("fingerprints.json")
 RTOL = 1e-12
 
 # run -> (preset, cell length in cm or None for the preset's, splitting
-# order, snapshot_every or None for the preset's)
+# order, snapshot_every or None for the preset's, use_table or None for the
+# preset's chi_table)
 RUNS = {
-    "free_space": ("free_space.ini", None, 2, None),
-    "guided_order2": ("guided_gaussian.ini", 0.05, 2, 5),
-    "guided_order4": ("guided_gaussian.ini", 0.05, 4, 5),
-    "sech_multipeak": ("sech_multipeak.ini", 0.05, 2, 5),
+    "free_space": ("free_space.ini", None, 2, None, None),
+    "guided_order2": ("guided_gaussian.ini", 0.05, 2, 5, None),
+    "guided_order4": ("guided_gaussian.ini", 0.05, 4, 5, None),
+    "guided_direct": ("guided_gaussian.ini", 0.05, 2, 5, False),
+    "sech_multipeak": ("sech_multipeak.ini", 0.05, 2, 5, None),
 }
-SCAN = "chi_map"
+# scan preset -> the stride of the CSV rows kept
+SCANS = {"chi_map": 1000, "control_ring": 20}
 
 
 def propagation_fingerprint(name: str) -> dict:
     """Per-snapshot observables of one run, each a list in snapshot order."""
-    preset, cell_length, order, snapshot_every = RUNS[name]
+    preset, cell_length, order, snapshot_every, use_table = RUNS[name]
     cfg = parse_config(PRESETS / preset)
     grid = cfg.grid if cell_length is None else replace(
         cfg.grid, cell_length=cell_length)
@@ -70,23 +76,26 @@ def propagation_fingerprint(name: str) -> dict:
     propagate(make_probe(cfg.probe, grid), cfg.control, cfg.params, grid,
               StepPlan(grid, order=order),
               snapshot_every=snapshot_every or cfg.run["snapshot_every"],
-              use_table=cfg.run["chi_table"],
+              use_table=(cfg.run["chi_table"] if use_table is None
+                         else use_table),
               table_target_error=cfg.run["table_target_error"],
               on_snapshot=on_snapshot)
     return out
 
 
-def scan_fingerprint(out_dir: Path) -> dict:
-    """Every thousandth row and the column sums of the chi_map scan's CSV."""
-    assert cli.main(["chi-scan", "--config", str(PRESETS / f"{SCAN}.ini"),
+def scan_fingerprint(name: str, out_dir: Path) -> dict:
+    """A stride of the rows and the column sums of a preset's scan CSV."""
+    assert cli.main(["chi-scan", "--config", str(PRESETS / f"{name}.ini"),
                      "--out", str(out_dir)]) == cli.EXIT_OK
     rows = np.loadtxt(out_dir / "chi_scan.csv", delimiter=",", skiprows=1)
-    return {"rows": rows[::1000].tolist(), "sums": rows.sum(axis=0).tolist()}
+    return {"rows": rows[::SCANS[name]].tolist(),
+            "sums": rows.sum(axis=0).tolist()}
 
 
 def fingerprints(out_dir: Path) -> dict:
     prints = {name: propagation_fingerprint(name) for name in RUNS}
-    prints[SCAN] = scan_fingerprint(out_dir)
+    for name in SCANS:
+        prints[name] = scan_fingerprint(name, out_dir / name)
     return prints
 
 
@@ -111,7 +120,9 @@ def test_propagation_matches_its_fingerprint(name, reference):
 
 
 def test_chi_scan_matches_its_fingerprint(tmp_path, reference):
-    assert_matches(scan_fingerprint(tmp_path), reference[SCAN])
+    for name in SCANS:
+        assert_matches(scan_fingerprint(name, tmp_path / name),
+                       reference[name])
 
 
 if __name__ == "__main__":

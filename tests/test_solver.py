@@ -32,6 +32,17 @@ def relative_l2(got, expect):
     return np.linalg.norm(got - expect) / np.linalg.norm(expect)
 
 
+def ignore(step, snap):
+    """An ``on_snapshot`` for a run whose end field alone is checked."""
+
+
+def collect():
+    """An ``on_snapshot`` and the list of (step, field copy) it fills; the
+    field handed over is the run's own, so the callback copies it."""
+    handed = []
+    return handed, lambda step, snap: handed.append((step, snap.copy()))
+
+
 def half_step_chain(probe, plan, n_steps):
     """A dark run as two diffraction half-steps per sub-step, unmerged."""
     chain = probe
@@ -77,7 +88,7 @@ class TestDiffraction:
 
     def test_matches_a_two_dimensional_scipy_transform(self):
         # an independent transform: scipy's fft2 / ifft2 with the same phase
-        import scipy.fft
+        scipy_fft = pytest.importorskip("scipy.fft")
 
         grid = GridSpec(nx=128, ny=96, extent=0.1)
         plan = StepPlan(grid)
@@ -86,7 +97,7 @@ class TestDiffraction:
                            + 1j * rng.normal(size=(128, 96)), grid, 0.25)
         before = f.values.copy()
         out = diffraction_step(f, 0.7, K, plan)
-        expect = scipy.fft.ifft2(scipy.fft.fft2(f.values)
+        expect = scipy_fft.ifft2(scipy_fft.fft2(f.values)
                                  * plan.diffraction_phase(0.7, K))
         assert relative_l2(out.values, expect) < 1e-13
         # Parseval: the step is unitary
@@ -343,35 +354,60 @@ class TestPropagate:
                           args))
         assert snapshots == []
 
+    @pytest.mark.parametrize("change", [dict(extent=0.1536), dict(nx=32)],
+                             ids=("extent", "nx"))
+    def test_probe_on_another_transverse_grid_is_refused_before_any_work(
+            self, monkeypatch, change):
+        cfg = parse_config(PRESETS / "guided_gaussian.ini")
+        grid = GridSpec(nx=64, ny=64, extent=0.0768, dz=0.005,
+                        cell_length=0.2)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a table was built for a mismatched probe")
+
+        monkeypatch.setattr(solver, "build_chi_table", unreachable)
+        snapshots = []
+        with pytest.raises(ValueError, match="the probe's grid"):
+            propagate(make_probe(cfg.probe, replace(grid, **change)),
+                      cfg.control, cfg.params, grid, StepPlan(grid),
+                      on_snapshot=lambda *args: snapshots.append(args))
+        assert snapshots == []
+        # a snapshot read back carries placeholder dz and cell_length: only
+        # the transverse grid has to match
+        probe = make_probe(cfg.probe, replace(grid, dz=1.0, cell_length=1.0))
+        end = propagate(probe, ControlBeamSpec(G0=0.0), cfg.params, grid,
+                        StepPlan(grid), on_snapshot=ignore)
+        assert end.z == pytest.approx(grid.cell_length)
+
     def test_control_off_equals_pure_diffraction(self):
         grid = GridSpec(nx=128, ny=128, extent=0.24, dz=0.01, cell_length=0.5)
         probe = gaussian_field(grid)
         plan = StepPlan(grid)
-        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        snapshot_every=10**9)
+        end = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
+                        on_snapshot=ignore, snapshot_every=10**9)
         direct = probe
         for _ in range(grid.n_steps):
             direct = diffraction_step(direct, grid.dz, K, plan)
         scale = np.linalg.norm(direct.values)
-        assert np.linalg.norm(res.field.values - direct.values) / scale < 1e-10
+        assert np.linalg.norm(end.values - direct.values) / scale < 1e-10
 
     @pytest.mark.parametrize("order", (2, 4))
     def test_dark_run_diffracts_once_per_snapshot_interval(self, order):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
         plan = StepPlan(grid, order=order)
-        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        snapshot_every=4)
-        assert res.snapshot_steps == [0, 4, 8, 10]
+        handed, on_snapshot = collect()
+        end = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
+                        on_snapshot=on_snapshot, snapshot_every=4)
+        assert [step for step, _ in handed] == [0, 4, 8, 10]
         merged = probe
-        for start, end in zip(res.snapshot_steps, res.snapshot_steps[1:]):
-            merged = diffraction_step(merged, (end - start) * grid.dz, K,
+        for (start, _), (stop, snap) in zip(handed, handed[1:]):
+            merged = diffraction_step(merged, (stop - start) * grid.dz, K,
                                       plan)
-            snap = res.snapshots[res.snapshot_steps.index(end)]
             np.testing.assert_array_equal(snap.values, merged.values)
         # the split-step chain the merge replaces agrees to roundoff
         chain = half_step_chain(probe, plan, grid.n_steps)
-        assert relative_l2(res.field.values, chain.values) < 1e-13
+        assert relative_l2(end.values, chain.values) < 1e-13
 
     def test_dark_run_follows_the_gaussian_beam(self, monkeypatch):
         # closed form of dg/dz = (i / 2k) laplace_perp g from a waist w0 at
@@ -390,15 +426,16 @@ class TestPropagate:
 
         monkeypatch.setattr(solver, "diffraction_step", counting)
         plan = StepPlan(grid)
-        res = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
-                        snapshot_every=60)
-        assert res.snapshot_steps == [0, 60, 120, 180, 200]
+        handed, on_snapshot = collect()
+        propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
+                  on_snapshot=on_snapshot, snapshot_every=60)
+        assert [step for step, _ in handed] == [0, 60, 120, 180, 200]
         # one diffraction per segment, and two distinct segment lengths
         assert len(calls) == 4 and len(plan._phase_cache) == 2
         X, Y = np.meshgrid(*grid.axes(), indexing="ij")
         r2 = X**2 + Y**2
         zR = K * w0**2 / 2.0
-        for snap in res.snapshots:
+        for _, snap in handed:
             q = snap.z - 1j * zR
             expect = (-1j * zR / q) * np.exp(1j * K * r2 / (2.0 * q))
             assert relative_l2(snap.values, expect) < 1e-13
@@ -415,19 +452,20 @@ class TestPropagate:
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
         probe = gaussian_field(grid)
         propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid,
-                  StepPlan(grid), snapshot_every=10**9)
+                  StepPlan(grid), on_snapshot=ignore, snapshot_every=10**9)
         assert builds == []
         propagate(probe, ControlBeamSpec(waist_position_z0=0.05), PARAMS,
-                  grid, StepPlan(grid), snapshot_every=10**9)
+                  grid, StepPlan(grid), on_snapshot=ignore,
+                  snapshot_every=10**9)
         assert len(builds) == 1
 
     def test_preserves_x_symmetry(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.2)
         probe = gaussian_field(grid)
         plan = StepPlan(grid)
-        res = propagate(probe, ControlBeamSpec(waist_position_z0=0.2), PARAMS,
-                        grid, plan, snapshot_every=10**9)
-        intensity = np.abs(res.field.values) ** 2
+        end = propagate(probe, ControlBeamSpec(waist_position_z0=0.2), PARAMS,
+                        grid, plan, on_snapshot=ignore, snapshot_every=10**9)
+        intensity = np.abs(end.values) ** 2
         mirrored = intensity[1:, :][::-1, :]
         assert np.max(np.abs(intensity[1:, :] - mirrored)) / intensity.max() < 1e-10
 
@@ -439,12 +477,13 @@ class TestPropagate:
         for control, every, steps in (
                 (ControlBeamSpec(G0=0.0), 4, [0, 4, 8, 10]),
                 (ControlBeamSpec(waist_position_z0=0.1), 1, list(range(11)))):
-            res = propagate(probe, control, PARAMS, grid, plan,
-                            snapshot_every=every)
-            assert res.snapshot_steps == steps
-            assert [snap.z for snap in res.snapshots] == pytest.approx(
+            handed, on_snapshot = collect()
+            propagate(probe, control, PARAMS, grid, plan,
+                      on_snapshot=on_snapshot, snapshot_every=every)
+            assert [step for step, _ in handed] == steps
+            assert [snap.z for _, snap in handed] == pytest.approx(
                 [n * grid.dz for n in steps], rel=1e-12, abs=0)
-            values = [snap.values for snap in res.snapshots]
+            values = [snap.values for _, snap in handed]
             # each snapshot is its own copy of a field that moved
             assert not any(np.array_equal(a, b)
                            for a, b in zip(values, values[1:]))
@@ -457,27 +496,18 @@ class TestPropagate:
     ], ids=["lit order 2", "lit order 4", "direct average", "dark"])
     def test_on_snapshot_sees_the_collected_snapshots(self, control, order,
                                                       use_table):
+        # every path hands over the same steps, and returns the field it
+        # handed over at the cell end
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
-        probe = gaussian_field(grid)
-
-        def run(**kwargs):
-            return propagate(probe, control, PARAMS, grid,
-                             StepPlan(grid, order=order), snapshot_every=3,
-                             use_table=use_table, **kwargs)
-
-        collected = run()
-        handed = []
-        # the field handed over is the run's own, so the callback copies it
-        streamed = run(on_snapshot=lambda step, snap: handed.append(
-            (step, snap.copy())))
-        assert streamed.snapshots == []
-        assert [step for step, _ in handed] == streamed.snapshot_steps \
-            == collected.snapshot_steps == [0, 3, 6, 9, 10]
-        for (_, snap), kept in zip(handed, collected.snapshots):
-            assert snap.z == kept.z
-            np.testing.assert_array_equal(snap.values, kept.values)
-        np.testing.assert_array_equal(streamed.field.values,
-                                      collected.field.values)
+        handed, on_snapshot = collect()
+        end = propagate(gaussian_field(grid), control, PARAMS, grid,
+                        StepPlan(grid, order=order), on_snapshot=on_snapshot,
+                        snapshot_every=3, use_table=use_table)
+        assert [step for step, _ in handed] == [0, 3, 6, 9, 10]
+        assert [snap.z for _, snap in handed] == pytest.approx(
+            [0.0, 0.03, 0.06, 0.09, 0.1], rel=1e-12, abs=0)
+        assert end.z == handed[-1][1].z
+        np.testing.assert_array_equal(end.values, handed[-1][1].values)
 
     def test_non_finite_fields_abort_with_z(self):
         grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
@@ -486,7 +516,8 @@ class TestPropagate:
         plan = StepPlan(grid)
         with pytest.raises(NumericsError, match=r"input probe peak \|g\|\^2 "
                            r"= nan is not finite at z = 0 cm") as err:
-            propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan)
+            propagate(bad, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
+                      on_snapshot=ignore)
         assert err.value.z == 0.0
 
     def test_non_finite_lit_field_aborts_with_z(self, monkeypatch):
@@ -506,7 +537,7 @@ class TestPropagate:
                                r"values in step 1 at z = 0\.01 cm") as err:
                 propagate(gaussian_field(grid),
                           ControlBeamSpec(waist_position_z0=0.1), PARAMS,
-                          grid, plan)
+                          grid, plan, on_snapshot=ignore)
         assert err.value.z == pytest.approx(0.01)
 
     def test_excursion_first_met_in_a_later_stage_names_step(self,
@@ -532,7 +563,7 @@ class TestPropagate:
                            r"table top 0\.04\)") as err:
             propagate(gaussian_field(grid, w=10.0),
                       ControlBeamSpec(waist_position_z0=0.1), PARAMS, grid,
-                      plan, snapshot_every=10**9)
+                      plan, on_snapshot=ignore, snapshot_every=10**9)
         assert err.value.z == pytest.approx(0.15)
         # stage 1 passed on the whole grid; a subset lookup raised
         assert sizes[-2] == grid.nx * grid.ny > sizes[-1] > 0
@@ -560,7 +591,7 @@ class TestPropagate:
         plan = StepPlan(grid, order=order)
         propagate(gaussian_field(grid),
                   ControlBeamSpec(waist_position_z0=0.05), PARAMS, grid, plan,
-                  snapshot_every=10**9)
+                  on_snapshot=ignore, snapshot_every=10**9)
         assert per_subflow == [4] * (grid.n_steps * len(plan.substeps()))
 
     def test_focusing_past_the_table_range_names_step_and_intensity(self):
@@ -575,7 +606,7 @@ class TestPropagate:
                            r"\(\|g\|\^2 queried up to [0-9.]+, above the "
                            r"table top 0\.48\)") as err:
             propagate(probe, ControlBeamSpec(), PARAMS, grid, plan,
-                      snapshot_every=10**9)
+                      on_snapshot=ignore, snapshot_every=10**9)
         assert err.value.z == pytest.approx(0.145)
 
     @pytest.mark.parametrize("z0, top_at", ((-0.3, 0.0), (0.005, 0.005),
@@ -597,23 +628,24 @@ class TestPropagate:
         grid = GridSpec(nx=8, ny=8, extent=8 * 3.6e-4, dz=0.01,
                         cell_length=1.0)
         control = ControlBeamSpec(waist_wc=5e-4, waist_position_z0=z0)
-        res = propagate(gaussian_field(grid, w=7e-4), control, PARAMS, grid,
-                        StepPlan(grid), snapshot_every=10**9)
+        end = propagate(gaussian_field(grid, w=7e-4), control, PARAMS, grid,
+                        StepPlan(grid), on_snapshot=ignore,
+                        snapshot_every=10**9)
         assert tops == [control.peak_intensity(top_at)]
-        assert res.field.z == pytest.approx(1.0)
-        assert np.all(np.isfinite(res.field.values))
+        assert end.z == pytest.approx(1.0)
+        assert np.all(np.isfinite(end.values))
 
     def test_order4_runs_and_agrees_with_order2(self):
         grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
         probe = gaussian_field(grid)
-        res2 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
-                         grid, StepPlan(grid, order=2),
+        end2 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
+                         grid, StepPlan(grid, order=2), on_snapshot=ignore,
                          snapshot_every=10**9)
-        res4 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
-                         grid, StepPlan(grid, order=4),
+        end4 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
+                         grid, StepPlan(grid, order=4), on_snapshot=ignore,
                          snapshot_every=10**9)
-        scale = np.linalg.norm(res2.field.values)
-        assert np.linalg.norm(res2.field.values - res4.field.values) / scale < 1e-4
+        scale = np.linalg.norm(end2.values)
+        assert np.linalg.norm(end2.values - end4.values) / scale < 1e-4
 
 
 def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
@@ -643,11 +675,13 @@ def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
                             lambda *args, **kwargs:
                         lambda G2, g2, out=None: alpha * G2)
         probe = gaussian_field(grid, w=w0, g0=1.0)
-        res = propagate(probe, ControlBeamSpec(), PARAMS, grid,
-                        StepPlan(grid), snapshot_every=round(0.25 / dz))
-        assert [s.z for s in res.snapshots] == pytest.approx(
+        handed, on_snapshot = collect()
+        end = propagate(probe, ControlBeamSpec(), PARAMS, grid,
+                        StepPlan(grid), on_snapshot=on_snapshot,
+                        snapshot_every=round(0.25 / dz))
+        assert [s.z for _, s in handed] == pytest.approx(
             [0.0, 0.25, 0.5, 0.75, 1.0], rel=1e-12, abs=0)
-        for snap in res.snapshots:
+        for _, snap in handed:
             q = np.tanh(gamma * snap.z + phi) / gamma
             A = np.sinh(phi) / np.sinh(gamma * snap.z + phi)
             peak = np.abs(snap.values).max()
@@ -663,7 +697,7 @@ def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
                 on_axis = snap.values[grid.nx // 2, grid.ny // 2]
                 assert abs(np.angle(on_axis / A)) < 3e-6
         expect = A * np.exp(1j * K * r2 / (2.0 * q))
-        errors.append(relative_l2(res.field.values, expect))
+        errors.append(relative_l2(end.values, expect))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.1), orders
 
@@ -688,7 +722,8 @@ def test_duct_past_the_rk4_stability_bound_is_refused(monkeypatch):
                        r"\(\|2 pi k dz chi\| = 6\.90\d* is above RK4's "
                        r"stability bound 2\.5\)") as err:
         propagate(gaussian_field(grid, w=w0, g0=1.0), ControlBeamSpec(),
-                  PARAMS, grid, StepPlan(grid), snapshot_every=5)
+                  PARAMS, grid, StepPlan(grid), on_snapshot=ignore,
+                  snapshot_every=5)
     assert err.value.z == pytest.approx(0.025)
 
 
@@ -713,7 +748,8 @@ def test_guided_table_matches_the_direct_average_at_every_lit_point(
     target = cfg.run["table_target_error"]
     with pytest.raises(_TableBuilt) as built:
         propagate(probe, cfg.control, cfg.params, cfg.grid,
-                  StepPlan(cfg.grid), table_target_error=target)
+                  StepPlan(cfg.grid), on_snapshot=ignore,
+                  table_target_error=target)
     table = built.value.args[0]
     G2 = control_intensity(cfg.control, cfg.grid, 0.0)
     lit = G2 > 0.0
