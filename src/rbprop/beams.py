@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import ComplexField2D
-from .params import DEFAULT_WAVELENGTH_CM, GridSpec
+from .params import DEFAULT_WAVELENGTH_CM, TransverseGrid
 
 PROBE_KINDS = ("gaussian", "double_gaussian", "sech_multi")
 
@@ -83,14 +83,23 @@ class ProbeSpec:
             raise ValueError("g0 must be non-negative")
         if not self.width > 0:
             raise ValueError("width must be positive")
-        if len(set(self.centers)) != len(self.centers):
-            raise ValueError("probe centers must be distinct")
-        if self.kind == "gaussian" and self.centers:
-            raise ValueError("a single Gaussian probe takes no centers")
-        if self.kind == "double_gaussian" and len(self.centers) != 2:
-            raise ValueError("a double Gaussian probe takes exactly two centers")
-        if self.kind == "sech_multi" and len(self.centers) < 1:
-            raise ValueError("a sech multi-peak probe needs at least one center")
+        problems = center_problems(self.kind, self.centers)
+        if problems:
+            raise ValueError("; ".join(problems))
+
+
+def center_problems(kind: str, centers: tuple[float, ...]) -> list[str]:
+    """Every structural problem of a probe's centers for its kind."""
+    out = []
+    if len(set(centers)) != len(centers):
+        out.append("probe centers must be distinct")
+    if kind == "gaussian" and centers:
+        out.append("a single Gaussian probe takes no centers")
+    if kind == "double_gaussian" and len(centers) != 2:
+        out.append("a double Gaussian probe takes exactly two centers")
+    if kind == "sech_multi" and len(centers) < 1:
+        out.append("a sech multi-peak probe needs at least one center")
+    return out
 
 
 def control_field(spec: ControlBeamSpec, x, y, z: float):
@@ -117,9 +126,10 @@ def control_field(spec: ControlBeamSpec, x, y, z: float):
 
 
 @functools.lru_cache(maxsize=8)
-def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _mesh(grid: TransverseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only X of shape (nx, 1) and Y of shape (1, ny), computed once
-    per GridSpec: the "ij" meshgrid of ``grid.axes()`` as broadcasting
+    per transverse grid (a run's fields and the snapshots read back from
+    them share one): the "ij" meshgrid of ``grid.axes()`` as broadcasting
     views, so an expression in X and Y gives the full mesh's values and the
     mesh itself holds only the two axes."""
     X, Y = np.meshgrid(*grid.axes(), indexing="ij", sparse=True)
@@ -129,7 +139,7 @@ def _mesh(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _radial_mesh(grid: GridSpec) -> np.ndarray:
+def _radial_mesh(grid: TransverseGrid) -> np.ndarray:
     """Read-only r^2 on the grid, from its cached mesh."""
     X, Y = _mesh(grid)
     r2 = X * X + Y * Y
@@ -151,14 +161,14 @@ def _radial_intensity(spec: ControlBeamSpec, r2, z: float, out=None):
     return out
 
 
-def control_intensity(spec: ControlBeamSpec, grid: GridSpec, z: float,
+def control_intensity(spec: ControlBeamSpec, grid: TransverseGrid, z: float,
                       out: np.ndarray | None = None) -> np.ndarray:
     """|G|^2 sampled on the grid at height z (cheaper than the complex field),
     written into ``out`` (a float array of the grid's shape) when given."""
     return _radial_intensity(spec, _radial_mesh(grid), z, out=out)
 
 
-def make_probe(spec: ProbeSpec, grid: GridSpec) -> ComplexField2D:
+def make_probe(spec: ProbeSpec, grid: TransverseGrid) -> ComplexField2D:
     """Entry-plane probe g0 * sum_i f(x - x_i, y) for any probe kind.
 
     The sum runs over ``spec.centers``, or the origin alone for a single

@@ -62,7 +62,7 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
         raise ConfigurationError(
             ["[probe] g0_over_gamma = 0 must be positive to propagate"])
     plan = StepPlan(cfg.grid, order=args.order)
-    probe = make_probe(cfg.probe, cfg.grid)
+    probe = make_probe(cfg.probe, cfg.grid.transverse)
     digits = len(str(cfg.grid.n_steps))
     outputs = []
     diagnostics = RunDiagnostics()

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .beams import PROBE_KINDS, ControlBeamSpec, ProbeSpec
-from .params import ConfigurationError, GridSpec, PhysicalParams
+from .beams import PROBE_KINDS, ControlBeamSpec, ProbeSpec, center_problems
+from .params import (ConfigurationError, GridSpec, PhysicalParams,
+                     TransverseGrid)
 
 # schema: section -> key -> (type, default or MANDATORY)
 _MANDATORY = object()
@@ -72,10 +73,14 @@ _SCHEMA = {
 _COUNTS = {("run", "snapshot_every"), ("scan", "r_points"),
            ("scan", "delta_R_points"), ("oracle", "draws")}
 # float keys that must be above 0
-_POSITIVE = {("run", "table_target_error"), ("control", "waist_cm"),
-             ("probe", "width_cm")}
+_POSITIVE = {("atom", "gamma_rad_s"), ("atom", "density_cm3"),
+             ("atom", "lambda_cm"), ("grid", "extent_cm"), ("grid", "dz_cm"),
+             ("grid", "cell_length_cm"), ("run", "table_target_error"),
+             ("control", "waist_cm"), ("probe", "width_cm")}
 # float keys that must not be below 0
-_NON_NEGATIVE = {("control", "g0_over_gamma"), ("probe", "g0_over_gamma")}
+_NON_NEGATIVE = {("atom", "big_gamma_over_gamma"),
+                 ("atom", "doppler_width_over_gamma"),
+                 ("control", "g0_over_gamma"), ("probe", "g0_over_gamma")}
 # string keys that take one of a few values
 _CHOICES = {("probe", "kind"): PROBE_KINDS}
 
@@ -210,15 +215,16 @@ def parse_config(path: str | Path) -> SimulationConfig:
         resolved["control"]["waist_position_cm"] = resolved["grid"]["cell_length_cm"]
 
     # every unreadable center is reported with the problems found below
-    center_problems: list[str] = []
+    centers_line = lines.get(("probe", "centers_cm"), 0)
+    unread_centers: list[str] = []
     centers = []
     for text in resolved["probe"]["centers_cm"].split(","):
         if text.strip():
             try:
                 centers.append(_coerce("probe", "centers_cm", text, float,
-                                       lines.get(("probe", "centers_cm"), 0)))
+                                       centers_line))
             except ConfigurationError as exc:
-                center_problems.extend(exc.violations)
+                unread_centers.extend(exc.violations)
     centers = tuple(centers)
     kind = resolved["probe"]["kind"]
     if not centers:
@@ -241,38 +247,35 @@ def parse_config(path: str | Path) -> SimulationConfig:
         wavelength=resolved["atom"]["lambda_cm"],
     )
     grid = GridSpec(
-        nx=resolved["grid"]["nx"],
-        ny=resolved["grid"]["ny"],
-        extent=resolved["grid"]["extent_cm"],
+        TransverseGrid(nx=resolved["grid"]["nx"], ny=resolved["grid"]["ny"],
+                       extent=resolved["grid"]["extent_cm"]),
         dz=resolved["grid"]["dz_cm"],
         cell_length=resolved["grid"]["cell_length_cm"],
     )
-    problems += center_problems + params.violations()
+    # the structure of the centers is checked once every one is read
+    bad_centers = unread_centers or [
+        f"line {centers_line}: [probe] centers_cm = {centers!r}: {message}"
+        for message in center_problems(kind, centers)]
+    problems += bad_centers
     # a spec is built only from values in range, which its own checks would
-    # report again without their line
+    # report again without their line; the control takes the atom's
+    # wavelength
     control = None
-    if "control" not in out_of_range:
-        try:
-            control = ControlBeamSpec(
-                G0=resolved["control"]["g0_over_gamma"],
-                waist_wc=resolved["control"]["waist_cm"],
-                waist_position_z0=resolved["control"]["waist_position_cm"],
-                wavelength=params.wavelength,
-            )
-        except ValueError as exc:
-            problems.append(str(exc))
+    if not out_of_range & {"atom", "control"}:
+        control = ControlBeamSpec(
+            G0=resolved["control"]["g0_over_gamma"],
+            waist_wc=resolved["control"]["waist_cm"],
+            waist_position_z0=resolved["control"]["waist_position_cm"],
+            wavelength=params.wavelength,
+        )
     probe = None  # unless it is valid, no width for the resolution check
-    # the spec's checks need every center
-    if not center_problems and "probe" not in out_of_range:
-        try:
-            probe = ProbeSpec(
-                kind=kind,
-                g0=resolved["probe"]["g0_over_gamma"],
-                width=resolved["probe"]["width_cm"],
-                centers=centers,
-            )
-        except ValueError as exc:
-            problems.append(str(exc))
+    if not bad_centers and "probe" not in out_of_range:
+        probe = ProbeSpec(
+            kind=kind,
+            g0=resolved["probe"]["g0_over_gamma"],
+            width=resolved["probe"]["width_cm"],
+            centers=centers,
+        )
     problems += grid.violations(None if probe is None else probe.width)
     if problems:
         raise ConfigurationError(problems)

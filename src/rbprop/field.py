@@ -1,4 +1,4 @@
-"""Complex transverse field samples tied to a grid and a z position."""
+"""Complex field samples on one transverse grid at one z position."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import GridSpec
+from .params import TransverseGrid
 
 
 @dataclass
@@ -17,7 +17,7 @@ class ComplexField2D:
     """
 
     values: np.ndarray
-    grid: GridSpec
+    grid: TransverseGrid
     z: float = 0.0
 
     def __post_init__(self):

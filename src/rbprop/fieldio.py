@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .field import ComplexField2D
-from .params import GridSpec
+from .params import TransverseGrid
 
 SNAPSHOT_MAGIC = b"RBPF"
 SNAPSHOT_VERSION = 1
@@ -47,12 +47,8 @@ def write_field(path: str | Path, field: ComplexField2D) -> Path:
 
 
 def read_field(path: str | Path) -> ComplexField2D:
-    """Read a snapshot written by write_field.
-
-    The embedded nx, ny, extent reconstruct the transverse grid.  A snapshot
-    stores no dz or cell_length, so the field's grid carries the
-    placeholders dz = cell_length = 1; nothing that reads a field uses them.
-    """
+    """Read a snapshot written by write_field: the whole field, its
+    transverse grid rebuilt from the embedded nx, ny and extent."""
     path = Path(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -74,8 +70,7 @@ def read_field(path: str | Path) -> ComplexField2D:
         values = np.empty((nx, ny), dtype="<c16")
         if fh.readinto(values) != values.nbytes:
             raise SnapshotFormatError(f"{path}: cut short while reading")
-    grid = GridSpec(nx=nx, ny=ny, extent=extent, dz=1.0, cell_length=1.0)
-    return ComplexField2D(values, grid, z)
+    return ComplexField2D(values, TransverseGrid(nx, ny, extent), z)
 
 
 def write_diagnostics_csv(path: str | Path, records) -> Path:

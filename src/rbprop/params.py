@@ -72,38 +72,18 @@ class PhysicalParams:
         """k = 2*pi/lambda in 1/cm."""
         return 2.0 * np.pi / self.wavelength
 
-    def violations(self) -> list[str]:
-        out = []
-        if not self.gamma > 0:
-            out.append("gamma must be positive")
-        if self.big_gamma < 0:
-            out.append("big_gamma must be non-negative")
-        if self.doppler_width < 0:
-            out.append("doppler_width must be non-negative")
-        if not self.density > 0:
-            out.append("density must be positive")
-        if not self.wavelength > 0:
-            out.append("wavelength must be positive")
-        for name in ("big_gamma", "delta_p", "delta_R", "doppler_width"):
-            if not np.isfinite(getattr(self, name)):
-                out.append(f"{name} must be finite")
-        return out
-
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform transverse grid and longitudinal stepping.
+class TransverseGrid:
+    """Uniform transverse grid: one plane of the field.
 
-    The transverse domain is a square of full width ``extent`` sampled at
-    nx x ny points (powers of two, for transform efficiency). ``dz`` is the
-    split-step size and ``cell_length`` the vapor cell length, both in cm.
+    A square of full width ``extent`` (cm) sampled at nx x ny points (powers
+    of two, for transform efficiency).
     """
 
     nx: int = 256
     ny: int = 256
     extent: float = 0.24
-    dz: float = 50.0e-4
-    cell_length: float = 5.0
 
     @property
     def dx(self) -> float:
@@ -112,10 +92,6 @@ class GridSpec:
     @property
     def dy(self) -> float:
         return self.extent / self.ny
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.cell_length / self.dz))
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         """Cell-centered x and y coordinate arrays (cm), origin at the center."""
@@ -130,26 +106,12 @@ class GridSpec:
         return kx, ky
 
     def violations(self, narrowest_feature: float | None = None) -> list[str]:
+        """Power-of-two sizes, and the narrowest probe feature resolved."""
         out = []
         for name in ("nx", "ny"):
             n = getattr(self, name)
             if n < 2 or (n & (n - 1)) != 0:
                 out.append(f"{name} must be a power of two, got {n}")
-        if not self.extent > 0:
-            out.append("extent must be positive")
-        if not self.dz > 0:
-            out.append("dz must be positive")
-        if not self.cell_length > 0:
-            out.append("cell_length must be positive")
-        if self.dz > 0 and self.cell_length > 0:
-            if self.n_steps < 1:
-                out.append("cell_length/dz must round to at least one step")
-            elif abs(self.n_steps * self.dz - self.cell_length) > 1e-9 * self.cell_length:
-                # the run would stop short of, or step past, the cell's end
-                out.append(
-                    f"cell_length_cm = {self.cell_length:.6g} is not a whole "
-                    f"number of dz_cm = {self.dz:.6g} steps "
-                    f"({self.cell_length / self.dz:.6g})")
         if narrowest_feature is not None and self.extent > 0 and self.nx > 0:
             # feature diameter (twice the 1/e amplitude width) must span >= 8 cells
             samples = 2.0 * narrowest_feature / self.dx
@@ -159,6 +121,38 @@ class GridSpec:
                     f"feature ({narrowest_feature:.4g} cm) with only {samples:.2f} "
                     "samples across its diameter; at least 8 are required"
                 )
+        return out
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """The transverse grid and the march through the cell.
+
+    ``dz`` is the split-step size and ``cell_length`` the vapor cell length,
+    both in cm.
+    """
+
+    transverse: TransverseGrid = TransverseGrid()
+    dz: float = 50.0e-4
+    cell_length: float = 5.0
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.cell_length / self.dz))
+
+    def violations(self, narrowest_feature: float | None = None) -> list[str]:
+        """The transverse grid's problems, and a cell that is not a whole
+        number of steps (positive dz and cell_length are the caller's)."""
+        out = self.transverse.violations(narrowest_feature)
+        if self.dz > 0 and self.cell_length > 0:
+            if self.n_steps < 1:
+                out.append("cell_length/dz must round to at least one step")
+            elif abs(self.n_steps * self.dz - self.cell_length) > 1e-9 * self.cell_length:
+                # the run would stop short of, or step past, the cell's end
+                out.append(
+                    f"cell_length_cm = {self.cell_length:.6g} is not a whole "
+                    f"number of dz_cm = {self.dz:.6g} steps "
+                    f"({self.cell_length / self.dz:.6g})")
         return out
 
 

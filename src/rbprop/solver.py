@@ -2,7 +2,8 @@
 
 The paraxial envelope obeys dg/dz = (i c / 2 omega) laplace_perp g
 + 2 i pi k <chi> g.  Free-space diffraction is applied exactly in the spatial
-frequency domain; the medium action is integrated pointwise with the
+frequency domain, with one cached phase per transverse grid and distance
+(``_diffraction_phase``); the medium action is integrated pointwise with the
 thermally averaged susceptibility following the local control and probe
 intensities.  Second-order Strang splitting is the default; a fourth-order
 triple-jump composition of Strang steps is available.
@@ -27,13 +28,14 @@ merges it exactly.  A dark run makes one diffraction per snapshot interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beams import ControlBeamSpec, control_intensity
 from .field import ComplexField2D
-from .params import GridSpec, PhysicalParams
+from .params import GridSpec, PhysicalParams, TransverseGrid
 from .susceptibility import FieldPoint, build_chi_table, chi_doppler_averaged
 
 # Triple-jump composition coefficients for the fourth-order scheme.
@@ -55,9 +57,9 @@ class NumericsError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepPlan:
-    """Splitting order and cached spectral phase factors.
+    """Splitting order of a march through the grid's cell.
 
     The step size is the grid's own ``dz``: a plan steps through the cell
     as its ``GridSpec`` lays it out.
@@ -65,7 +67,6 @@ class StepPlan:
 
     grid: GridSpec
     order: int = 2
-    _phase_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.order not in (2, 4):
@@ -75,18 +76,6 @@ class StepPlan:
     def dz(self) -> float:
         return self.grid.dz
 
-    def diffraction_phase(self, distance: float, k: float) -> np.ndarray:
-        """exp(-i (kx^2 + ky^2) d / (2 k)), cached per distance (the grid's
-        kx^2 + ky^2 is formed for each new one, not kept)."""
-        key = (round(distance, 15), round(k, 6))
-        phase = self._phase_cache.get(key)
-        if phase is None:
-            kx, ky = self.grid.spatial_frequencies()
-            k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-            phase = np.exp(-1j * k2 * distance / (2.0 * k))
-            self._phase_cache[key] = phase
-        return phase
-
     def substeps(self) -> tuple[float, ...]:
         """Fractions of dz for the composed Strang sub-steps."""
         if self.order == 2:
@@ -94,25 +83,36 @@ class StepPlan:
         return ORDER4_COEFFS
 
 
-def diffraction_step(field: ComplexField2D, distance: float, k: float,
-                     plan: StepPlan | None = None,
+@functools.lru_cache(maxsize=8)
+def _diffraction_phase(grid: TransverseGrid, distance: float,
+                       k: float) -> np.ndarray:
+    """Read-only exp(-i (kx^2 + ky^2) d / (2 k)) on the plane, computed once
+    per (grid, distance, k) and shared like ``beams._mesh``.  The key is the
+    exact distance, from which the phase is computed."""
+    kx, ky = grid.spatial_frequencies()
+    k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+    phase = np.exp(-1j * k2 * distance / (2.0 * k))
+    phase.flags.writeable = False
+    return phase
+
+
+def diffraction_step(field: ComplexField2D, distance: float, k: float, *,
                      out: np.ndarray | None = None) -> ComplexField2D:
     """Exact free-space paraxial propagation over ``distance``.
 
     Each spatial-frequency component is multiplied by
     exp(-i (kx^2 + ky^2) c d / (2 omega)) = exp(-i k_perp^2 d / (2 k)),
-    with periodic boundaries from the discrete transform.  The result is
-    written into ``out``, a complex array of the field's shape, when given
-    (``field.values`` itself steps the field in place, with the same bits);
-    otherwise into a new array.
+    with periodic boundaries from the discrete transform; the phase depends
+    on the field's transverse grid alone and is shared by every step over
+    the same distance.  The result is written into ``out``, a complex array
+    of the field's shape, when given (``field.values`` itself steps the
+    field in place, with the same bits); otherwise into a new array.
     """
-    if plan is None:
-        plan = StepPlan(field.grid)
     # one axis at a time into one array: at 256^2 this measured faster than
     # np.fft.fft2 (README, Numerical notes)
     spectrum = np.fft.fft(field.values, axis=1, out=out)
     np.fft.fft(spectrum, axis=0, out=spectrum)
-    spectrum *= plan.diffraction_phase(distance, k)
+    spectrum *= _diffraction_phase(field.grid, distance, k)
     np.fft.ifft(spectrum, axis=0, out=spectrum)
     np.fft.ifft(spectrum, axis=1, out=spectrum)
     return ComplexField2D(spectrum, field.grid, field.z + distance)
@@ -267,12 +267,12 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
 
     The step size and step count are the grid's (``grid.dz``,
     ``grid.n_steps``), which must be the plan's, and the probe must sample
-    the grid's transverse plane (its nx, ny and extent): a plan made for
-    another grid, or a probe on another transverse grid, is a ValueError
-    before any work.  The susceptibility is looked up from an interpolation
-    table over (|G|^2, |g|^2) built once to cover the whole run: |G|^2 up
-    to the control's analytic maximum over the cell, its peak intensity at
-    the waist or at the cell face nearest it, and |g|^2 up to
+    the grid's transverse plane (``probe.grid == grid.transverse``): a plan
+    made for another grid, or a probe on another transverse grid, is a
+    ValueError before any work.  The susceptibility is looked up from an
+    interpolation table over (|G|^2, |g|^2) built once to cover the whole
+    run: |G|^2 up to the control's analytic maximum over the cell, its peak
+    intensity at the waist or at the cell face nearest it, and |g|^2 up to
     PROBE_PEAK_HEADROOM times the input maximum; a |G|^2 top that is zero
     or not finite is a ChiTableError.  A probe that focuses
     past the table's |g|^2 range is a NumericsError naming the step, z, the
@@ -302,12 +302,9 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     if plan.grid != grid:
         raise ValueError(f"the step plan's grid {plan.grid} is not the "
                          f"run's grid {grid}")
-    transverse = (grid.nx, grid.ny, grid.extent)
-    if (probe.grid.nx, probe.grid.ny, probe.grid.extent) != transverse:
-        raise ValueError(
-            f"the probe's grid (nx, ny, extent) = ({probe.grid.nx}, "
-            f"{probe.grid.ny}, {probe.grid.extent}) is not the run's "
-            f"{transverse}")
+    if probe.grid != grid.transverse:
+        raise ValueError(f"the probe's grid {probe.grid} is not the run's "
+                         f"transverse grid {grid.transverse}")
     k = params.wavenumber
     dz = grid.dz
     n_steps = grid.n_steps
@@ -350,17 +347,16 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
             # phases compose exactly: one transform pair spans the interval,
             # a step count times dz, so that equal intervals share a phase
             field = diffraction_step(field, (step + 1 - interval_start) * dz,
-                                     k, plan, out=field.values)
+                                     k, out=field.values)
             interval_start = step + 1
         else:
             z0 = step * dz
             for frac in plan.substeps():
                 sub = frac * dz
                 z_mid = z0 + 0.5 * sub
-                field = diffraction_step(field, 0.5 * sub, k, plan,
-                                         out=field.values)
-                control_I = control_intensity(control, grid, z_mid,
-                                              out=control_I)
+                field = diffraction_step(field, 0.5 * sub, k, out=field.values)
+                control_I = control_intensity(control, grid.transverse,
+                                              z_mid, out=control_I)
                 try:
                     _medium_subflow(field.values, control_I, lookup, sub, k,
                                     work=work)
@@ -370,8 +366,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                     raise NumericsError(
                         z_mid, f"medium step failed in step {step + 1} at "
                         f"z = {z_mid:.6g} cm ({exc})") from exc
-                field = diffraction_step(field, 0.5 * sub, k, plan,
-                                         out=field.values)
+                field = diffraction_step(field, 0.5 * sub, k, out=field.values)
                 z0 += sub
         field.z = (step + 1) * dz
         if not np.all(np.isfinite(field.values)):

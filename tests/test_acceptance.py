@@ -19,7 +19,8 @@ from rbprop.analysis import (beam_width, normalized_profile_distance,
                              peak_positions, transmission, index_contrast)
 from rbprop.beams import ControlBeamSpec, ProbeSpec, control_field, make_probe
 from rbprop.cli import main
-from rbprop.params import GridSpec, PhysicalParams, prefactor_over_gamma
+from rbprop.params import (GridSpec, PhysicalParams, TransverseGrid,
+                           prefactor_over_gamma)
 from rbprop.solver import ComplexField2D, StepPlan, diffraction_step, propagate
 from rbprop.susceptibility import (FieldPoint, build_chi_table,
                                    chi_doppler_averaged, chi_stationary,
@@ -45,7 +46,7 @@ def report(criterion: str, ok: bool, detail: str):
 @pytest.fixture(scope="session")
 def free_space_run():
     grid = GridSpec()
-    probe = make_probe(ProbeSpec(), grid)
+    probe = make_probe(ProbeSpec(), grid.transverse)
     plan = StepPlan(grid, order=2)
     t0 = time.time()
     end = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
@@ -56,7 +57,7 @@ def free_space_run():
 @pytest.fixture(scope="session")
 def guided_run():
     grid = GridSpec()
-    probe = make_probe(ProbeSpec(), grid)
+    probe = make_probe(ProbeSpec(), grid.transverse)
     plan = StepPlan(grid, order=2)
     end = propagate(probe, CONTROL, PARAMS, grid, plan,
                     on_snapshot=ignore, snapshot_every=10**9)
@@ -72,7 +73,7 @@ def shape_runs():
     def run(spec, grid, wc, control_on):
         ctrl = ControlBeamSpec(G0=0.75 if control_on else 0.0, waist_wc=wc,
                                waist_position_z0=L)
-        probe = make_probe(spec, grid)
+        probe = make_probe(spec, grid.transverse)
         plan = StepPlan(grid, order=2)
         end = propagate(probe, ctrl, PARAMS, grid, plan,
                         on_snapshot=ignore, snapshot_every=10**9)
@@ -80,14 +81,14 @@ def shape_runs():
 
     dg = ProbeSpec(kind="double_gaussian", g0=0.2, width=WP,
                    centers=(-70e-4, 70e-4))
-    g128 = GridSpec(nx=128, ny=128, extent=0.12, dz=50e-4, cell_length=L)
+    g128 = GridSpec(TransverseGrid(128, 128, 0.12), dz=50e-4, cell_length=L)
     out["dg_in"], out["dg_off"] = run(dg, g128, 100e-4, False)
     _, out["dg_100"] = run(dg, g128, 100e-4, True)
     _, out["dg_200"] = run(dg, g128, 200e-4, True)
 
     sech = ProbeSpec(kind="sech_multi", g0=0.2, width=35e-4,
                      centers=(-120e-4, 0.0, 120e-4))
-    g256 = GridSpec(nx=256, ny=256, extent=0.12, dz=50e-4, cell_length=L)
+    g256 = GridSpec(TransverseGrid(256, 256, 0.12), dz=50e-4, cell_length=L)
     out["sech_in"], out["sech_off"] = run(sech, g256, 200e-4, False)
     _, out["sech_200"] = run(sech, g256, 200e-4, True)
     return out
@@ -99,8 +100,8 @@ def convergence_orders():
     L = 5.0
 
     def final(dz, order):
-        grid = GridSpec(nx=128, ny=128, extent=0.12, dz=dz, cell_length=L)
-        probe = make_probe(ProbeSpec(), grid)
+        grid = GridSpec(TransverseGrid(128, 128, 0.12), dz=dz, cell_length=L)
+        probe = make_probe(ProbeSpec(), grid.transverse)
         plan = StepPlan(grid, order=order)
         end = propagate(probe, CONTROL, PARAMS, grid, plan,
                         on_snapshot=ignore, snapshot_every=10**9)
@@ -243,7 +244,7 @@ def test_criterion_8_shape_preservation(shape_runs):
 
 
 def test_criterion_9_numerics(convergence_orders):
-    grid = GridSpec(nx=128, ny=128, extent=0.2)
+    grid = TransverseGrid(nx=128, ny=128, extent=0.2)
     X, Y = np.meshgrid(*grid.axes(), indexing="ij")
     f = ComplexField2D(0.2 * np.exp(-(X**2 + Y**2) / WP**2), grid, 0.0)
     out = diffraction_step(f, 2.5, PARAMS.wavenumber)

@@ -5,10 +5,10 @@ from rbprop.analysis import (DiagnosticsRecord, RunDiagnostics, beam_width,
                              index_contrast, normalized_profile_distance,
                              peak_positions, radial_chi_profile, transmission)
 from rbprop.beams import ControlBeamSpec
-from rbprop.params import GridSpec, PhysicalParams
+from rbprop.params import PhysicalParams, TransverseGrid
 from rbprop.solver import ComplexField2D
 
-GRID = GridSpec(nx=256, ny=256, extent=0.12)
+GRID = TransverseGrid(nx=256, ny=256, extent=0.12)
 PARAMS = PhysicalParams()
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_field,
                           control_intensity, make_probe)
-from rbprop.params import GridSpec
+from rbprop.params import TransverseGrid
 
 CTRL = ControlBeamSpec(G0=1.0, waist_wc=120e-4, waist_position_z0=5.0)
 
@@ -55,19 +55,19 @@ class TestControlField:
         assert CTRL.width_at(CTRL.waist_position_z0) == CTRL.waist_wc
 
     def test_intensity_helper_matches_field(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.06)
+        grid = TransverseGrid(nx=32, ny=32, extent=0.06)
         X, Y = np.meshgrid(*grid.axes(), indexing="ij")
         direct = np.abs(control_field(CTRL, X, Y, 2.0)) ** 2
         np.testing.assert_allclose(control_intensity(CTRL, grid, 2.0),
                                    direct, rtol=1e-12, atol=1e-30)
 
     def test_peak_intensity_formula(self):
-        grid = GridSpec(nx=512, ny=512, extent=0.08)
+        grid = TransverseGrid(nx=512, ny=512, extent=0.08)
         sampled = control_intensity(CTRL, grid, 0.7).max()
         assert sampled == pytest.approx(CTRL.peak_intensity(0.7), rel=1e-3)
 
 
-GRID = GridSpec(nx=256, ny=256, extent=0.12)
+GRID = TransverseGrid(nx=256, ny=256, extent=0.12)
 
 
 class TestProbes:

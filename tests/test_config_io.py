@@ -14,7 +14,7 @@ from rbprop.fieldio import (OutputLock, OutputLockError, RunManifest,
                             read_field, write_chi_scan_csv,
                             write_diagnostics_csv, write_field,
                             write_profile_csv)
-from rbprop.params import GridSpec
+from rbprop.params import TransverseGrid
 from rbprop.solver import ComplexField2D
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -33,7 +33,7 @@ class TestParseConfig:
         assert cfg.control.G0 == 1.0
         assert cfg.control.waist_wc == pytest.approx(120e-4)
         assert cfg.control.waist_position_z0 == pytest.approx(5.0)
-        assert cfg.grid.nx == 256 and cfg.grid.cell_length == 5.0
+        assert cfg.grid.transverse.nx == 256 and cfg.grid.cell_length == 5.0
         # gap-filling defaults are flagged for the manifest
         assert "control.waist_position_cm" in cfg.defaulted_keys
         assert "run.chi_table" in cfg.defaulted_keys
@@ -121,6 +121,8 @@ class TestParseConfig:
         base = (PRESETS / "guided_gaussian.ini").read_text()
         text = base
         for old, new in (("waist_cm = 0.0120", "waist_cm = 0"),
+                         ("kind = gaussian", "kind = double_gaussian\n"
+                          "centers_cm = 0.001, 0.001"),
                          ("g0_over_gamma = 0.2", "g0_over_gamma = -1"),
                          ("width_cm = 0.0048", "width_cm = -0.0048")):
             assert text.count(old) == 1
@@ -130,14 +132,18 @@ class TestParseConfig:
         lines = text.splitlines()
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
-        # the probe spec's own checks stop at its first problem
+        # the probe spec's own checks stop at its first problem; the
+        # structure of its centers is listed with its ranges
         assert err.value.violations == [
             f"line {lines.index(line) + 1}: {message}" for line, message in (
                 ("waist_cm = 0", "[control] waist_cm = 0.0 must be positive"),
                 ("g0_over_gamma = -1",
                  "[probe] g0_over_gamma = -1.0 must be non-negative"),
                 ("width_cm = -0.0048",
-                 "[probe] width_cm = -0.0048 must be positive"))]
+                 "[probe] width_cm = -0.0048 must be positive"),
+                ("centers_cm = 0.001, 0.001",
+                 "[probe] centers_cm = (0.001, 0.001): probe centers must be "
+                 "distinct"))]
 
     def test_every_bad_center_reported_with_the_other_problems(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
@@ -236,11 +242,23 @@ class TestParseConfig:
          "[control] waist_cm = 0.0 must be positive"),
         ("g0_over_gamma = 1.0", "g0_over_gamma = -1.0",
          "[control] g0_over_gamma = -1.0 must be non-negative"),
+        # the medium's and the march's ranges are the file's too
+        ("gamma_rad_s = 9.42477796076938e6      # 3*pi*1e6", "gamma_rad_s = 0",
+         "[atom] gamma_rad_s = 0.0 must be positive"),
+        ("big_gamma_over_gamma = 0.001", "big_gamma_over_gamma = -0.001",
+         "[atom] big_gamma_over_gamma = -0.001 must be non-negative"),
+        ("doppler_width_over_gamma = 70.0       # 141.12 is the alternative "
+         "quoted width", "doppler_width_over_gamma = -70",
+         "[atom] doppler_width_over_gamma = -70.0 must be non-negative"),
+        ("cell_length_cm = 5.0", "cell_length_cm = 0",
+         "[grid] cell_length_cm = 0.0 must be positive"),
     ]
 
     @pytest.mark.parametrize("old, new, message", BAD_VALUES,
                              ids=("kind%", "g0%", "target0", "target<0",
-                                  "width<0", "waist0", "control_g0<0"))
+                                  "width<0", "waist0", "control_g0<0",
+                                  "gamma0", "big_gamma<0", "doppler<0",
+                                  "cell0"))
     def test_bad_value_names_its_line(self, tmp_path, old, new, message):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         assert base.count(old) == 1
@@ -251,6 +269,36 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
         assert err.value.violations == [f"line {line}: {message}"]
+
+    def test_every_atom_and_grid_range_problem_names_its_line(self,
+                                                              tmp_path):
+        # the wavelength is the control beam's too; it is listed once
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        text = base
+        for old, new in (
+                ("gamma_rad_s = 9.42477796076938e6      # 3*pi*1e6",
+                 "gamma_rad_s = -1"),
+                ("density_cm3 = 1.0e12", "density_cm3 = 0"),
+                ("lambda_cm = 794.98e-7", "lambda_cm = 0"),
+                ("nx = 256", "nx = 300"),
+                ("extent_cm = 0.24", "extent_cm = -1"),
+                ("dz_cm = 0.005", "dz_cm = 0")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "ranges.ini"
+        path.write_text(text)
+        lines = text.splitlines()
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == [
+            f"line {lines.index(line) + 1}: {message}" for line, message in (
+                ("gamma_rad_s = -1",
+                 "[atom] gamma_rad_s = -1.0 must be positive"),
+                ("density_cm3 = 0", "[atom] density_cm3 = 0.0 must be positive"),
+                ("lambda_cm = 0", "[atom] lambda_cm = 0.0 must be positive"),
+                ("extent_cm = -1", "[grid] extent_cm = -1.0 must be positive"),
+                ("dz_cm = 0", "[grid] dz_cm = 0.0 must be positive"))
+        ] + ["nx must be a power of two, got 300"]
 
     def test_grid_resolution_enforced(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
@@ -276,7 +324,7 @@ class TestParseConfig:
 
 class TestSnapshotFormat:
     def make_field(self):
-        grid = GridSpec(nx=8, ny=4, extent=0.08, dz=0.01, cell_length=0.1)
+        grid = TransverseGrid(nx=8, ny=4, extent=0.08)
         rng = np.random.default_rng(0)
         values = rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4))
         return ComplexField2D(values, grid, z=0.37)
@@ -289,6 +337,8 @@ class TestSnapshotFormat:
         assert back.z == field.z
         assert back.grid.nx == 8 and back.grid.ny == 4
         assert back.grid.extent == field.grid.extent
+        # the file alone gives the whole field: nothing is made up
+        assert back.grid == field.grid
 
     def test_header_layout(self, tmp_path):
         field = self.make_field()
@@ -384,7 +434,7 @@ class TestCsvWriters:
     def test_profile_csv_equals_python_text(self, tmp_path, monkeypatch,
                                             block):
         monkeypatch.setattr(fieldio, "CSV_BLOCK", block)
-        grid = GridSpec(nx=5, ny=3, extent=0.06, dz=0.01, cell_length=0.1)
+        grid = TransverseGrid(nx=5, ny=3, extent=0.06)
         rng = np.random.default_rng(5)
         values = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
         values[1, 2] = 0.0

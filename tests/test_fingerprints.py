@@ -70,11 +70,12 @@ def propagation_fingerprint(name: str) -> dict:
         out["power"].append(snap.power())
         out["width"].append(beam_width(snap))
         out["peak"].append(float(np.max(np.abs(v) ** 2)))
-        out["phase"].append(float(np.angle(v[grid.nx // 2, grid.ny // 2])))
+        out["phase"].append(float(np.angle(v[snap.grid.nx // 2,
+                                             snap.grid.ny // 2])))
         out["coeffs"].append([x for c in low for x in (c.real, c.imag)])
 
-    propagate(make_probe(cfg.probe, grid), cfg.control, cfg.params, grid,
-              StepPlan(grid, order=order),
+    propagate(make_probe(cfg.probe, grid.transverse), cfg.control,
+              cfg.params, grid, StepPlan(grid, order=order),
               snapshot_every=snapshot_every or cfg.run["snapshot_every"],
               use_table=(cfg.run["chi_table"] if use_table is None
                          else use_table),

@@ -12,7 +12,8 @@ from rbprop.analysis import beam_width
 from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_intensity,
                           make_probe)
 from rbprop.config import parse_config
-from rbprop.params import GridSpec, PhysicalParams
+from rbprop.fieldio import read_field, write_field
+from rbprop.params import GridSpec, PhysicalParams, TransverseGrid
 from rbprop.solver import (ComplexField2D, NumericsError, StepPlan,
                            _medium_subflow, diffraction_step, propagate)
 from rbprop.susceptibility import (ChiTable, FieldPoint, build_chi_table,
@@ -49,37 +50,36 @@ def half_step_chain(probe, plan, n_steps):
     for _ in range(n_steps):
         for frac in plan.substeps():
             sub = frac * plan.dz
-            chain = diffraction_step(chain, 0.5 * sub, K, plan)
-            chain = diffraction_step(chain, 0.5 * sub, K, plan)
+            chain = diffraction_step(chain, 0.5 * sub, K)
+            chain = diffraction_step(chain, 0.5 * sub, K)
     return chain
 
 
 class TestDiffraction:
     def test_zero_distance_is_identity(self):
-        grid = GridSpec(nx=64, ny=64, extent=0.1)
+        grid = TransverseGrid(nx=64, ny=64, extent=0.1)
         f = gaussian_field(grid)
         out = diffraction_step(f, 0.0, K)
         np.testing.assert_allclose(out.values, f.values, rtol=0, atol=1e-15)
 
     def test_power_conserved(self):
-        grid = GridSpec(nx=128, ny=128, extent=0.2)
+        grid = TransverseGrid(nx=128, ny=128, extent=0.2)
         f = gaussian_field(grid)
         out = diffraction_step(f, 3.7, K)
         assert out.power() == pytest.approx(f.power(), rel=1e-12)
 
     def test_two_half_steps_equal_one_full(self):
-        grid = GridSpec(nx=64, ny=64, extent=0.1)
-        plan = StepPlan(grid)
+        grid = TransverseGrid(nx=64, ny=64, extent=0.1)
         f = gaussian_field(grid)
-        full = diffraction_step(f, 0.5, K, plan)
-        halves = diffraction_step(diffraction_step(f, 0.25, K, plan), 0.25, K, plan)
+        full = diffraction_step(f, 0.5, K)
+        halves = diffraction_step(diffraction_step(f, 0.25, K), 0.25, K)
         np.testing.assert_allclose(halves.values, full.values, rtol=0, atol=1e-14)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.sampled_from([16, 32, 64, 128]), st.floats(0.01, 0.5),
            st.floats(-5.0, 5.0), st.integers(0, 2**32 - 1))
     def test_power_conserved_for_any_field(self, n, extent, distance, seed):
-        grid = GridSpec(nx=n, ny=n, extent=extent)
+        grid = TransverseGrid(nx=n, ny=n, extent=extent)
         rng = np.random.default_rng(seed)
         f = ComplexField2D(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
                            grid, 0.0)
@@ -90,15 +90,14 @@ class TestDiffraction:
         # an independent transform: scipy's fft2 / ifft2 with the same phase
         scipy_fft = pytest.importorskip("scipy.fft")
 
-        grid = GridSpec(nx=128, ny=96, extent=0.1)
-        plan = StepPlan(grid)
+        grid = TransverseGrid(nx=128, ny=96, extent=0.1)
         rng = np.random.default_rng(3)
         f = ComplexField2D(rng.normal(size=(128, 96))
                            + 1j * rng.normal(size=(128, 96)), grid, 0.25)
         before = f.values.copy()
-        out = diffraction_step(f, 0.7, K, plan)
+        out = diffraction_step(f, 0.7, K)
         expect = scipy_fft.ifft2(scipy_fft.fft2(f.values)
-                                 * plan.diffraction_phase(0.7, K))
+                                 * solver._diffraction_phase(grid, 0.7, K))
         assert relative_l2(out.values, expect) < 1e-13
         # Parseval: the step is unitary
         assert abs(out.power() - f.power()) < 1e-13 * f.power()
@@ -106,18 +105,17 @@ class TestDiffraction:
         assert out.z == pytest.approx(0.95, rel=1e-15)
 
     def test_steps_in_place_into_out(self):
-        grid = GridSpec(nx=64, ny=64, extent=0.12)
+        grid = TransverseGrid(nx=64, ny=64, extent=0.12)
         f = gaussian_field(grid)
-        plan = StepPlan(grid)
-        expect = diffraction_step(f, 0.3, K, plan)
+        expect = diffraction_step(f, 0.3, K)
         values = f.values
-        got = diffraction_step(f, 0.3, K, plan, out=f.values)
+        got = diffraction_step(f, 0.3, K, out=f.values)
         assert got.values is values
         assert got.z == expect.z
         np.testing.assert_array_equal(got.values, expect.values)
 
     def test_gaussian_spreading_law(self):
-        grid = GridSpec(nx=256, ny=256, extent=0.24)
+        grid = TransverseGrid(nx=256, ny=256, extent=0.24)
         w0 = 48e-4
         f = gaussian_field(grid, w=w0)
         z = 2.0
@@ -129,7 +127,7 @@ class TestDiffraction:
 
 class TestStepPlan:
     def test_orders(self):
-        grid = GridSpec(nx=32, ny=32)
+        grid = GridSpec(TransverseGrid(nx=32, ny=32))
         assert StepPlan(grid, order=2).substeps() == (1.0,)
         subs = StepPlan(grid, order=4).substeps()
         assert len(subs) == 3 and subs[0] == subs[2]
@@ -138,17 +136,22 @@ class TestStepPlan:
             StepPlan(grid, order=3)
 
     def test_step_is_the_grids(self):
-        grid = GridSpec(nx=32, ny=32, dz=0.01, cell_length=0.1)
+        grid = GridSpec(TransverseGrid(nx=32, ny=32), dz=0.01, cell_length=0.1)
         assert StepPlan(grid).dz == 0.01
         # a step of its own would disagree with the grid's step count
         with pytest.raises(TypeError):
             StepPlan(grid, dz=0.25)
 
     def test_cached_phases_unimodular(self):
-        grid = GridSpec(nx=32, ny=32)
-        plan = StepPlan(grid)
-        phase = plan.diffraction_phase(0.005, K)
+        grid = TransverseGrid(nx=32, ny=32)
+        phase = solver._diffraction_phase(grid, 0.005, K)
         np.testing.assert_allclose(np.abs(phase), 1.0, rtol=1e-14)
+        # every step over this distance on this plane shares the one array
+        assert solver._diffraction_phase(TransverseGrid(nx=32, ny=32), 0.005,
+                                         K) is phase
+        assert not phase.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            phase *= 2.0
 
 
 def allocating_rk4(values, chi_of, distance, k):
@@ -172,7 +175,7 @@ def lit_medium():
     On this 0.12 cm grid about a quarter of the points sit where the control
     and the probe are too weak for the medium step to move them.
     """
-    grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
+    grid = TransverseGrid(nx=64, ny=64, extent=0.12)
     control = ControlBeamSpec(waist_position_z0=0.1)
     probe = diffraction_step(gaussian_field(grid), 0.005, K)
     control_I = control_intensity(control, grid, 0.005)
@@ -229,7 +232,7 @@ class TestMediumSubflow:
                                    rtol=1e-13, atol=0)
 
     def test_gathers_only_where_enough_points_are_kept(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.1)
+        grid = TransverseGrid(nx=32, ny=32, extent=0.1)
         values = gaussian_field(grid).values
         # the "control intensity" numbers the points; chi is zero below a
         # cut, so exactly ``cut`` points keep their value
@@ -284,7 +287,7 @@ class TestMediumSubflow:
             np.testing.assert_array_equal(stepped[~hot], values[~hot])
 
     def test_constant_chi_matches_exponential(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.1)
+        grid = TransverseGrid(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)
         chi0 = (2.0 + 1.0j) * 1e-6
         got = _medium_subflow(f.values.copy(), np.ones(f.values.shape),
@@ -298,7 +301,7 @@ class TestMediumSubflow:
                                                     (2.6, True)])
     def test_refuses_an_increment_past_the_rk4_stability_bound(
             self, increment, refused):
-        grid = GridSpec(nx=32, ny=32, extent=0.1)
+        grid = TransverseGrid(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)
         chi = np.zeros(f.values.shape, dtype=complex)
         # one hot point with |2 pi k d chi| = increment; a NaN and an inf
@@ -321,7 +324,7 @@ class TestMediumSubflow:
             assert np.isfinite(run()[5, 7])
 
     def test_zero_chi_is_exact_identity(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.1)
+        grid = TransverseGrid(nx=32, ny=32, extent=0.1)
         f = gaussian_field(grid)
         values = f.values.copy()
         got = _medium_subflow(values, np.ones(f.values.shape),
@@ -334,13 +337,14 @@ class TestMediumSubflow:
 
 
 class TestPropagate:
-    @pytest.mark.parametrize("change", [dict(extent=0.1536), dict(dz=0.01)],
-                             ids=("extent", "dz"))
+    @pytest.mark.parametrize("change", [
+        dict(transverse=TransverseGrid(nx=64, ny=64, extent=0.1536)),
+        dict(dz=0.01)], ids=("extent", "dz"))
     def test_plan_of_another_grid_is_refused_before_any_work(
             self, monkeypatch, change):
         cfg = parse_config(PRESETS / "guided_gaussian.ini")
-        grid = GridSpec(nx=64, ny=64, extent=0.0768, dz=0.005,
-                        cell_length=0.2)
+        plane = TransverseGrid(nx=64, ny=64, extent=0.0768)
+        grid = GridSpec(plane, dz=0.005, cell_length=0.2)
         plan = StepPlan(replace(grid, **change))
 
         def unreachable(*args, **kwargs):
@@ -349,7 +353,7 @@ class TestPropagate:
         monkeypatch.setattr(solver, "build_chi_table", unreachable)
         snapshots = []
         with pytest.raises(ValueError, match="the step plan's grid"):
-            propagate(make_probe(cfg.probe, grid), cfg.control, cfg.params,
+            propagate(make_probe(cfg.probe, plane), cfg.control, cfg.params,
                       grid, plan, on_snapshot=lambda *args: snapshots.append(
                           args))
         assert snapshots == []
@@ -357,10 +361,10 @@ class TestPropagate:
     @pytest.mark.parametrize("change", [dict(extent=0.1536), dict(nx=32)],
                              ids=("extent", "nx"))
     def test_probe_on_another_transverse_grid_is_refused_before_any_work(
-            self, monkeypatch, change):
+            self, monkeypatch, tmp_path, change):
         cfg = parse_config(PRESETS / "guided_gaussian.ini")
-        grid = GridSpec(nx=64, ny=64, extent=0.0768, dz=0.005,
-                        cell_length=0.2)
+        plane = TransverseGrid(nx=64, ny=64, extent=0.0768)
+        grid = GridSpec(plane, dz=0.005, cell_length=0.2)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a table was built for a mismatched probe")
@@ -368,33 +372,35 @@ class TestPropagate:
         monkeypatch.setattr(solver, "build_chi_table", unreachable)
         snapshots = []
         with pytest.raises(ValueError, match="the probe's grid"):
-            propagate(make_probe(cfg.probe, replace(grid, **change)),
+            propagate(make_probe(cfg.probe, replace(plane, **change)),
                       cfg.control, cfg.params, grid, StepPlan(grid),
                       on_snapshot=lambda *args: snapshots.append(args))
         assert snapshots == []
-        # a snapshot read back carries placeholder dz and cell_length: only
-        # the transverse grid has to match
-        probe = make_probe(cfg.probe, replace(grid, dz=1.0, cell_length=1.0))
-        end = propagate(probe, ControlBeamSpec(G0=0.0), cfg.params, grid,
-                        StepPlan(grid), on_snapshot=ignore)
+        # a snapshot read back from its file alone is a probe on the plane
+        path = write_field(tmp_path / "probe.rbpf",
+                           make_probe(cfg.probe, plane))
+        end = propagate(read_field(path), ControlBeamSpec(G0=0.0),
+                        cfg.params, grid, StepPlan(grid), on_snapshot=ignore)
         assert end.z == pytest.approx(grid.cell_length)
 
     def test_control_off_equals_pure_diffraction(self):
-        grid = GridSpec(nx=128, ny=128, extent=0.24, dz=0.01, cell_length=0.5)
-        probe = gaussian_field(grid)
+        plane = TransverseGrid(nx=128, ny=128, extent=0.24)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.5)
+        probe = gaussian_field(plane)
         plan = StepPlan(grid)
         end = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
                         on_snapshot=ignore, snapshot_every=10**9)
         direct = probe
         for _ in range(grid.n_steps):
-            direct = diffraction_step(direct, grid.dz, K, plan)
+            direct = diffraction_step(direct, grid.dz, K)
         scale = np.linalg.norm(direct.values)
         assert np.linalg.norm(end.values - direct.values) / scale < 1e-10
 
     @pytest.mark.parametrize("order", (2, 4))
     def test_dark_run_diffracts_once_per_snapshot_interval(self, order):
-        grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
-        probe = gaussian_field(grid)
+        plane = TransverseGrid(nx=64, ny=64, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
+        probe = gaussian_field(plane)
         plan = StepPlan(grid, order=order)
         handed, on_snapshot = collect()
         end = propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
@@ -402,8 +408,7 @@ class TestPropagate:
         assert [step for step, _ in handed] == [0, 4, 8, 10]
         merged = probe
         for (start, _), (stop, snap) in zip(handed, handed[1:]):
-            merged = diffraction_step(merged, (stop - start) * grid.dz, K,
-                                      plan)
+            merged = diffraction_step(merged, (stop - start) * grid.dz, K)
             np.testing.assert_array_equal(snap.values, merged.values)
         # the split-step chain the merge replaces agrees to roundoff
         chain = half_step_chain(probe, plan, grid.n_steps)
@@ -413,10 +418,10 @@ class TestPropagate:
         # closed form of dg/dz = (i / 2k) laplace_perp g from a waist w0 at
         # z = 0: g = (-i zR / q) exp(i k r^2 / 2q), q = z - i zR; it carries
         # the width, the amplitude and the Gouy phase together
-        grid = GridSpec(nx=256, ny=256, extent=0.24, dz=0.005,
-                        cell_length=1.0)
+        plane = TransverseGrid(nx=256, ny=256, extent=0.24)
+        grid = GridSpec(plane, dz=0.005, cell_length=1.0)
         w0 = 48e-4
-        probe = gaussian_field(grid, w=w0, g0=1.0)
+        probe = gaussian_field(plane, w=w0, g0=1.0)
         calls = []
         diffraction = solver.diffraction_step
 
@@ -425,14 +430,16 @@ class TestPropagate:
             return diffraction(*args, **kwargs)
 
         monkeypatch.setattr(solver, "diffraction_step", counting)
+        solver._diffraction_phase.cache_clear()
         plan = StepPlan(grid)
         handed, on_snapshot = collect()
         propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid, plan,
                   on_snapshot=on_snapshot, snapshot_every=60)
         assert [step for step, _ in handed] == [0, 60, 120, 180, 200]
         # one diffraction per segment, and two distinct segment lengths
-        assert len(calls) == 4 and len(plan._phase_cache) == 2
-        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+        assert len(calls) == 4
+        assert solver._diffraction_phase.cache_info().currsize == 2
+        X, Y = np.meshgrid(*plane.axes(), indexing="ij")
         r2 = X**2 + Y**2
         zR = K * w0**2 / 2.0
         for _, snap in handed:
@@ -449,8 +456,9 @@ class TestPropagate:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(solver, "build_chi_table", counting)
-        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
-        probe = gaussian_field(grid)
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.05)
+        probe = gaussian_field(plane)
         propagate(probe, ControlBeamSpec(G0=0.0), PARAMS, grid,
                   StepPlan(grid), on_snapshot=ignore, snapshot_every=10**9)
         assert builds == []
@@ -460,8 +468,9 @@ class TestPropagate:
         assert len(builds) == 1
 
     def test_preserves_x_symmetry(self):
-        grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.2)
-        probe = gaussian_field(grid)
+        plane = TransverseGrid(nx=64, ny=64, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.2)
+        probe = gaussian_field(plane)
         plan = StepPlan(grid)
         end = propagate(probe, ControlBeamSpec(waist_position_z0=0.2), PARAMS,
                         grid, plan, on_snapshot=ignore, snapshot_every=10**9)
@@ -470,8 +479,9 @@ class TestPropagate:
         assert np.max(np.abs(intensity[1:, :] - mirrored)) / intensity.max() < 1e-10
 
     def test_snapshots_cadence(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
-        probe = gaussian_field(grid)
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
+        probe = gaussian_field(plane)
         plan = StepPlan(grid)
         # a dark run every 4 steps and at the cell end; a lit run every step
         for control, every, steps in (
@@ -498,9 +508,10 @@ class TestPropagate:
                                                       use_table):
         # every path hands over the same steps, and returns the field it
         # handed over at the cell end
-        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
         handed, on_snapshot = collect()
-        end = propagate(gaussian_field(grid), control, PARAMS, grid,
+        end = propagate(gaussian_field(plane), control, PARAMS, grid,
                         StepPlan(grid, order=order), on_snapshot=on_snapshot,
                         snapshot_every=3, use_table=use_table)
         assert [step for step, _ in handed] == [0, 3, 6, 9, 10]
@@ -510,8 +521,9 @@ class TestPropagate:
         np.testing.assert_array_equal(end.values, handed[-1][1].values)
 
     def test_non_finite_fields_abort_with_z(self):
-        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
-        bad = gaussian_field(grid)
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
+        bad = gaussian_field(plane)
         bad.values[3, 3] = np.nan
         plan = StepPlan(grid)
         with pytest.raises(NumericsError, match=r"input probe peak \|g\|\^2 "
@@ -529,13 +541,14 @@ class TestPropagate:
             return control_I
 
         monkeypatch.setattr(solver, "control_intensity", one_nan)
-        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.1)
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
         plan = StepPlan(grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match=r"non-finite field "
                                r"values in step 1 at z = 0\.01 cm") as err:
-                propagate(gaussian_field(grid),
+                propagate(gaussian_field(plane),
                           ControlBeamSpec(waist_position_z0=0.1), PARAMS,
                           grid, plan, on_snapshot=ignore)
         assert err.value.z == pytest.approx(0.01)
@@ -556,17 +569,18 @@ class TestPropagate:
             return lookup(table, G2, g2, **kwargs)
 
         monkeypatch.setattr(ChiTable, "__call__", recording)
-        grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.3, cell_length=0.3)
+        plane = TransverseGrid(nx=64, ny=64, extent=0.06)
+        grid = GridSpec(plane, dz=0.3, cell_length=0.3)
         plan = StepPlan(grid)
         with pytest.raises(NumericsError, match=r"step 1 at z = 0\.15 cm "
                            r"\(\|g\|\^2 queried up to [0-9.]+, above the "
                            r"table top 0\.04\)") as err:
-            propagate(gaussian_field(grid, w=10.0),
+            propagate(gaussian_field(plane, w=10.0),
                       ControlBeamSpec(waist_position_z0=0.1), PARAMS, grid,
                       plan, on_snapshot=ignore, snapshot_every=10**9)
         assert err.value.z == pytest.approx(0.15)
         # stage 1 passed on the whole grid; a subset lookup raised
-        assert sizes[-2] == grid.nx * grid.ny > sizes[-1] > 0
+        assert sizes[-2] == plane.nx * plane.ny > sizes[-1] > 0
 
     @pytest.mark.parametrize("order", (2, 4))
     def test_each_medium_subflow_makes_four_lookups(self, monkeypatch,
@@ -587,9 +601,10 @@ class TestPropagate:
 
         monkeypatch.setattr(solver, "_medium_subflow", counting_subflow)
         monkeypatch.setattr(ChiTable, "__call__", counting_lookup)
-        grid = GridSpec(nx=32, ny=32, extent=0.12, dz=0.01, cell_length=0.05)
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.05)
         plan = StepPlan(grid, order=order)
-        propagate(gaussian_field(grid),
+        propagate(gaussian_field(plane),
                   ControlBeamSpec(waist_position_z0=0.05), PARAMS, grid, plan,
                   on_snapshot=ignore, snapshot_every=10**9)
         assert per_subflow == [4] * (grid.n_steps * len(plan.substeps()))
@@ -597,10 +612,11 @@ class TestPropagate:
     def test_focusing_past_the_table_range_names_step_and_intensity(self):
         # a lens of focal length 0.2 cm focuses the probe far beyond the
         # table's |g|^2 top, 12 x the input peak 0.04
-        grid = GridSpec(nx=64, ny=64, extent=0.06, dz=0.01, cell_length=0.3)
-        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+        plane = TransverseGrid(nx=64, ny=64, extent=0.06)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.3)
+        X, Y = np.meshgrid(*plane.axes(), indexing="ij")
         lens = np.exp(-1j * K * (X**2 + Y**2) / (2.0 * 0.2))
-        probe = ComplexField2D(gaussian_field(grid).values * lens, grid, 0.0)
+        probe = ComplexField2D(gaussian_field(plane).values * lens, plane, 0.0)
         plan = StepPlan(grid)
         with pytest.raises(NumericsError, match=r"step 15 at z = 0\.145 cm "
                            r"\(\|g\|\^2 queried up to [0-9.]+, above the "
@@ -625,10 +641,10 @@ class TestPropagate:
 
         monkeypatch.setattr(solver, "build_chi_table", recording)
         # a grid spacing of 3.6 um puts a point near the 3.5 um ring radius
-        grid = GridSpec(nx=8, ny=8, extent=8 * 3.6e-4, dz=0.01,
-                        cell_length=1.0)
+        plane = TransverseGrid(nx=8, ny=8, extent=8 * 3.6e-4)
+        grid = GridSpec(plane, dz=0.01, cell_length=1.0)
         control = ControlBeamSpec(waist_wc=5e-4, waist_position_z0=z0)
-        end = propagate(gaussian_field(grid, w=7e-4), control, PARAMS, grid,
+        end = propagate(gaussian_field(plane, w=7e-4), control, PARAMS, grid,
                         StepPlan(grid), on_snapshot=ignore,
                         snapshot_every=10**9)
         assert tops == [control.peak_intensity(top_at)]
@@ -636,8 +652,9 @@ class TestPropagate:
         assert np.all(np.isfinite(end.values))
 
     def test_order4_runs_and_agrees_with_order2(self):
-        grid = GridSpec(nx=64, ny=64, extent=0.12, dz=0.01, cell_length=0.1)
-        probe = gaussian_field(grid)
+        plane = TransverseGrid(nx=64, ny=64, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
+        probe = gaussian_field(plane)
         end2 = propagate(probe, ControlBeamSpec(waist_position_z0=0.1), PARAMS,
                          grid, StepPlan(grid, order=2), on_snapshot=ignore,
                          snapshot_every=10**9)
@@ -666,15 +683,16 @@ def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
     phi = np.arctanh(-1j * zR * gamma)
     errors = []
     for dz in (0.025, 0.0125, 0.00625):
-        grid = GridSpec(nx=64, ny=64, extent=0.06, dz=dz, cell_length=length)
-        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+        plane = TransverseGrid(nx=64, ny=64, extent=0.06)
+        grid = GridSpec(plane, dz=dz, cell_length=length)
+        X, Y = np.meshgrid(*plane.axes(), indexing="ij")
         r2 = X**2 + Y**2
         monkeypatch.setattr(solver, "control_intensity",
                             lambda spec, on_grid, z, out=None: r2)
         monkeypatch.setattr(solver, "build_chi_table",
                             lambda *args, **kwargs:
                         lambda G2, g2, out=None: alpha * G2)
-        probe = gaussian_field(grid, w=w0, g0=1.0)
+        probe = gaussian_field(plane, w=w0, g0=1.0)
         handed, on_snapshot = collect()
         end = propagate(probe, ControlBeamSpec(), PARAMS, grid,
                         StepPlan(grid), on_snapshot=on_snapshot,
@@ -694,7 +712,7 @@ def test_gaussian_in_a_complex_quadratic_duct_follows_the_closed_form(
                                                          rel=1e-5)
                 assert snap.power() == pytest.approx(abs(A)**2 * np.pi / a,
                                                      rel=4e-6)
-                on_axis = snap.values[grid.nx // 2, grid.ny // 2]
+                on_axis = snap.values[plane.nx // 2, plane.ny // 2]
                 assert abs(np.angle(on_axis / A)) < 3e-6
         expect = A * np.exp(1j * K * r2 / (2.0 * q))
         errors.append(relative_l2(end.values, expect))
@@ -710,8 +728,9 @@ def test_duct_past_the_rk4_stability_bound_is_refused(monkeypatch):
     w0 = 48e-4
     zR = K * w0**2 / 2.0
     alpha = (-2.0 + 0.5j) / (4.0 * np.pi * zR**2)
-    grid = GridSpec(nx=64, ny=64, extent=0.053, dz=0.05, cell_length=1.0)
-    X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+    plane = TransverseGrid(nx=64, ny=64, extent=0.053)
+    grid = GridSpec(plane, dz=0.05, cell_length=1.0)
+    X, Y = np.meshgrid(*plane.axes(), indexing="ij")
     r2 = X**2 + Y**2
     monkeypatch.setattr(solver, "control_intensity",
                         lambda spec, on_grid, z, out=None: r2)
@@ -721,7 +740,7 @@ def test_duct_past_the_rk4_stability_bound_is_refused(monkeypatch):
     with pytest.raises(NumericsError, match=r"step 1 at z = 0\.025 cm "
                        r"\(\|2 pi k dz chi\| = 6\.90\d* is above RK4's "
                        r"stability bound 2\.5\)") as err:
-        propagate(gaussian_field(grid, w=w0, g0=1.0), ControlBeamSpec(),
+        propagate(gaussian_field(plane, w=w0, g0=1.0), ControlBeamSpec(),
                   PARAMS, grid, StepPlan(grid), on_snapshot=ignore,
                   snapshot_every=5)
     assert err.value.z == pytest.approx(0.025)
@@ -744,14 +763,14 @@ def test_guided_table_matches_the_direct_average_at_every_lit_point(
         raise _TableBuilt(build(*args, **kwargs))
 
     monkeypatch.setattr(solver, "build_chi_table", stop_after_build)
-    probe = make_probe(cfg.probe, cfg.grid)
+    probe = make_probe(cfg.probe, cfg.grid.transverse)
     target = cfg.run["table_target_error"]
     with pytest.raises(_TableBuilt) as built:
         propagate(probe, cfg.control, cfg.params, cfg.grid,
                   StepPlan(cfg.grid), on_snapshot=ignore,
                   table_target_error=target)
     table = built.value.args[0]
-    G2 = control_intensity(cfg.control, cfg.grid, 0.0)
+    G2 = control_intensity(cfg.control, cfg.grid.transverse, 0.0)
     lit = G2 > 0.0
     g2 = np.abs(probe.values[lit]) ** 2
     expect = chi_doppler_averaged(FieldPoint(g2, G2[lit]), cfg.params)

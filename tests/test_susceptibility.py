@@ -278,8 +278,8 @@ class TestFaddeeva:
         z_peak = np.clip(cfg.control.waist_position_z0, 0.0,
                          cfg.grid.cell_length)
         G2_top = cfg.control.peak_intensity(z_peak)
-        g2_top = 12.0 * np.max(np.abs(make_probe(cfg.probe, cfg.grid).values)
-                               ** 2)
+        probe = make_probe(cfg.probe, cfg.grid.transverse)
+        g2_top = 12.0 * np.max(np.abs(probe.values) ** 2)
         GG, gg = np.meshgrid(log_axis(G2_top, 602), log_axis(g2_top, 1332),
                              indexing="ij")
         nodes = FieldPoint(gg, GG)
