@@ -3,14 +3,14 @@ and the refractive-index contrast written by the control beam."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .beams import ControlBeamSpec, _mesh, _radial_intensity
 from .field import ComplexField2D
 from .params import PhysicalParams
-from .susceptibility import FieldPoint, chi_doppler_averaged
+from . import susceptibility
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,28 @@ def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
     """
     wz = control.width_at(z)
     r = np.linspace(0.0, 5.0 * wz, 400)
-    chi = radial_chi_profile(params, control, z, probe_level, r)
+    chi = radial_chi_map(params, control, z, probe_level, r,
+                         [params.delta_R])
     return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
 
 
-def radial_chi_profile(params: PhysicalParams, control: ControlBeamSpec,
-                       z: float, probe_level: float,
-                       r: np.ndarray) -> np.ndarray:
-    """Averaged susceptibility along a radial cut at fixed z."""
+def radial_chi_map(params: PhysicalParams, control: ControlBeamSpec,
+                   z: float, probe_level: float, r, delta_R) -> np.ndarray:
+    """Averaged susceptibility along a radial cut at fixed z for each Raman
+    detuning: the complex (len(delta_R), len(r)) map, with the probe
+    intensity held uniformly at probe_level^2.
+
+    Each row is one average over the cut, looked up on the susceptibility
+    module at the call, so a profiler that rebinds it there sees each one.
+    """
     r = np.asarray(r, dtype=float)
-    G2 = _radial_intensity(control, r * r, z)
-    return chi_doppler_averaged(
-        FieldPoint(np.full_like(r, probe_level**2), G2), params)
+    point = susceptibility.FieldPoint(probe_level**2,
+                                      _radial_intensity(control, r * r, z))
+    chi = np.empty((len(delta_R), r.size), dtype=complex)
+    for i, d in enumerate(delta_R):
+        susceptibility.chi_doppler_averaged(
+            point, replace(params, delta_R=float(d)), out=chi[i])
+    return chi
 
 
 def normalized_profile_distance(field_a: ComplexField2D,

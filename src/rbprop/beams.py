@@ -102,29 +102,6 @@ def center_problems(kind: str, centers: tuple[float, ...]) -> list[str]:
     return out
 
 
-def control_field(spec: ControlBeamSpec, x, y, z: float):
-    """Complex control Rabi amplitude at (x, y, z), gamma units.
-
-    G = G0 (w_c r / w_z^2) exp(-i k r^2 / (2 q) + i theta) with
-    q = i z_R - z + z0 and theta the azimuth.  The amplitude vanishes on the
-    axis, where the azimuth is left at zero.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r2 = x * x + y * y
-    r = np.sqrt(r2)
-    k = 2.0 * np.pi / spec.wavelength
-    zr = spec.rayleigh_range
-    q = 1j * zr - z + spec.waist_position_z0
-    wz = spec.width_at(z)
-    theta = np.arctan2(y, x)
-    envelope = spec.G0 * spec.waist_wc * r / wz**2
-    out = envelope * np.exp(-1j * k * r2 / (2.0 * q) + 1j * theta)
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
 @functools.lru_cache(maxsize=8)
 def _mesh(grid: TransverseGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only X of shape (nx, 1) and Y of shape (1, ny), computed once

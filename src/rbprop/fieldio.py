@@ -173,38 +173,72 @@ def _format_e9(values, text, keep) -> None:
         keep[slow] = np.arange(_SLOT) >= _SLOT - length[:, None]
 
 
-def _write_rows(fh, columns, blank_every: int = 0) -> None:
-    """Write ",".join("%.9e" % c[i] for c in columns) + "\n" for each row i
-    of the equal-length float columns to the binary file fh, and a blank
-    line after every blank_every rows when it is positive."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    n = len(columns[0])
+def _formatted(values) -> tuple[np.ndarray, np.ndarray]:
+    """The "%.9e" text of each value in a _SLOT-wide row, and its keep
+    mask (False on the padding before it)."""
+    values = np.asarray(values, dtype=float)
+    text = np.empty((values.size, _SLOT), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    _format_e9(values, text, keep)
+    return text, keep
+
+
+def _write_grid_table(fh, outer, inner, columns, blank: bool = False) -> None:
+    """Write the "%.9e" row outer[j], inner[i], columns[c][j, i] ... for
+    each (j, i) of a 2-d grid to the binary file fh, and a blank line after
+    each len(inner) rows when blank is set.
+
+    Rows run by outer value, then inner index, as a stable sort places
+    them: equal outer values form a group whose rows take each inner index
+    in turn with every member.  Each axis value is formatted once, and the
+    rows are written in blocks of whole groups, at most CSV_BLOCK rows each
+    unless one group has more.
+    """
+    outer = np.asarray(outer, dtype=float)
+    m = len(inner)
+    axes = (_formatted(outer), _formatted(inner))
+    new = np.r_[True, outer[1:] != outer[:-1]]  # each group's first value
+    group = np.cumsum(new)
+    ends = np.r_[np.flatnonzero(new)[1:], outer.size]
+    per = max(1, CSV_BLOCK // m)
     pitch = _SLOT + 1  # a slot and its separator
-    width = len(columns) * pitch + 1  # and room for a blank line
-    for start in range(0, n, CSV_BLOCK):
-        stop = min(start + CSV_BLOCK, n)
-        buf = np.empty((stop - start, width), dtype=np.uint8)
+    width = (2 + len(columns)) * pitch + 1  # and room for a blank line
+    j0 = 0
+    while j0 < outer.size:
+        # whole groups: the last group end within per values, or the next
+        j1 = ends[max(np.searchsorted(ends, j0 + per, "right") - 1,
+                      np.searchsorted(ends, j0, "right"))]
+        # the block's (j, i), stably sorted by (group of j, i)
+        key = (group[j0:j1, None] * m + np.arange(m)).ravel()
+        jj, ii = np.divmod(np.argsort(key, kind="stable"), m)
+        jj += j0
+        buf = np.empty((key.size, width), dtype=np.uint8)
         keep = np.ones(buf.shape, dtype=bool)
-        for c, values in enumerate(columns):
+        for lo, index, (text, kept) in ((0, jj, axes[0]),
+                                        (pitch, ii, axes[1])):
+            buf[:, lo:lo + _SLOT] = text[index]
+            keep[:, lo:lo + _SLOT] = kept[index]
+        for c, values in enumerate(columns, start=2):
             lo = c * pitch
-            _format_e9(values[start:stop], buf[:, lo:lo + _SLOT],
+            _format_e9(values[jj, ii], buf[:, lo:lo + _SLOT],
                        keep[:, lo:lo + _SLOT])
-            buf[:, lo + _SLOT] = ord(",")
+        buf[:, _SLOT::pitch] = ord(",")
         buf[:, width - 2:] = ord("\n")
-        rows = np.arange(start + 1, stop + 1)
-        keep[:, -1] = (rows % blank_every == 0) if blank_every > 0 else False
-        fh.write(buf[keep].tobytes())
+        keep[:, -1] = (np.arange(1, key.size + 1) % m == 0) if blank else False
+        fh.write(buf[keep])
+        j0 = j1
 
 
 def write_chi_scan_csv(path: str | Path, r, delta_R, chi) -> Path:
     """Susceptibility scan: r_cm, delta_R_over_gamma, re_chi, im_chi.
 
-    One row per entry of the equal-length arrays, in the order given.
+    chi is the (len(delta_R), len(r)) map; one row per point, by radius and
+    then detuning in the axes' order (see _write_grid_table for equal radii).
     """
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(b"r_cm,delta_R_over_gamma,re_chi,im_chi\n")
-        _write_rows(fh, [r, delta_R, chi.real, chi.imag])
+        _write_grid_table(fh, r, delta_R, [chi.real.T, chi.imag.T])
     return path
 
 
@@ -212,12 +246,9 @@ def write_profile_csv(path: str | Path, field: ComplexField2D) -> Path:
     """Gnuplot-ready intensity profile: x_cm, y_cm, intensity (blank-line blocks)."""
     path = Path(path)
     x, y = field.grid.axes()
-    nx, ny = field.grid.nx, field.grid.ny
-    intensity = np.abs(field.values) ** 2
     with open(path, "wb") as fh:
         fh.write(b"x_cm,y_cm,intensity\n")
-        _write_rows(fh, [np.repeat(x, ny), np.tile(y, nx), intensity.ravel()],
-                    blank_every=ny)
+        _write_grid_table(fh, x, y, [np.abs(field.values) ** 2], blank=True)
     return path
 
 

@@ -170,15 +170,3 @@ def dipole_prefactor(params: PhysicalParams) -> float:
 def prefactor_over_gamma(params: PhysicalParams) -> float:
     """Dimensionless susceptibility scale N |d|^2 / (hbar gamma)."""
     return dipole_prefactor(params) / params.gamma
-
-
-def doppler_width_from_temperature(temperature_K: float, mass_g: float,
-                                   omega_rad_s: float) -> float:
-    """1-sigma Doppler width D = sqrt(kB T omega^2 / (M c^2)) in rad/s.
-
-    Convenience helper only; the simulation takes D directly in gamma units.
-    Gaussian-CGS: kB in erg/K, mass in g, c in cm/s.
-    """
-    kb = 1.380649e-16
-    c = 2.99792458e10
-    return np.sqrt(kb * temperature_K * omega_rad_s**2 / (mass_g * c**2))

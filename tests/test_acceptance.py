@@ -9,22 +9,22 @@ behind the known misses.
 """
 
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rbprop.analysis import (beam_width, normalized_profile_distance,
-                             peak_positions, transmission, index_contrast)
-from rbprop.beams import ControlBeamSpec, ProbeSpec, control_field, make_probe
+                             peak_positions, radial_chi_map, transmission,
+                             index_contrast)
+from rbprop.beams import ControlBeamSpec, ProbeSpec, make_probe
 from rbprop.cli import main
 from rbprop.params import (GridSpec, PhysicalParams, TransverseGrid,
                            prefactor_over_gamma)
 from rbprop.solver import ComplexField2D, StepPlan, diffraction_step, propagate
 from rbprop.susceptibility import (FieldPoint, build_chi_table,
-                                   chi_doppler_averaged, chi_stationary,
-                                   steady_state_oracle)
+                                   chi_stationary, steady_state_oracle)
+from test_beams import control_field
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -194,12 +194,8 @@ def test_criterion_5_guided_transmission(guided_run):
 
 def test_criterion_6_absorption_minimum():
     ring = CONTROL.ring_radius(0.0)
-    G2 = float(np.abs(control_field(CONTROL, ring, 0.0, 0.0)) ** 2)
     scan = np.linspace(-0.1, 0.05, 301)
-    im = np.empty_like(scan)
-    for i, d in enumerate(scan):
-        im[i] = chi_doppler_averaged(FieldPoint(0.04, G2),
-                                     replace(PARAMS, delta_R=float(d))).imag
+    im = radial_chi_map(PARAMS, CONTROL, 0.0, 0.2, [ring], scan)[:, 0].imag
     loc = float(scan[np.argmin(im)])
     ok = abs(loc - (-0.02)) <= 0.005
     assert report("6 (Raman absorption minimum)", ok,

@@ -3,7 +3,7 @@ import pytest
 
 from rbprop.analysis import (DiagnosticsRecord, RunDiagnostics, beam_width,
                              index_contrast, normalized_profile_distance,
-                             peak_positions, radial_chi_profile, transmission)
+                             peak_positions, radial_chi_map, transmission)
 from rbprop.beams import ControlBeamSpec
 from rbprop.params import PhysicalParams, TransverseGrid
 from rbprop.solver import ComplexField2D
@@ -122,7 +122,7 @@ class TestIndexContrast:
     def test_radial_extremum_sits_at_control_ring(self):
         ctrl = ControlBeamSpec()
         r = np.linspace(0.0, 0.03, 601)
-        chi = radial_chi_profile(PARAMS, ctrl, 0.0, 0.2, r)
+        chi = radial_chi_map(PARAMS, ctrl, 0.0, 0.2, r, [PARAMS.delta_R])[0]
         r_extremum = r[np.argmax(np.abs(chi.real))]
         assert r_extremum == pytest.approx(ctrl.ring_radius(0.0), abs=5e-5)
 

@@ -12,7 +12,9 @@ import pytest
 
 import rbprop.cli as cli
 import rbprop.solver as solver
+import rbprop.susceptibility as susceptibility
 from rbprop.cli import main
+from rbprop.config import parse_config
 from rbprop.fieldio import RunManifest, read_field, sha256_of, write_field
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -162,28 +164,93 @@ def test_chi_scan_csv(tmp_path, capsys):
 
 def test_chi_scan_rows_sorted_by_radius_then_detuning_for_reversed_bounds(
         tmp_path):
+    # reversed bounds, then tied axes (equal bounds, three points each) and
+    # a single radius; each file's rows are np.lexsort's order of its points
+    cases = {
+        "reversed": {"r_min_cm = -0.03": "r_min_cm = 0.02",
+                     "r_max_cm = 0.03": "r_max_cm = -0.01",
+                     "delta_R_min_over_gamma = -0.1":
+                         "delta_R_min_over_gamma = 0.05",
+                     "delta_R_max_over_gamma = 0.05":
+                         "delta_R_max_over_gamma = -0.1"},
+        "tied-radii": {"r_min_cm = -0.03": "r_min_cm = 0.01",
+                       "r_max_cm = 0.03": "r_max_cm = 0.01",
+                       "r_points = 9": "r_points = 3"},
+        "tied-detunings": {"delta_R_min_over_gamma = -0.1":
+                               "delta_R_min_over_gamma = -0.02",
+                           "delta_R_max_over_gamma = 0.05":
+                               "delta_R_max_over_gamma = -0.02",
+                           "delta_R_points = 5": "delta_R_points = 3"},
+        "one-radius": {"r_points = 9": "r_points = 1"},
+    }
+    base = scan_config(tmp_path).read_text()
+    for name, edits in cases.items():
+        text = base
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        out_dir = tmp_path / name
+        assert main(["chi-scan", "--config", str(cfg),
+                     "--out", str(out_dir)]) == 0
+        lines = (out_dir / "chi_scan.csv").read_text().splitlines()[1:]
+        scan = parse_config(cfg).scan
+        r_values = np.linspace(scan["r_min_cm"], scan["r_max_cm"],
+                               scan["r_points"])
+        d_values = np.linspace(scan["delta_R_min_over_gamma"],
+                               scan["delta_R_max_over_gamma"],
+                               scan["delta_R_points"])
+        r = np.tile(r_values, d_values.size)
+        d = np.repeat(d_values, r_values.size)
+        assert [",".join(line.split(",")[:2]) for line in lines] == [
+            "%.9e,%.9e" % (r[i], d[i]) for i in np.lexsort((d, r))], name
+        pairs = [tuple(map(float, line.split(",")[:2])) for line in lines]
+        assert pairs == sorted(pairs), name
+
+
+def test_chi_scan_averages_each_detuning_through_the_module_binding(
+        tmp_path, monkeypatch):
+    # perfbench's tracer counts the averages by rebinding
+    # susceptibility.chi_doppler_averaged; a scan that evaluated them
+    # another way would read as free
+    calls = []
+    average = susceptibility.chi_doppler_averaged
+
+    def counted(point, params, out=None):
+        calls.append(np.broadcast(point.g_abs2, point.G_abs2).size)
+        return average(point, params, out=out)
+
+    monkeypatch.setattr(susceptibility, "chi_doppler_averaged", counted)
+    assert main(["chi-scan", "--config", str(scan_config(tmp_path)),
+                 "--out", str(tmp_path / "counted")]) == 0
+    assert calls == [9] * 5
+
+
+def test_chi_scan_memory_is_its_map_plus_one_block(tmp_path, capsys):
+    # tracemalloc sees numpy's array buffers: a scan holds its
+    # (detuning x radius) map, one average's work and one CSV block, never
+    # a full-length column of its rows
+    r_points, d_points = 2000, 100
     cfg = scan_config(tmp_path)
-    text = cfg.read_text()
-    for old, new in (("r_min_cm = -0.03", "r_min_cm = 0.02"),
-                     ("r_max_cm = 0.03", "r_max_cm = -0.01"),
-                     ("delta_R_min_over_gamma = -0.1",
-                      "delta_R_min_over_gamma = 0.05"),
-                     ("delta_R_max_over_gamma = 0.05",
-                      "delta_R_max_over_gamma = -0.1")):
-        assert text.count(old) == 1
-        text = text.replace(old, new)
-    cfg.write_text(text)
-    out_dir = tmp_path / "reversed"
-    assert main(["chi-scan", "--config", str(cfg), "--out", str(out_dir)]) == 0
-    lines = (out_dir / "chi_scan.csv").read_text().splitlines()[1:]
-    r_values = np.linspace(0.02, -0.01, 9)
-    d_values = np.linspace(0.05, -0.1, 5)
-    r = np.tile(r_values, d_values.size)
-    d = np.repeat(d_values, r_values.size)
-    assert [",".join(line.split(",")[:2]) for line in lines] == [
-        "%.9e,%.9e" % (r[i], d[i]) for i in np.lexsort((d, r))]
-    pairs = [tuple(map(float, line.split(",")[:2])) for line in lines]
-    assert pairs == sorted(pairs)
+    cfg.write_text(cfg.read_text()
+                   .replace("r_points = 9", f"r_points = {r_points}")
+                   .replace("delta_R_points = 5",
+                            f"delta_R_points = {d_points}"))
+
+    def scan_peak(name):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["chi-scan", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    scan_peak("warm-up")  # builds the CSV writer's digit tables
+    map_bytes = r_points * d_points * 16
+    assert scan_peak("traced") < map_bytes + 4 * 2**20
 
 
 def test_missing_config_is_configuration_error(tmp_path, capsys):

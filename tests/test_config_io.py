@@ -1,4 +1,3 @@
-import io
 import json
 import struct
 from pathlib import Path
@@ -362,10 +361,10 @@ class TestSnapshotFormat:
 
 
 def formatted(values) -> bytes:
-    """The CSV writers' text of one column of values."""
-    fh = io.BytesIO()
-    fieldio._write_rows(fh, [np.asarray(values, dtype=float)])
-    return fh.getvalue()
+    """The CSV writers' text of each value, one to a line."""
+    text, keep = fieldio._formatted(values)
+    return b"".join(row[kept].tobytes() + b"\n"
+                    for row, kept in zip(text, keep))
 
 
 def python_formatted(values) -> bytes:
@@ -418,17 +417,28 @@ class TestCsvWriters:
     @pytest.mark.parametrize("block", [7, fieldio.CSV_BLOCK])
     def test_chi_scan_csv_equals_python_text(self, tmp_path, monkeypatch,
                                              block):
+        # 7 rows is less than one radius's 9, so a block is one radius or,
+        # for the three equal radii -0.0, 0.0, 0.0, one group of them
         monkeypatch.setattr(fieldio, "CSV_BLOCK", block)
         rng = np.random.default_rng(4)
-        r = np.linspace(-0.03, 0.03, 23)
-        d = rng.uniform(-0.1, 0.05, r.size)
-        chi = rng.normal(size=r.size) * 1e-4 + 1j * rng.normal(size=r.size)
-        chi[[0, 5]] = [0.0, complex(-0.0, np.nan)]
+        r = np.array([-0.03, -0.01, -0.0, 0.0, 0.0, 2e-3, 0.02, 0.03])
+        d = np.sort(np.r_[rng.uniform(-0.1, 0.05, 7), -0.02, -0.02])
+        chi = (rng.normal(size=(d.size, r.size)) * 1e-4
+               + 1j * rng.normal(size=(d.size, r.size)))
+        chi[0, 0] = 0.0
+        chi[3, 1] = complex(-0.0, np.nan)
+        chi[4, 3] = complex(np.nan, -0.0)
         path = write_chi_scan_csv(tmp_path / "chi.csv", r, d, chi)
+        # a stable sort by (radius, detuning index): the order of
+        # np.lexsort((detuning, radius)) over the map's points, equal
+        # radii interleaved detuning by detuning
+        order = sorted((r[j], i, j) for j in range(r.size)
+                       for i in range(d.size))
         assert path.read_bytes() == (
             "r_cm,delta_R_over_gamma,re_chi,im_chi\n" + "".join(
-                "%.9e,%.9e,%.9e,%.9e\n" % (r[i], d[i], c.real, c.imag)
-                for i, c in enumerate(chi))).encode()
+                "%.9e,%.9e,%.9e,%.9e\n" % (r[j], d[i], chi[i, j].real,
+                                           chi[i, j].imag)
+                for _, i, j in order)).encode()
 
     @pytest.mark.parametrize("block", [7, fieldio.CSV_BLOCK])
     def test_profile_csv_equals_python_text(self, tmp_path, monkeypatch,

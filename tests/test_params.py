@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rbprop.params import (GridSpec, PhysicalParams, TransverseGrid,
-                           dipole_prefactor, doppler_width_from_temperature,
-                           prefactor_over_gamma)
+                           dipole_prefactor, prefactor_over_gamma)
 
 
 def test_prefactor_vanishes_without_atoms():
@@ -74,10 +73,3 @@ def test_grid_geometry_helpers():
     assert grid.transverse.dx == pytest.approx(0.1)
     assert x[4] == 0.0 and x[0] == pytest.approx(-0.4)
     assert grid.n_steps == 10
-
-
-def test_doppler_width_scales_with_sqrt_temperature():
-    d1 = doppler_width_from_temperature(300.0, 1.4e-22, 2.4e15)
-    d2 = doppler_width_from_temperature(1200.0, 1.4e-22, 2.4e15)
-    assert d2 == pytest.approx(2.0 * d1, rel=1e-12)
-    assert d1 > 0
