@@ -10,7 +10,10 @@ import numpy as np
 from .field import ComplexField2D
 from .params import DEFAULT_WAVELENGTH_CM, TransverseGrid
 
-PROBE_KINDS = ("gaussian", "double_gaussian", "sech_multi")
+# each probe kind's centers (cm) when a config file gives none
+DEFAULT_CENTERS = {"gaussian": (), "double_gaussian": (-70.0e-4, 70.0e-4),
+                   "sech_multi": (-120.0e-4, 0.0, 120.0e-4)}
+PROBE_KINDS = tuple(DEFAULT_CENTERS)
 
 
 @dataclass(frozen=True)

@@ -1,88 +1,92 @@
-"""Sectioned key-value configuration files.
+"""Sectioned key-value configuration files: the one place a run's
+configuration is checked.
 
 Every gap-filling default is tracked so the run manifest can flag it.
-Unknown sections or keys are hard errors, reported with their line numbers
-and all at once.
+Unknown sections or keys and values out of range, alone or together, are
+hard errors, each reported with its key and line and all at once.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .beams import PROBE_KINDS, ControlBeamSpec, ProbeSpec, center_problems
+from .beams import (DEFAULT_CENTERS, PROBE_KINDS, ControlBeamSpec, ProbeSpec,
+                    center_problems)
 from .params import (ConfigurationError, GridSpec, PhysicalParams,
                      TransverseGrid)
 
-# schema: section -> key -> (type, default or MANDATORY)
+
+def _rule(ok, problem: str):
+    """A key's check: a value read maps to None if ``ok``, else ``problem``."""
+    return lambda value: None if ok(value) else problem
+
+
+_count = _rule(lambda n: n >= 1, "must be at least 1")
+_positive = _rule(lambda x: x > 0, "must be positive")
+_non_negative = _rule(lambda x: x >= 0, "must be non-negative")
+_power_of_two = _rule(lambda n: n >= 2 and n & (n - 1) == 0,
+                      "must be a power of two above 1")
+
+# schema: section -> key -> (type, default or MANDATORY, rule or None)
 _MANDATORY = object()
 
 _SCHEMA = {
     "atom": {
-        "gamma_rad_s": (float, _MANDATORY),
-        "big_gamma_over_gamma": (float, _MANDATORY),
-        "density_cm3": (float, _MANDATORY),
-        "lambda_cm": (float, _MANDATORY),
-        "doppler_width_over_gamma": (float, _MANDATORY),
+        "gamma_rad_s": (float, _MANDATORY, _positive),
+        "big_gamma_over_gamma": (float, _MANDATORY, _non_negative),
+        "density_cm3": (float, _MANDATORY, _positive),
+        "lambda_cm": (float, _MANDATORY, _positive),
+        "doppler_width_over_gamma": (float, _MANDATORY, _non_negative),
     },
     "detuning": {
-        "delta_p_over_gamma": (float, _MANDATORY),
-        "delta_R_over_gamma": (float, _MANDATORY),
+        "delta_p_over_gamma": (float, _MANDATORY, None),
+        "delta_R_over_gamma": (float, _MANDATORY, None),
     },
     "grid": {
-        "nx": (int, 256),
-        "ny": (int, 256),
-        "extent_cm": (float, 0.24),
-        "dz_cm": (float, 50.0e-4),
-        "cell_length_cm": (float, 5.0),
+        "nx": (int, 256, _power_of_two),
+        "ny": (int, 256, _power_of_two),
+        "extent_cm": (float, 0.24, _positive),
+        "dz_cm": (float, 50.0e-4, _positive),
+        "cell_length_cm": (float, 5.0, _positive),
     },
     "control": {
-        "g0_over_gamma": (float, 1.0),
-        "waist_cm": (float, 120.0e-4),
+        "g0_over_gamma": (float, 1.0, _non_negative),
+        "waist_cm": (float, 120.0e-4, _positive),
         # waist at the back of the cell unless stated
-        "waist_position_cm": (float, None),
+        "waist_position_cm": (float, None, None),
     },
     "probe": {
-        "kind": (str, "gaussian"),
-        "g0_over_gamma": (float, 0.2),
-        "width_cm": (float, 48.0e-4),
-        "centers_cm": (str, ""),
+        "kind": (str, "gaussian", _rule(lambda kind: kind in PROBE_KINDS,
+                                        f"is not one of {PROBE_KINDS}")),
+        "g0_over_gamma": (float, 0.2, _non_negative),
+        "width_cm": (float, 48.0e-4, _positive),
+        "centers_cm": (str, "", None),
     },
     "run": {
-        "snapshot_every": (int, 100),
-        "chi_table": (bool, True),
-        "table_target_error": (float, 1.0e-4),
+        "snapshot_every": (int, 100, _count),
+        "chi_table": (bool, True, None),
+        "table_target_error": (float, 1.0e-4, _positive),
     },
     "scan": {
-        "r_min_cm": (float, -0.03),
-        "r_max_cm": (float, 0.03),
-        "r_points": (int, 61),
-        "delta_R_min_over_gamma": (float, -0.1),
-        "delta_R_max_over_gamma": (float, 0.05),
-        "delta_R_points": (int, 151),
-        "z_cm": (float, 0.0),
+        "r_min_cm": (float, -0.03, None),
+        "r_max_cm": (float, 0.03, None),
+        "r_points": (int, 61, _count),
+        "delta_R_min_over_gamma": (float, -0.1, None),
+        "delta_R_max_over_gamma": (float, 0.05, None),
+        "delta_R_points": (int, 151, _count),
+        "z_cm": (float, 0.0, None),
     },
     "oracle": {
-        "draws": (int, 100),
+        "draws": (int, 100, _count),
     },
 }
 
-# integer keys that count something and must be at least 1
-_COUNTS = {("run", "snapshot_every"), ("scan", "r_points"),
-           ("scan", "delta_R_points"), ("oracle", "draws")}
-# float keys that must be above 0
-_POSITIVE = {("atom", "gamma_rad_s"), ("atom", "density_cm3"),
-             ("atom", "lambda_cm"), ("grid", "extent_cm"), ("grid", "dz_cm"),
-             ("grid", "cell_length_cm"), ("run", "table_target_error"),
-             ("control", "waist_cm"), ("probe", "width_cm")}
-# float keys that must not be below 0
-_NON_NEGATIVE = {("atom", "big_gamma_over_gamma"),
-                 ("atom", "doppler_width_over_gamma"),
-                 ("control", "g0_over_gamma"), ("probe", "g0_over_gamma")}
-# string keys that take one of a few values
-_CHOICES = {("probe", "kind"): PROBE_KINDS}
+# an inline comment as configparser strips it: "#" or ";" after whitespace
+_INLINE_COMMENT = re.compile(r"\s[#;].*")
 
 
 @dataclass
@@ -131,8 +135,10 @@ def _line_numbers(path: Path) -> dict:
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
+        line = _INLINE_COMMENT.sub("", line)
+        header = configparser.ConfigParser.SECTCRE.match(line)
+        if header:
+            section = header.group("header")
             out[(section, None)] = lineno
         elif section is not None and ("=" in line or ":" in line):
             # configparser splits a line at its first "=" or ":"
@@ -147,9 +153,10 @@ def parse_config(path: str | Path) -> SimulationConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError([f"config file {path} does not exist"])
-    # no interpolation: a "%" in a value is text like any other
+    # no interpolation: a "%" in a value is text like any other; and as no
+    # header holds a newline, a [DEFAULT] section is one like any other
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                   interpolation=None)
+                                   interpolation=None, default_section="\n")
     cp.optionxform = str  # keys are case sensitive (delta_R vs delta_r)
     try:
         cp.read(path)
@@ -162,6 +169,12 @@ def parse_config(path: str | Path) -> SimulationConfig:
     defaulted: list[str] = []
     unread = False  # a key with no value to resolve the config from
     out_of_range: set[str] = set()  # sections with a value out of range
+
+    def at(section: str, key: str) -> str:
+        """A key and its value, after its line or the word "default"."""
+        where = (f"line {lines.get((section, key), 0)}:"
+                 if cp.has_option(section, key) else "default")
+        return f"{where} [{section}] {key} = {resolved[section][key]!r}"
 
     for section in cp.sections():
         if section not in _SCHEMA:
@@ -176,7 +189,7 @@ def parse_config(path: str | Path) -> SimulationConfig:
 
     for section, keys in _SCHEMA.items():
         resolved[section] = {}
-        for key, (typ, default) in keys.items():
+        for key, (typ, default, rule) in keys.items():
             if cp.has_option(section, key):
                 lineno = lines.get((section, key), 0)
                 try:
@@ -186,20 +199,11 @@ def parse_config(path: str | Path) -> SimulationConfig:
                     problems.extend(exc.violations)
                     unread = True
                     continue
-                where = f"line {lineno}: [{section}] {key} = {value!r}"
-                found = len(problems)
-                if (section, key) in _COUNTS and value < 1:
-                    problems.append(f"{where} must be at least 1")
-                if (section, key) in _POSITIVE and not value > 0:
-                    problems.append(f"{where} must be positive")
-                if (section, key) in _NON_NEGATIVE and value < 0:
-                    problems.append(f"{where} must be non-negative")
-                choices = _CHOICES.get((section, key))
-                if choices is not None and value not in choices:
-                    problems.append(f"{where} is not one of {choices}")
-                if len(problems) > found:
-                    out_of_range.add(section)
                 resolved[section][key] = value
+                problem = rule and rule(value)
+                if problem:
+                    problems.append(f"{at(section, key)} {problem}")
+                    out_of_range.add(section)
             elif default is _MANDATORY:
                 problems.append(f"missing mandatory key [{section}] {key}")
                 unread = True
@@ -227,12 +231,9 @@ def parse_config(path: str | Path) -> SimulationConfig:
                 unread_centers.extend(exc.violations)
     centers = tuple(centers)
     kind = resolved["probe"]["kind"]
-    if not centers:
-        if kind == "double_gaussian":
-            centers = (-70.0e-4, 70.0e-4)
-            defaulted.append("probe.centers_cm")
-        elif kind == "sech_multi":
-            centers = (-120.0e-4, 0.0, 120.0e-4)
+    if not centers and DEFAULT_CENTERS.get(kind):
+        centers = DEFAULT_CENTERS[kind]
+        if "probe.centers_cm" not in defaulted:  # not flagged as absent
             defaulted.append("probe.centers_cm")
     # the manifest lists the centers the run uses, defaults included
     resolved["probe"]["centers_cm"] = centers
@@ -252,9 +253,15 @@ def parse_config(path: str | Path) -> SimulationConfig:
         dz=resolved["grid"]["dz_cm"],
         cell_length=resolved["grid"]["cell_length_cm"],
     )
+    # a whole number of steps, at least one, ends the run at the cell's end
+    dz, cell = grid.dz, grid.cell_length
+    if dz > 0 and cell > 0 and abs(grid.n_steps * dz - cell) > 1e-9 * cell:
+        problems.append(
+            f"{at('grid', 'cell_length_cm')} is not a whole number (at least "
+            f"1) of steps of {at('grid', 'dz_cm')} ({cell / dz:.6g} steps)")
     # the structure of the centers is checked once every one is read
     bad_centers = unread_centers or [
-        f"line {centers_line}: [probe] centers_cm = {centers!r}: {message}"
+        f"{at('probe', 'centers_cm')}: {message}"
         for message in center_problems(kind, centers)]
     problems += bad_centers
     # a spec is built only from values in range, which its own checks would
@@ -276,7 +283,15 @@ def parse_config(path: str | Path) -> SimulationConfig:
             width=resolved["probe"]["width_cm"],
             centers=centers,
         )
-    problems += grid.violations(None if probe is None else probe.width)
+    # the probe's diameter (twice its 1/e amplitude width) spans >= 8 cells
+    transverse = grid.transverse
+    if probe is not None and transverse.nx > 0 and transverse.extent > 0:
+        samples = 2.0 * probe.width / transverse.dx
+        if samples < 8.0:
+            problems.append(
+                f"{at('probe', 'width_cm')} gives a diameter of only "
+                f"{samples:.2f} cells of {at('grid', 'nx')} across "
+                f"{at('grid', 'extent_cm')}; at least 8 are required")
     if problems:
         raise ConfigurationError(problems)
     return SimulationConfig(

@@ -105,24 +105,6 @@ class TransverseGrid:
         ky = 2.0 * np.pi * np.fft.fftfreq(self.ny, self.dy)
         return kx, ky
 
-    def violations(self, narrowest_feature: float | None = None) -> list[str]:
-        """Power-of-two sizes, and the narrowest probe feature resolved."""
-        out = []
-        for name in ("nx", "ny"):
-            n = getattr(self, name)
-            if n < 2 or (n & (n - 1)) != 0:
-                out.append(f"{name} must be a power of two, got {n}")
-        if narrowest_feature is not None and self.extent > 0 and self.nx > 0:
-            # feature diameter (twice the 1/e amplitude width) must span >= 8 cells
-            samples = 2.0 * narrowest_feature / self.dx
-            if samples < 8.0:
-                out.append(
-                    f"grid spacing {self.dx:.4g} cm resolves the narrowest probe "
-                    f"feature ({narrowest_feature:.4g} cm) with only {samples:.2f} "
-                    "samples across its diameter; at least 8 are required"
-                )
-        return out
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -140,33 +122,12 @@ class GridSpec:
     def n_steps(self) -> int:
         return int(round(self.cell_length / self.dz))
 
-    def violations(self, narrowest_feature: float | None = None) -> list[str]:
-        """The transverse grid's problems, and a cell that is not a whole
-        number of steps (positive dz and cell_length are the caller's)."""
-        out = self.transverse.violations(narrowest_feature)
-        if self.dz > 0 and self.cell_length > 0:
-            if self.n_steps < 1:
-                out.append("cell_length/dz must round to at least one step")
-            elif abs(self.n_steps * self.dz - self.cell_length) > 1e-9 * self.cell_length:
-                # the run would stop short of, or step past, the cell's end
-                out.append(
-                    f"cell_length_cm = {self.cell_length:.6g} is not a whole "
-                    f"number of dz_cm = {self.dz:.6g} steps "
-                    f"({self.cell_length / self.dz:.6g})")
-        return out
-
-
-def dipole_prefactor(params: PhysicalParams) -> float:
-    """Susceptibility scale N |d|^2 / hbar in rad/s.
-
-    The dipole moment is eliminated through the radiative-decay relation
-    |d|^2 = 3 hbar gamma lambda^3 / (32 pi^3) (Gaussian units), so the result
-    is 3 N lambda^3 gamma / (32 pi^3).  Dividing by gamma gives the
-    dimensionless scale multiplying the susceptibility ratio.
-    """
-    return 3.0 * params.density * params.wavelength**3 * params.gamma / (32.0 * np.pi**3)
-
 
 def prefactor_over_gamma(params: PhysicalParams) -> float:
-    """Dimensionless susceptibility scale N |d|^2 / (hbar gamma)."""
-    return dipole_prefactor(params) / params.gamma
+    """Dimensionless susceptibility scale N |d|^2 / (hbar gamma).
+
+    The dipole moment is eliminated through the radiative-decay relation
+    |d|^2 = 3 hbar gamma lambda^3 / (32 pi^3) (Gaussian units), so gamma
+    cancels and the scale is 3 N lambda^3 / (32 pi^3).
+    """
+    return 3.0 * params.density * params.wavelength**3 / (32.0 * np.pi**3)

@@ -342,9 +342,11 @@ def test_cell_of_a_fractional_step_count_is_refused(tiny_config, tmp_path,
     out_dir = tmp_path / "short"
     rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
     assert rc == 1
+    dz = TINY.splitlines().index("dz_cm = 0.01") + 1
     err = capsys.readouterr().err
-    assert "configuration error: cell_length_cm = 0.1 is not a whole " \
-           "number of dz_cm = 0.03 steps" in err
+    assert f"configuration error: line {dz + 1}: [grid] cell_length_cm = " \
+           "0.1 is not a whole number (at least 1) of steps of line " \
+           f"{dz}: [grid] dz_cm = 0.03 (3.33333 steps)" in err
     assert not list(out_dir.glob("*.rbpf"))
 
 

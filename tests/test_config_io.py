@@ -106,15 +106,16 @@ class TestParseConfig:
             text = text.replace(old, new)
         path.write_text(text)
         lines = text.splitlines()
+        nx = lines.index("nx = 100") + 1
         waist = lines.index("waist_cm = -0.0120") + 1
         width = lines.index("width_cm = -0.0048") + 1
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
         # the failed probe spec has no width to check the resolution against
         assert err.value.violations == [
+            f"line {nx}: [grid] nx = 100 must be a power of two above 1",
             f"line {waist}: [control] waist_cm = -0.012 must be positive",
-            f"line {width}: [probe] width_cm = -0.0048 must be positive",
-            "nx must be a power of two, got 100"]
+            f"line {width}: [probe] width_cm = -0.0048 must be positive"]
 
     def test_every_problem_of_one_beam_spec_names_its_line(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
@@ -157,16 +158,17 @@ class TestParseConfig:
         path.write_text(text)
         lines = text.splitlines()
         line = lines.index("centers_cm = -0.0070, abc, xyz") + 1
+        nx = lines.index("nx = 100") + 1
         waist = lines.index("waist_cm = -0.0120") + 1
         with pytest.raises(ConfigurationError) as err:
             parse_config(path)
         assert err.value.violations == [
+            f"line {nx}: [grid] nx = 100 must be a power of two above 1",
             f"line {waist}: [control] waist_cm = -0.012 must be positive",
             f"line {line}: [probe] centers_cm = ' abc' is not a valid "
             "finite float",
             f"line {line}: [probe] centers_cm = ' xyz' is not a valid "
-            "finite float",
-            "nx must be a power of two, got 100"]
+            "finite float"]
 
     # (section, key) -> the preset line to edit, and its non-finite form
     NON_FINITE = {
@@ -251,13 +253,17 @@ class TestParseConfig:
          "[atom] doppler_width_over_gamma = -70.0 must be non-negative"),
         ("cell_length_cm = 5.0", "cell_length_cm = 0",
          "[grid] cell_length_cm = 0.0 must be positive"),
+        # transform sizes; 300 cells still resolve the 48 um probe
+        ("nx = 256", "nx = 300",
+         "[grid] nx = 300 must be a power of two above 1"),
+        ("ny = 256", "ny = 1", "[grid] ny = 1 must be a power of two above 1"),
     ]
 
     @pytest.mark.parametrize("old, new, message", BAD_VALUES,
                              ids=("kind%", "g0%", "target0", "target<0",
                                   "width<0", "waist0", "control_g0<0",
                                   "gamma0", "big_gamma<0", "doppler<0",
-                                  "cell0"))
+                                  "cell0", "nx300", "ny1"))
     def test_bad_value_names_its_line(self, tmp_path, old, new, message):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         assert base.count(old) == 1
@@ -295,17 +301,78 @@ class TestParseConfig:
                  "[atom] gamma_rad_s = -1.0 must be positive"),
                 ("density_cm3 = 0", "[atom] density_cm3 = 0.0 must be positive"),
                 ("lambda_cm = 0", "[atom] lambda_cm = 0.0 must be positive"),
+                ("nx = 300", "[grid] nx = 300 must be a power of two above 1"),
                 ("extent_cm = -1", "[grid] extent_cm = -1.0 must be positive"),
-                ("dz_cm = 0", "[grid] dz_cm = 0.0 must be positive"))
-        ] + ["nx must be a power of two, got 300"]
+                ("dz_cm = 0", "[grid] dz_cm = 0.0 must be positive"))]
 
     def test_grid_resolution_enforced(self, tmp_path):
+        # 64 cells of 37.5 um: 2.56 across a 48 um probe's diameter, 10.67
+        # across a 200 um one's
         base = (PRESETS / "guided_gaussian.ini").read_text()
+        text = (base.replace("nx = 256", "nx = 64")
+                    .replace("ny = 256", "ny = 64"))
         path = tmp_path / "coarse.ini"
-        path.write_text(base.replace("nx = 256", "nx = 64")
-                            .replace("ny = 256", "ny = 64"))
-        with pytest.raises(ConfigurationError):
+        path.write_text(text)
+        lines = text.splitlines()
+        width, nx, extent = (lines.index(line) + 1 for line in (
+            "width_cm = 0.0048", "nx = 64", "extent_cm = 0.24"))
+        with pytest.raises(ConfigurationError) as err:
             parse_config(path)
+        assert err.value.violations == [
+            f"line {width}: [probe] width_cm = 0.0048 gives a diameter of "
+            f"only 2.56 cells of line {nx}: [grid] nx = 64 across line "
+            f"{extent}: [grid] extent_cm = 0.24; at least 8 are required"]
+        path.write_text(text.replace("width_cm = 0.0048", "width_cm = 0.0200"))
+        assert parse_config(path).probe.width == 0.02
+
+    @pytest.mark.parametrize("dz, cell, steps", [("10", "1", "0.1"),
+                                                 ("0.03", "5.0", "166.667")])
+    def test_cell_of_no_whole_step_count_names_both_keys(self, tmp_path, dz,
+                                                         cell, steps):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        text = (base.replace("dz_cm = 0.005", f"dz_cm = {dz}")
+                    .replace("cell_length_cm = 5.0",
+                             f"cell_length_cm = {cell}"))
+        path = tmp_path / "steps.ini"
+        path.write_text(text)
+        lines = text.splitlines()
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == [
+            f"line {lines.index(f'cell_length_cm = {cell}') + 1}: [grid] "
+            f"cell_length_cm = {float(cell)!r} is not a whole number (at "
+            f"least 1) of steps of line {lines.index(f'dz_cm = {dz}') + 1}: "
+            f"[grid] dz_cm = {float(dz)!r} ({steps} steps)"]
+
+    def test_header_with_an_inline_comment_keeps_its_lines(self, tmp_path):
+        # configparser strips the comment before it reads the header
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        old = ("[control]\ng0_over_gamma = 1.0\nwaist_cm = 0.0120\n"
+               "# waist position defaults to the cell exit when omitted\n\n"
+               "[probe]\n")
+        assert base.count(old) == 1
+        text = (base.replace(old, "[control]\ng0_over_gamma = -1\n"
+                                  "[probe]  # the probe\n")
+                    .replace("width_cm = 0.0048", "width_cm = -1"))
+        path = tmp_path / "comment.ini"
+        path.write_text(text)
+        lines = text.splitlines()
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == [
+            f"line {lines.index('g0_over_gamma = -1') + 1}: [control] "
+            "g0_over_gamma = -1.0 must be non-negative",
+            f"line {lines.index('width_cm = -1') + 1}: [probe] "
+            "width_cm = -1.0 must be positive"]
+
+    def test_default_section_is_one_unknown_section(self, tmp_path):
+        # configparser would otherwise copy its keys into every section
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\nnx = 64\n" + base)
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == ["line 1: unknown section [DEFAULT]"]
 
     def test_all_shipped_presets_parse(self):
         for preset in sorted(PRESETS.glob("*.ini")):
@@ -318,7 +385,7 @@ class TestParseConfig:
         path.write_text(base.replace("centers_cm = -0.0070, 0.0070", ""))
         cfg = parse_config(path)
         assert cfg.probe.centers == (-70e-4, 70e-4)
-        assert "probe.centers_cm" in cfg.defaulted_keys
+        assert cfg.defaulted_keys.count("probe.centers_cm") == 1
 
 
 class TestSnapshotFormat:
