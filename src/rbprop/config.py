@@ -284,13 +284,16 @@ def parse_config(path: str | Path) -> SimulationConfig:
             centers=centers,
         )
     # the probe's diameter (twice its 1/e amplitude width) spans >= 8 cells
+    # along the coarser axis, the one with fewer points
     transverse = grid.transverse
-    if probe is not None and transverse.nx > 0 and transverse.extent > 0:
-        samples = 2.0 * probe.width / transverse.dx
+    coarse, n = min(("nx", transverse.nx), ("ny", transverse.ny),
+                    key=lambda axis: axis[1])
+    if probe is not None and n > 0 and transverse.extent > 0:
+        samples = 2.0 * probe.width / (transverse.extent / n)
         if samples < 8.0:
             problems.append(
                 f"{at('probe', 'width_cm')} gives a diameter of only "
-                f"{samples:.2f} cells of {at('grid', 'nx')} across "
+                f"{samples:.2f} cells of {at('grid', coarse)} across "
                 f"{at('grid', 'extent_cm')}; at least 8 are required")
     if problems:
         raise ConfigurationError(problems)

@@ -18,7 +18,9 @@ arrays the run owns: both diffractions and the sub-flow write into the
 field's own array, and the control intensity and the sub-flow's arrays
 (``_SubflowWork``) are made once per run, so a sub-step allocates little
 more than its lookups' temporaries.  ``propagate`` keeps no snapshots: it
-hands each one to its caller's ``on_snapshot`` as it is taken.
+hands each one to its caller's ``on_snapshot`` as it is taken.  Between
+sub-steps, where no medium acts, the field waits as its spectrum: a
+half-step makes one 2-D transform, except next to a snapshot or the end.
 
 With the control off chi is identically zero and the medium sub-flow is the
 identity, so the split-step chain collapses to diffraction alone, and
@@ -97,7 +99,9 @@ def _diffraction_phase(grid: TransverseGrid, distance: float,
 
 
 def diffraction_step(field: ComplexField2D, distance: float, k: float, *,
-                     out: np.ndarray | None = None) -> ComplexField2D:
+                     out: np.ndarray | None = None,
+                     from_spectrum: bool = False,
+                     to_spectrum: bool = False) -> ComplexField2D:
     """Exact free-space paraxial propagation over ``distance``.
 
     Each spatial-frequency component is multiplied by
@@ -107,14 +111,21 @@ def diffraction_step(field: ComplexField2D, distance: float, k: float, *,
     the same distance.  The result is written into ``out``, a complex array
     of the field's shape, when given (``field.values`` itself steps the
     field in place, with the same bits); otherwise into a new array.
+    ``from_spectrum`` takes ``field.values`` as the spectrum, and
+    ``to_spectrum`` leaves the result as one: each skips one 2-D transform.
     """
-    # one axis at a time into one array: at 256^2 this measured faster than
-    # np.fft.fft2 (README, Numerical notes)
-    spectrum = np.fft.fft(field.values, axis=1, out=out)
-    np.fft.fft(spectrum, axis=0, out=spectrum)
-    spectrum *= _diffraction_phase(field.grid, distance, k)
-    np.fft.ifft(spectrum, axis=0, out=spectrum)
-    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    if from_spectrum:
+        spectrum = np.multiply(field.values, _diffraction_phase(
+            field.grid, distance, k), out=out)
+    else:
+        # one axis at a time into one array: at 256^2 this measured faster
+        # than np.fft.fft2 (README, Numerical notes)
+        spectrum = np.fft.fft(field.values, axis=1, out=out)
+        np.fft.fft(spectrum, axis=0, out=spectrum)
+        spectrum *= _diffraction_phase(field.grid, distance, k)
+    if not to_spectrum:
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        np.fft.ifft(spectrum, axis=1, out=spectrum)
     return ComplexField2D(spectrum, field.grid, field.z + distance)
 
 
@@ -263,7 +274,8 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     Per step: half diffraction, one medium sub-flow with the control field
     held at the step midpoint and the susceptibility following the local
     probe intensity, half diffraction.  The fourth-order plan composes three
-    such Strang sub-steps with triple-jump coefficients.
+    such Strang sub-steps with triple-jump coefficients.  Between sub-steps
+    the field is held as its spectrum, but never across a snapshot.
 
     The step size and step count are the grid's (``grid.dz``,
     ``grid.n_steps``), which must be the plan's, and the probe must sample
@@ -335,9 +347,11 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     field.z = 0.0
     on_snapshot(0, field)
     interval_start = 0  # first step of the dark run's pending diffraction
+    held = False  # the lit field's values hold its spectrum
     if not dark:
         control_I = np.empty(field.values.shape)
         work = _SubflowWork(field.values.size)
+        substeps = plan.substeps()
 
     for step in range(n_steps):
         snapshot = (step + 1) % snapshot_every == 0 or step == n_steps - 1
@@ -351,10 +365,11 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
             interval_start = step + 1
         else:
             z0 = step * dz
-            for frac in plan.substeps():
+            for i, frac in enumerate(substeps):
                 sub = frac * dz
                 z_mid = z0 + 0.5 * sub
-                field = diffraction_step(field, 0.5 * sub, k, out=field.values)
+                field = diffraction_step(field, 0.5 * sub, k, out=field.values,
+                                         from_spectrum=held)
                 control_I = control_intensity(control, grid.transverse,
                                               z_mid, out=control_I)
                 try:
@@ -366,9 +381,13 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                     raise NumericsError(
                         z_mid, f"medium step failed in step {step + 1} at "
                         f"z = {z_mid:.6g} cm ({exc})") from exc
-                field = diffraction_step(field, 0.5 * sub, k, out=field.values)
+                # held into the next sub-step unless a snapshot is due
+                held = not (snapshot and i == len(substeps) - 1)
+                field = diffraction_step(field, 0.5 * sub, k, out=field.values,
+                                         to_spectrum=held)
                 z0 += sub
         field.z = (step + 1) * dz
+        # a NaN or inf in the field makes its whole spectrum non-finite
         if not np.all(np.isfinite(field.values)):
             raise NumericsError(
                 field.z, f"non-finite field values in step {step + 1} at "

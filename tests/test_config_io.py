@@ -256,14 +256,14 @@ class TestParseConfig:
         # transform sizes; 300 cells still resolve the 48 um probe
         ("nx = 256", "nx = 300",
          "[grid] nx = 300 must be a power of two above 1"),
-        ("ny = 256", "ny = 1", "[grid] ny = 1 must be a power of two above 1"),
+        ("ny = 256", "ny = 0", "[grid] ny = 0 must be a power of two above 1"),
     ]
 
     @pytest.mark.parametrize("old, new, message", BAD_VALUES,
                              ids=("kind%", "g0%", "target0", "target<0",
                                   "width<0", "waist0", "control_g0<0",
                                   "gamma0", "big_gamma<0", "doppler<0",
-                                  "cell0", "nx300", "ny1"))
+                                  "cell0", "nx300", "ny0"))
     def test_bad_value_names_its_line(self, tmp_path, old, new, message):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         assert base.count(old) == 1
@@ -324,6 +324,30 @@ class TestParseConfig:
             f"{extent}: [grid] extent_cm = 0.24; at least 8 are required"]
         path.write_text(text.replace("width_cm = 0.0048", "width_cm = 0.0200"))
         assert parse_config(path).probe.width == 0.02
+
+    @pytest.mark.parametrize("line, cells, rule", [
+        ("nx = 8", "0.32", None), ("ny = 8", "0.32", None),
+        ("ny = 1", "0.04", "must be a power of two above 1")],
+        ids=["nx8", "ny8", "ny1"])
+    def test_grid_resolution_checks_the_coarser_axis(self, tmp_path, line,
+                                                     cells, rule):
+        # the other axis keeps 256 cells, 10.24 across the probe diameter
+        key = line.split()[0]
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        text = base.replace(f"{key} = 256", line)
+        path = tmp_path / "coarse.ini"
+        path.write_text(text)
+        lines = text.splitlines()
+        width, coarse, extent = (lines.index(entry) + 1 for entry in (
+            "width_cm = 0.0048", line, "extent_cm = 0.24"))
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        # a count's own rule comes before the cross-key checks
+        expected = [f"line {coarse}: [grid] {line} {rule}"] if rule else []
+        assert err.value.violations == expected + [
+            f"line {width}: [probe] width_cm = 0.0048 gives a diameter of "
+            f"only {cells} cells of line {coarse}: [grid] {line} across line "
+            f"{extent}: [grid] extent_cm = 0.24; at least 8 are required"]
 
     @pytest.mark.parametrize("dz, cell, steps", [("10", "1", "0.1"),
                                                  ("0.03", "5.0", "166.667")])

@@ -609,6 +609,87 @@ class TestPropagate:
                   on_snapshot=ignore, snapshot_every=10**9)
         assert per_subflow == [4] * (grid.n_steps * len(plan.substeps()))
 
+    @pytest.mark.parametrize("order", (2, 4))
+    def test_lit_run_transforms_the_field_in_diffraction_steps_only(
+            self, monkeypatch, order):
+        # perfbench's tracer self-check counts 2 diffraction_step calls per
+        # lit sub-step.  Between sub-steps the field is held as its
+        # spectrum, so n steps of s sub-steps with m snapshots after z = 0
+        # make 2 n s + 2 m 2-D transforms of the field, none outside a
+        # diffraction_step call.  Only field-shaped transforms count: the
+        # first average also makes a 144-point one.
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
+        plan = StepPlan(grid, order=order)
+        inside, calls = [], []
+        axis_transforms = {True: 0, False: 0}  # by inside a step or not
+
+        def counting(name, fn):
+            def transform(a, *args, **kwargs):
+                if np.shape(a) == (plane.nx, plane.ny):
+                    axes = 1 if name in ("fft", "ifft") else 2
+                    axis_transforms[bool(inside)] += axes
+                return fn(a, *args, **kwargs)
+            return transform
+
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name,
+                                counting(name, getattr(np.fft, name)))
+        step = solver.diffraction_step
+
+        def counting_step(*args, **kwargs):
+            calls.append(args[1])
+            inside.append(True)
+            try:
+                return step(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(solver, "diffraction_step", counting_step)
+        handed, on_snapshot = collect()
+        propagate(gaussian_field(plane), ControlBeamSpec(waist_position_z0=0.1),
+                  PARAMS, grid, plan, on_snapshot=on_snapshot,
+                  snapshot_every=3)
+        n, s, m = grid.n_steps, len(plan.substeps()), len(handed) - 1
+        assert m == 4
+        assert len(calls) == 2 * n * s
+        assert axis_transforms == {True: 2 * (2 * n * s + 2 * m), False: 0}
+
+    @pytest.mark.parametrize("order", (2, 4))
+    def test_held_spectrum_matches_the_unmerged_chain(self, monkeypatch,
+                                                      order):
+        tables = []
+        build = solver.build_chi_table
+
+        def recording(*args, **kwargs):
+            tables.append(build(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(solver, "build_chi_table", recording)
+        plane = TransverseGrid(nx=32, ny=32, extent=0.12)
+        grid = GridSpec(plane, dz=0.01, cell_length=0.1)
+        control = ControlBeamSpec(waist_position_z0=0.1)
+        plan = StepPlan(grid, order=order)
+        probe = gaussian_field(plane)
+        handed, on_snapshot = collect()
+        propagate(probe, control, PARAMS, grid, plan, on_snapshot=on_snapshot,
+                  snapshot_every=3)
+        assert [step for step, _ in handed] == [0, 3, 6, 9, 10]
+        # every half-step a full real-to-real diffraction_step
+        chain, expect = probe, {0: probe.values}
+        for step in range(grid.n_steps):
+            z0 = step * grid.dz
+            for frac in plan.substeps():
+                sub = frac * grid.dz
+                chain = diffraction_step(chain, 0.5 * sub, K)
+                control_I = control_intensity(control, plane, z0 + 0.5 * sub)
+                _medium_subflow(chain.values, control_I, tables[0], sub, K)
+                chain = diffraction_step(chain, 0.5 * sub, K)
+                z0 += sub
+            expect[step + 1] = chain.values.copy()
+        for step, snap in handed:
+            assert relative_l2(snap.values, expect[step]) < 1e-13
+
     def test_focusing_past_the_table_range_names_step_and_intensity(self):
         # a lens of focal length 0.2 cm focuses the probe far beyond the
         # table's |g|^2 top, 12 x the input peak 0.04
