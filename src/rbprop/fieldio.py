@@ -10,7 +10,7 @@ import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -282,15 +282,8 @@ class RunManifest:
 
     def write(self, path: str | Path) -> Path:
         path = Path(path)
-        payload = {
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "defaulted_keys": sorted(self.defaulted_keys),
-            "seed": self.seed,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "outputs": self.outputs,
-        }
+        payload = asdict(self)
+        payload["defaulted_keys"] = sorted(self.defaulted_keys)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 

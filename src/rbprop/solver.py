@@ -346,7 +346,6 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     field = probe.copy()
     field.z = 0.0
     on_snapshot(0, field)
-    interval_start = 0  # first step of the dark run's pending diffraction
     held = False  # the lit field's values hold its spectrum
     if not dark:
         control_I = np.empty(field.values.shape)
@@ -358,11 +357,11 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         if dark:
             if not snapshot:
                 continue
-            # phases compose exactly: one transform pair spans the interval,
-            # a step count times dz, so that equal intervals share a phase
-            field = diffraction_step(field, (step + 1 - interval_start) * dz,
+            # phases compose exactly: one transform pair spans the steps since
+            # the last snapshot, a step count times dz, so equal spans share
+            # a phase
+            field = diffraction_step(field, (step % snapshot_every + 1) * dz,
                                      k, out=field.values)
-            interval_start = step + 1
         else:
             z0 = step * dz
             for i, frac in enumerate(substeps):

@@ -8,8 +8,9 @@ is used to cross-validate the closed form.
 Both one-photon detunings shift by the same kv in a moving atom, so for one
 velocity class the susceptibility ratio is (n0 + n1 kv) / (d0 + d1 kv + d2 kv^2):
 a numerator linear in kv over a real quadratic with no real root.
-``_ratio_coefficients`` is the one formula for these five coefficients; the
-stationary ratio is n0 / d0.
+``_ratio_coefficients`` is the one formula for these five coefficients, and
+``chi_doppler_averaged`` the one entry point to chi: a vapor at rest
+(doppler_width = 0) gives the stationary value n0 / d0.
 
 The thermal average over the Maxwellian distribution of Doppler shifts (width
 D) is exact: the quadratic's two complex-conjugate poles turn it into the
@@ -109,36 +110,6 @@ def _ratio_coefficients(g2, G2, delta_p, delta_c, big_gamma):
     return n0, n1, d0, d1, d2
 
 
-def chi_ratio(g_abs2, G_abs2, delta_p, delta_c, big_gamma):
-    """Susceptibility ratio (numerator over denominator) in gamma units.
-
-    This is the steady-state coherence rho_12 divided by the probe Rabi
-    amplitude g; multiplying by the dimensionless dipole prefactor gives chi.
-    It is n0 / d0 of ``_ratio_coefficients`` (the atom at rest).  Accepts
-    scalars or broadcastable arrays.  Entries with G_abs2 == 0 return
-    exactly 0 (the numerator carries an overall |G|^2 factor and the medium is
-    pumped fully into the control-arm ground state).
-    """
-    n0, _, d0, _, _ = _ratio_coefficients(g_abs2, G_abs2, delta_p, delta_c,
-                                          big_gamma)
-    with np.errstate(invalid="ignore"):
-        out = np.where(np.asarray(G_abs2) == 0.0, 0.0 + 0.0j, n0 / d0)
-    if out.shape == ():
-        return complex(out)
-    return out
-
-
-def chi_stationary(point: FieldPoint, delta_p: float, delta_c: float,
-                   big_gamma: float, prefactor: float):
-    """Stationary complex susceptibility chi at one field point.
-
-    All frequencies in gamma units; ``prefactor`` is the dimensionless scale
-    N |d|^2 / (hbar gamma).
-    """
-    return prefactor * chi_ratio(point.g_abs2, point.G_abs2,
-                                 delta_p, delta_c, big_gamma)
-
-
 def _affine_generator(g: float, G: float, big_gamma: float,
                       delta_p: float, delta_c: float) -> tuple[np.ndarray, np.ndarray]:
     """Real 8-dim affine generator ydot = A y + b of the equations of motion.
@@ -191,8 +162,9 @@ def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
     oracle checks that, solves A y = -b, and checks that every time
     derivative at y is below ORACLE_RHS_TOL (gamma units); it raises
     OracleConvergenceError if either check fails.  Returns
-    prefactor * rho12 / g; the phase convention agrees with chi_stationary
-    directly (verified numerically, no conjugation or sign flip needed).
+    prefactor * rho12 / g; the phase convention agrees with
+    ``chi_doppler_averaged`` at doppler_width = 0 directly (verified
+    numerically, no conjugation or sign flip needed).
 
     Undefined for g = 0 (chi is a response per unit probe amplitude).
     """

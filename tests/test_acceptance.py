@@ -23,8 +23,9 @@ from rbprop.params import (GridSpec, PhysicalParams, TransverseGrid,
                            prefactor_over_gamma)
 from rbprop.solver import ComplexField2D, StepPlan, diffraction_step, propagate
 from rbprop.susceptibility import (FieldPoint, build_chi_table,
-                                   chi_stationary, steady_state_oracle)
+                                   chi_doppler_averaged, steady_state_oracle)
 from test_beams import control_field
+from test_susceptibility import at_rest
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -131,7 +132,7 @@ def test_criterion_1_oracle_equivalence():
         dp = rng.uniform(-300.0, 300.0)
         dR = rng.uniform(-0.1, 0.1)
         pt = FieldPoint(g * g, G * G)
-        closed = chi_stationary(pt, dp, dp - dR, bg, PREF)
+        closed = chi_doppler_averaged(pt, at_rest(bg, dp, dR))
         ode = steady_state_oracle(pt, dp, dp - dR, bg, PREF)
         worst = max(worst, abs(closed - ode) / abs(ode))
     elapsed = time.time() - t0
@@ -150,10 +151,10 @@ def test_criterion_2_structural_zeros():
         bg = rng.uniform(1e-4, 1e-2)
         dp = rng.uniform(-300.0, 300.0)
         dR = rng.uniform(-0.1, 0.1)
-        worst_nc = max(worst_nc, abs(chi_stationary(
-            FieldPoint(g * g, 0.0), dp, dp - dR, bg, PREF)))
-        worst_dark = max(worst_dark, abs(chi_stationary(
-            FieldPoint(g * g, G * G), dp, dp, 0.0, PREF)))
+        worst_nc = max(worst_nc, abs(chi_doppler_averaged(
+            FieldPoint(g * g, 0.0), at_rest(bg, dp, dR))))
+        worst_dark = max(worst_dark, abs(chi_doppler_averaged(
+            FieldPoint(g * g, G * G), at_rest(0.0, dp, 0.0))))
     ok = worst_nc < 1e-14 and worst_dark < 1e-14
     assert report("2 (dark-state and no-control zeros)", ok,
                   f"|chi| <= {max(worst_nc, worst_dark):.1e} over 1000 draws each")

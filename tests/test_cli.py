@@ -81,6 +81,22 @@ def test_oracle_creates_no_directory(tiny_config, tmp_path, monkeypatch):
     assert sorted(tmp_path.iterdir()) == [tiny_config]
 
 
+def test_oracle_checks_the_closed_form_every_run_calls(tiny_config,
+                                                       monkeypatch):
+    # the closed form under test is the cli's binding of the average, the
+    # name perfbench's tracer rebinds, evaluated for a vapor at rest
+    widths = []
+    average = cli.chi_doppler_averaged
+
+    def counted(point, params, out=None):
+        widths.append(params.doppler_width)
+        return average(point, params, out=out)
+
+    monkeypatch.setattr(cli, "chi_doppler_averaged", counted)
+    assert main(["oracle", "--config", str(tiny_config)]) == 0
+    assert widths == [0.0] * parse_config(tiny_config).oracle["draws"]
+
+
 def test_propagate_then_analyze(tiny_config, tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc = main(["propagate", "--config", str(tiny_config), "--out", str(out_dir)])

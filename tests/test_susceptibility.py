@@ -14,8 +14,7 @@ from rbprop.config import parse_config
 from rbprop.params import PhysicalParams, prefactor_over_gamma
 from rbprop.susceptibility import (ChiTable, ChiTableError, FieldPoint,
                                    OracleConvergenceError, build_chi_table,
-                                   chi_doppler_averaged, chi_ratio,
-                                   chi_stationary, steady_state_oracle)
+                                   chi_doppler_averaged, steady_state_oracle)
 
 REF = PhysicalParams()  # reference medium used throughout
 PREF = prefactor_over_gamma(REF)
@@ -40,48 +39,59 @@ def draw_params(rng):
     big_gamma = rng.uniform(1e-4, 1e-2)
     delta_p = rng.uniform(-300.0, 300.0)
     delta_R = rng.uniform(-0.1, 0.1)
-    return g, G, big_gamma, delta_p, delta_p - delta_R
+    return g, G, big_gamma, delta_p, delta_R
+
+
+def at_rest(big_gamma, delta_p, delta_R):
+    """The reference medium with these rates and no Doppler spread: the
+    closed-form chi every run evaluates, for a vapor at rest, is
+    ``chi_doppler_averaged`` with these parameters."""
+    return replace(REF, big_gamma=big_gamma, delta_p=delta_p,
+                   delta_R=delta_R, doppler_width=0.0)
 
 
 class TestStationary:
     def test_zero_control_gives_zero_exactly(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            g, _, bg, dp, dc = draw_params(rng)
-            chi = chi_stationary(FieldPoint(g * g, 0.0), dp, dc, bg, PREF)
+            g, _, bg, dp, dR = draw_params(rng)
+            chi = chi_doppler_averaged(FieldPoint(g * g, 0.0),
+                                       at_rest(bg, dp, dR))
             assert chi == 0.0
 
     def test_dark_state_gives_zero_exactly(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             g, G, _, dp, _ = draw_params(rng)
-            chi = chi_stationary(FieldPoint(g * g, G * G), dp, dp, 0.0, PREF)
+            chi = chi_doppler_averaged(FieldPoint(g * g, G * G),
+                                       at_rest(0.0, dp, 0.0))
             assert abs(chi) < 1e-14
 
     def test_matches_oracle_on_reference_draw(self):
         # |G|=0.7, |g|=0.2, far-detuned probe, small Raman detuning
         pt = FieldPoint(0.04, 0.49)
-        closed = chi_stationary(pt, -170.0, -169.985, 1e-3, PREF)
-        ode = steady_state_oracle(pt, -170.0, -169.985, 1e-3, PREF)
+        params = at_rest(1e-3, -170.0, -0.015)
+        closed = chi_doppler_averaged(pt, params)
+        ode = steady_state_oracle(pt, -170.0, params.delta_c, 1e-3, PREF)
         assert abs(closed - ode) / abs(ode) < 1e-6
 
     def test_matches_oracle_on_random_draws(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            g, G, bg, dp, dc = draw_params(rng)
+            g, G, bg, dp, dR = draw_params(rng)
             pt = FieldPoint(g * g, G * G)
-            closed = chi_stationary(pt, dp, dc, bg, PREF)
-            ode = steady_state_oracle(pt, dp, dc, bg, PREF)
+            closed = chi_doppler_averaged(pt, at_rest(bg, dp, dR))
+            ode = steady_state_oracle(pt, dp, dp - dR, bg, PREF)
             assert abs(closed - ode) / abs(ode) < 1e-6
 
     def test_vectorized_matches_scalar(self):
         g2 = np.array([1e-4, 0.02, 0.3])
         G2 = np.array([0.3, 0.0, 1.2])
-        vec = chi_ratio(g2, G2, -50.0, -49.9, 1e-3)
+        params = at_rest(1e-3, -50.0, -0.1)
+        vec = chi_doppler_averaged(FieldPoint(g2, G2), params)
         for i in range(3):
-            assert vec[i] == pytest.approx(
-                chi_ratio(float(g2[i]), float(G2[i]), -50.0, -49.9, 1e-3),
-                rel=1e-14)
+            assert vec[i] == pytest.approx(chi_doppler_averaged(
+                FieldPoint(float(g2[i]), float(G2[i])), params), rel=1e-14)
 
 
 class TestOracle:
@@ -119,13 +129,15 @@ def trapezoid_average(g2, G2, params, n=2 ** 18):
     """Dense trapezoid of the stationary ratio over +-9 Doppler widths.
 
     Independent of the closed-form average: kv enters only through the
-    shifted detunings of chi_ratio, whose n0/d0 the oracle tests pin down.
+    shifted detunings of n0 / d0, the at-rest ratio the oracle tests pin
+    down.
     """
     D = params.doppler_width
     kv = np.linspace(-9.0 * D, 9.0 * D, n + 1)
     pdf = np.exp(-kv**2 / (2.0 * D * D))
-    vals = chi_ratio(g2, G2, params.delta_p - kv, params.delta_c - kv,
-                     params.big_gamma)
+    n0, _, d0, _, _ = susceptibility._ratio_coefficients(
+        g2, G2, params.delta_p - kv, params.delta_c - kv, params.big_gamma)
+    vals = n0 / d0
     return (prefactor_over_gamma(params)
             * np.trapezoid(vals * pdf, kv) / np.trapezoid(pdf, kv))
 
@@ -229,14 +241,6 @@ class TestExactAverage:
             ref = trapezoid_average(pt.g_abs2, pt.G_abs2, params)
             got = chi_doppler_averaged(pt, params)
             assert abs(got - ref) / abs(ref) < 1e-8
-
-    def test_zero_width_reduces_to_stationary(self):
-        params = PhysicalParams(doppler_width=0.0)
-        pt = FieldPoint(0.04, 0.104)
-        expect = chi_stationary(pt, params.delta_p, params.delta_c,
-                                params.big_gamma, PREF)
-        assert chi_doppler_averaged(pt, params) == pytest.approx(expect,
-                                                                 rel=1e-14)
 
     def test_averaging_preserves_dark_state_zero(self):
         params = PhysicalParams(big_gamma=0.0, delta_R=0.0)
