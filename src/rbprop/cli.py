@@ -51,9 +51,11 @@ def cmd_chi_scan(cfg, out_dir: Path, args) -> list[Path]:
 
 def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
     if cfg.probe.g0 == 0.0:
-        # a dark probe has no width for the diagnostics to measure
-        raise ConfigurationError(
-            ["[probe] g0_over_gamma = 0 must be positive to propagate"])
+        # a dark probe has no width for the diagnostics to measure; the
+        # default is lit, so the file sets the key
+        line = cfg.lines[("probe", "g0_over_gamma")]
+        raise ConfigurationError([f"line {line}: [probe] g0_over_gamma = 0 "
+                                  "must be positive to propagate"])
     plan = StepPlan(cfg.grid, order=args.order)
     probe = make_probe(cfg.probe, cfg.grid.transverse)
     digits = len(str(cfg.grid.n_steps))

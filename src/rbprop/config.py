@@ -102,6 +102,9 @@ class SimulationConfig:
     oracle: dict
     defaulted_keys: list[str] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
+    # (section, key) -> line of each key the file sets, for the problems
+    # that only a subcommand finds
+    lines: dict = field(default_factory=dict)
 
 
 def _coerce(section: str, key: str, text: str, typ, line: int):
@@ -300,7 +303,7 @@ def parse_config(path: str | Path) -> SimulationConfig:
     return SimulationConfig(
         params=params, grid=grid, control=control, probe=probe,
         run=resolved["run"], scan=resolved["scan"], oracle=resolved["oracle"],
-        defaulted_keys=defaulted, raw=resolved,
+        defaulted_keys=defaulted, raw=resolved, lines=lines,
     )
 
 

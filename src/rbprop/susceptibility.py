@@ -23,7 +23,7 @@ made at the first average.  The module needs numpy alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -269,11 +269,13 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
     The points are evaluated in blocks of whole slabs along the first axis
     (single points of a 1-d array, rows of a 2-d one), at most
     AVERAGE_BLOCK points each unless one slab is larger.  Each block is
-    written into the one output array, which is then scaled in place, so
+    scaled by the prefactor and written into the one output array, so
     memory beyond the output is one block's work however many points there
     are; broadcast inputs are never expanded past one block.  The output of
     array-valued points is ``out``, a C-contiguous complex array of their
-    broadcast shape, when it is given.
+    broadcast shape, when it is given.  It may be complex64: each value is
+    then the double-precision one rounded once, as the prefactor multiplies
+    it before it is stored.
     """
     g2 = np.asarray(point.g_abs2, dtype=float)
     G2 = np.asarray(point.G_abs2, dtype=float)
@@ -282,6 +284,7 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
         out = np.empty(shape or (1,), dtype=complex)
     g2 = np.broadcast_to(g2, out.shape)
     G2 = np.broadcast_to(G2, out.shape)
+    prefactor = prefactor_over_gamma(params)
     slab = max(1, out[:1].size)  # points in one slab along the first axis
     rows = max(1, AVERAGE_BLOCK // slab)
     for start in range(0, out.shape[0], rows):
@@ -291,9 +294,9 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
                                      params.delta_p, params.delta_c,
                                      params.big_gamma)
         chi = out[block].reshape(-1)  # a view: out is C-contiguous
-        chi[...] = _maxwell_average(coeffs, params.doppler_width)
+        np.multiply(_maxwell_average(coeffs, params.doppler_width), prefactor,
+                    out=chi)
         chi[G2_block == 0.0] = 0.0
-    out *= prefactor_over_gamma(params)
     if shape == ():
         return complex(out[0])
     return out
@@ -338,9 +341,18 @@ class ChiTable:
     |G|^2) does not reproduce.  Both tops must be positive and finite;
     ``build_chi_table`` checks them.
 
-    The nodes are filled by one ``chi_doppler_averaged`` call on the two
-    axes as broadcast views and divided by |G|^2 in place, so a build holds
-    the table plus one AVERAGE_BLOCK of work.
+    The nodes are stored in single precision, 8 bytes a node: chi / |G|^2
+    divided by ``_scale``, a power of two near prefactor / (|G|^2 top) fixed
+    before the fill, so the stored values lie within a few decades of 1 for
+    any density (1e-3 to 22 on the guided preset's table).  One
+    ``chi_doppler_averaged`` call on the two axes as broadcast views fills
+    the complex64 table for the medium thinned by ``_scale`` (chi is linear
+    in the density, and a power-of-two thinning is exact), so no value
+    reaches single precision unscaled.  Dividing by |G|^2 in place makes
+    the second and last rounding: each node is within 1.2e-7 relative of
+    the double-precision chi / |G|^2 / ``_scale``, and a build holds the
+    table plus one AVERAGE_BLOCK of work.  A lookup widens the nodes it
+    reads to double precision and multiplies the scale back, exactly.
     """
 
     # no table is identically zero; perfbench/child.py and tracer.py still
@@ -352,8 +364,16 @@ class ChiTable:
         self.params = params
         self._G2 = np.geomspace(G_abs2_max * FLOOR_RATIO, G_abs2_max, shape[0])
         self._g2 = np.geomspace(g_abs2_max * FLOOR_RATIO, g_abs2_max, shape[1])
-        self._h = chi_doppler_averaged(
-            FieldPoint(self._g2[None, :], self._G2[:, None]), params)
+        # about prefactor / |G|^2 top, held to the normal range of double
+        # precision, where multiplying by it is exact
+        exponent = (np.frexp(prefactor_over_gamma(params))[1]
+                    - np.frexp(G_abs2_max)[1])
+        self._scale = float(np.ldexp(1.0, min(max(exponent, -1022), 1023)))
+        self._h = np.empty(shape, dtype=np.complex64)
+        chi_doppler_averaged(
+            FieldPoint(self._g2[None, :], self._G2[:, None]),
+            replace(params, density=params.density / self._scale),
+            out=self._h)
         self._h /= self._G2[:, None]
 
     @property
@@ -394,7 +414,7 @@ class ChiTable:
                                  f"above the table top {nodes[-1]:.6g}")
         G2q = np.broadcast_to(G2q, shape).ravel()
         g2q = np.broadcast_to(g2q, shape).ravel()
-        out = np.multiply(G2q, self._h[0, 0],
+        out = np.multiply(G2q, complex(self._h[0, 0]) * self._scale,
                           out=None if out is None else out.reshape(-1))
         # written as "not below both floors" so NaN queries interpolate too
         live = np.flatnonzero(~((G2q <= self._G2[0]) & (g2q <= self._g2[0])))
@@ -410,7 +430,8 @@ class ChiTable:
 
         Each clamped query's cell is found from its logarithm alone
         (``_log_cells``); the four corners are gathered from the flattened
-        table one at a time.
+        table one at a time, each widened to complex128 by its first weight
+        (complex64 times float64), and the scale is multiplied back last.
         """
         Gc = np.clip(G2q, self._G2[0], self._G2[-1])
         gc = np.clip(g2q, self._g2[0], self._g2[-1])
@@ -427,15 +448,14 @@ class ChiTable:
         corner = iG * n + ig
         # h00 sG sg + h10 tG sg + h01 sG tg + h11 tG tg, summed in place in
         # that order, so the terms are never all held at once
-        out = h.take(corner)
-        out *= sG
+        out = h.take(corner) * sG
         out *= sg
         for step, wG, wg in ((n, tG, sg), (1, sG, tg), (n + 1, tG, tg)):
-            term = h.take(corner + step)
-            term *= wG
+            term = h.take(corner + step) * wG
             term *= wg
             out += term
         out *= G2q
+        out *= self._scale
         return out
 
     def _relative_error(self, G2q: np.ndarray, g2q: np.ndarray) -> float:

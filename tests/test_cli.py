@@ -343,8 +343,9 @@ def test_zero_probe_is_refused_before_propagating(tiny_config, tmp_path,
     out_dir = tmp_path / "dark-probe"
     rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
     assert rc == 1
-    assert ("configuration error: [probe] g0_over_gamma = 0 must be "
-            "positive" in capsys.readouterr().err)
+    line = TINY.splitlines().index("g0_over_gamma = 0.2") + 1
+    assert (f"configuration error: line {line}: [probe] g0_over_gamma = 0 "
+            "must be positive to propagate" in capsys.readouterr().err)
     assert not list(out_dir.glob("*.rbpf"))
     assert not (out_dir / "manifest.json").exists()
 

@@ -313,11 +313,17 @@ def probe_error(table, n_probes, seed):
     return table._relative_error(G2, g2)
 
 
+def stored_nodes(table):
+    """The table's single-precision nodes, widened and rescaled: chi / |G|^2
+    as the lookup reads it."""
+    return table._h.astype(complex) * table._scale
+
+
 def reference_bilinear(table, G_abs2, g_abs2):
     """The lookup's clamped bilinear formula applied to every query point."""
     G2q = np.asarray(G_abs2, dtype=float)
     g2q = np.asarray(g_abs2, dtype=float)
-    G2n, g2n, h = table._G2, table._g2, table._h
+    G2n, g2n, h = table._G2, table._g2, stored_nodes(table)
     Gc = np.clip(G2q, G2n[0], G2n[-1])
     gc = np.clip(g2q, g2n[0], g2n[-1])
     iG = np.clip(np.searchsorted(G2n, Gc) - 1, 0, G2n.size - 2)
@@ -398,7 +404,7 @@ class TestChiTable:
         G2 = table._G2[17]
         g2 = table._g2[3]
         assert table(G2, g2) == pytest.approx(
-            complex(table._h[17, 3] * G2), rel=1e-14)
+            complex(stored_nodes(table)[17, 3] * G2), rel=1e-14)
 
     def test_zero_control_row(self, table):
         g2s = np.linspace(0.0, 0.06, 7)
@@ -461,13 +467,34 @@ class TestChiTable:
         assert probe_error(table, 1000, 99) < 1e-3
 
     def test_table_is_the_meshgrid_average_over_G2(self, monkeypatch):
-        # 37 x 53 nodes in blocks of three rows, the last one partial
+        # 37 x 53 nodes in blocks of three rows, the last one partial; the
+        # fill averages for the medium thinned by the table's scale and
+        # rounds to single precision before it divides by |G|^2
         monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 160)
         table = ChiTable(0.185, 0.06, (37, 53), REF)
         GG, gg = np.meshgrid(table._G2, table._g2, indexing="ij")
-        expect = chi_doppler_averaged(FieldPoint(gg, GG), REF) \
-            / table._G2[:, None]
+        thinned = replace(REF, density=REF.density / table._scale)
+        expect = chi_doppler_averaged(FieldPoint(gg, GG), thinned) \
+            .astype(np.complex64)
+        expect /= table._G2[:, None]
         assert same_bits(table._h, expect)
+
+    @pytest.mark.parametrize("density", [REF.density, 1.0e300])
+    def test_nodes_are_the_double_precision_average_to_2e_7(
+            self, monkeypatch, density):
+        # the scale acts before any value is single precision, so even a
+        # medium whose chi is ~1e285 fills a table of finite nodes
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 160)
+        medium = replace(REF, density=density)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ChiTable(0.185, 0.06, (37, 53), medium)
+        assert np.all(np.isfinite(table._h))
+        GG, gg = np.meshgrid(table._G2, table._g2, indexing="ij")
+        expect = chi_doppler_averaged(FieldPoint(gg, GG), medium) \
+            / table._G2[:, None]
+        assert np.max(np.abs(stored_nodes(table) - expect)
+                      / np.abs(expect)) < 2e-7
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_blocked_midpoint_error_is_the_full_lattice_max(self, monkeypatch,
@@ -578,11 +605,15 @@ class TestTableMemory:
     # tracemalloc sees numpy's array buffers, so these bound what a table
     # build allocates beyond the table itself
 
+    def test_a_guided_size_table_holds_8_bytes_a_node(self):
+        table = ChiTable(0.0481, 0.48, (602, 1332), REF)
+        assert table._h.nbytes == 8 * 602 * 1332
+
     def test_a_build_holds_its_table_and_one_block(self, monkeypatch):
         monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 4096)
         table, peak = traced_peak(
             lambda: ChiTable(0.0481, 0.48, (400, 1000), REF))
-        # one block's work is ~200 bytes a point; the table is 6.4 MB
+        # one block's work is ~200 bytes a point; the table is 3.2 MB
         assert peak - table._h.nbytes < 300 * susceptibility.AVERAGE_BLOCK
 
     def test_a_resized_build_peaks_below_three_tables(self):
