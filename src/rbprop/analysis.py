@@ -1,5 +1,5 @@
-"""Observables extracted from propagated fields: widths, transmission, peaks,
-and the refractive-index contrast written by the control beam."""
+"""Observables extracted from propagated fields: widths, powers and peaks,
+and the radial susceptibility map written by the control beam."""
 
 from __future__ import annotations
 
@@ -51,14 +51,6 @@ def beam_width(field: ComplexField2D) -> float:
     return float(np.sqrt(2.0 * r2.sum() / total))
 
 
-def transmission(field_in: ComplexField2D, field_out: ComplexField2D) -> float:
-    """Ratio of integrated output to input intensity."""
-    p_in = np.sum(np.abs(field_in.values) ** 2)
-    if p_in <= 0.0:
-        raise ValueError("transmission is undefined for a zero-power input")
-    return float(np.sum(np.abs(field_out.values) ** 2) / p_in)
-
-
 def peak_positions(field: ComplexField2D,
                    threshold: float = 0.05) -> list[float]:
     """x locations of local intensity maxima along the row y = 0.
@@ -81,20 +73,6 @@ def peak_positions(field: ComplexField2D,
     return out
 
 
-def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
-                   probe_level: float) -> float:
-    """Peak-to-trough refractive index difference 2 pi (max - min) Re<chi>.
-
-    Sampled at 400 radii out to five beam radii at the given z, with the
-    probe intensity held uniformly at probe_level^2.
-    """
-    wz = control.width_at(z)
-    r = np.linspace(0.0, 5.0 * wz, 400)
-    chi = radial_chi_map(params, control, z, probe_level, r,
-                         [params.delta_R])
-    return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
-
-
 def radial_chi_map(params: PhysicalParams, control: ControlBeamSpec,
                    z: float, probe_level: float, r, delta_R) -> np.ndarray:
     """Averaged susceptibility along a radial cut at fixed z for each Raman
@@ -112,18 +90,6 @@ def radial_chi_map(params: PhysicalParams, control: ControlBeamSpec,
         susceptibility.chi_doppler_averaged(
             point, replace(params, delta_R=float(d)), out=chi[i])
     return chi
-
-
-def normalized_profile_distance(field_a: ComplexField2D,
-                                field_b: ComplexField2D) -> float:
-    """L2 distance between unit-norm intensity profiles (shape distortion)."""
-    ia = np.abs(field_a.values) ** 2
-    ib = np.abs(field_b.values) ** 2
-    na = np.sqrt((ia ** 2).sum())
-    nb = np.sqrt((ib ** 2).sum())
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("profile distance undefined for zero fields")
-    return float(np.sqrt(((ia / na - ib / nb) ** 2).sum()))
 
 
 def diagnose(field: ComplexField2D) -> DiagnosticsRecord:

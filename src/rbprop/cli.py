@@ -50,14 +50,20 @@ def cmd_chi_scan(cfg, out_dir: Path, args) -> list[Path]:
 
 
 def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
-    if cfg.probe.g0 == 0.0:
-        # a dark probe has no width for the diagnostics to measure; the
-        # default is lit, so the file sets the key
-        line = cfg.lines[("probe", "g0_over_gamma")]
-        raise ConfigurationError([f"line {line}: [probe] g0_over_gamma = 0 "
+    probe = make_probe(cfg.probe, cfg.grid.transverse)
+    # propagate refuses a peak that is inf or NaN
+    with np.errstate(over="ignore"):
+        peak = float(np.max(np.abs(probe.values) ** 2))
+    if peak == 0.0:
+        # a dark probe has no width for the diagnostics to measure; so has
+        # a lit one whose amplitude squares to 0
+        line = cfg.lines.get(("probe", "g0_over_gamma"))
+        where = "default" if line is None else f"line {line}:"
+        value = ("0" if cfg.probe.g0 == 0.0 else f"{cfg.probe.g0!r} gives "
+                 "the probe a peak |g|^2 of 0, which")
+        raise ConfigurationError([f"{where} [probe] g0_over_gamma = {value} "
                                   "must be positive to propagate"])
     plan = StepPlan(cfg.grid, order=args.order)
-    probe = make_probe(cfg.probe, cfg.grid.transverse)
     digits = len(str(cfg.grid.n_steps))
     outputs = []
     diagnostics = RunDiagnostics()

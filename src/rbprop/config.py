@@ -130,11 +130,11 @@ def _coerce(section: str, key: str, text: str, typ, line: int):
              f"{kind}"]) from None
 
 
-def _line_numbers(path: Path) -> dict:
+def _line_numbers(text: str) -> dict:
     """Map (section, key) -> line number for error reporting."""
     out = {}
     section = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", ";")):
             continue
@@ -162,11 +162,16 @@ def parse_config(path: str | Path) -> SimulationConfig:
                                    interpolation=None, default_section="\n")
     cp.optionxform = str  # keys are case sensitive (delta_R vs delta_r)
     try:
-        cp.read(path)
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(
+            [f"cannot read config file {path}: {exc}"]) from None
+    try:
+        cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigurationError([f"config parse failure: {exc}"]) from None
 
-    lines = _line_numbers(path)
+    lines = _line_numbers(text)
     problems: list[str] = []
     resolved: dict[str, dict] = {}
     defaulted: list[str] = []

@@ -11,15 +11,14 @@ triple-jump composition of Strang steps is available.
 A lit sub-step costs two diffraction half-steps, one control intensity and
 one medium RK4 sub-flow with four chi lookups.  Stage 1 of the sub-flow looks
 chi up on the whole grid.  A point where |2 pi k dz chi| <= eps / 4 keeps its
-value, which is within ~eps/4 |g| of its full RK4 update.  Where at least a
-tenth of the grid keeps its value, the last three stages run on the other
-points alone, gathered once (``_medium_subflow``).  The sub-step runs in
-arrays the run owns: both diffractions and the sub-flow write into the
-field's own array, and the control intensity and the sub-flow's arrays
-(``_SubflowWork``) are made once per run, so a sub-step allocates little
-more than its lookups' temporaries.  ``propagate`` keeps no snapshots: it
-hands each one to its caller's ``on_snapshot`` as it is taken.  Between
-sub-steps, where no medium acts, the field waits as its spectrum: a
+value, which is within ~eps/4 |g| of its full RK4 update; the last three
+stages run on the other points alone, gathered once (``_medium_subflow``).
+The sub-step runs in arrays the run owns: both diffractions and the sub-flow
+write into the field's own array, and the control intensity and the
+sub-flow's arrays (``_SubflowWork``) are made once per run, so a sub-step
+allocates little more than its lookups' temporaries.  ``propagate`` keeps no
+snapshots: it hands each one to its caller's ``on_snapshot`` as it is taken.
+Between sub-steps, where no medium acts, the field waits as its spectrum: a
 half-step makes one 2-D transform, except next to a snapshot or the end.
 
 With the control off chi is identically zero and the medium sub-flow is the
@@ -135,11 +134,6 @@ SKIP_INCREMENT = np.finfo(float).eps / 4
 # stable out to 2 sqrt(2) on the imaginary axis and 2.785 on the negative
 # real one, and past that its update grows without bound
 RK4_STABLE_INCREMENT = 2.5
-# the later RK4 stages run on a gathered subset only when at least this
-# share of the grid keeps its value; below it the gather and scatter cost
-# more than the lookups they save (break-even between 5% and 14% kept on a
-# 128^2 double-Gaussian run, 2-vCPU machine)
-GATHER_MIN_SKIPPED = 0.1
 
 
 class _SubflowWork:
@@ -188,16 +182,13 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
     ValueError: the update would grow without bound.  A point where
     |2 pi k distance chi| <= SKIP_INCREMENT = eps / 4 keeps its value, which
     is within ~eps/4 |v| of its full RK4 update.  The other points, NaN and
-    inf chi included, are live.  When at least GATHER_MIN_SKIPPED of the
-    grid keeps its value, the live points are gathered once and stages 2-4
-    run on them alone, each lookup taking the control and probe intensities
-    at those points.  Otherwise stages 2-4 run on the whole grid, because
-    there the gather and scatter would cost more than the lookups they save.
-    Every call makes four lookups and then writes the live points' update
-    into ``values`` (a complex array), which it returns; a
-    ValueError leaves ``values`` as it was, and the kept points are never
-    written.  ``work`` holds the arrays the call steps in, made for this
-    call when not given.
+    inf chi included, are live: they are gathered once, however few points
+    are kept, and stages 2-4 run on them alone, each lookup taking the
+    control and probe intensities at those points.  Every call makes four
+    lookups and then writes the live points' update into ``values`` (a
+    complex array), which it returns; a ValueError leaves ``values`` as it
+    was, and the kept points are never written.  ``work`` holds the arrays
+    the call steps in, made for this call when not given.
     """
     if work is None:
         work = _SubflowWork(values.size)
@@ -219,17 +210,13 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
                 f"bound {RK4_STABLE_INCREMENT:g}")
         # NaN and inf chi compare false, so they stay live
         kept = np.less_equal(increment, SKIP_INCREMENT, out=work.mask)
-        gather = np.count_nonzero(kept) >= GATHER_MIN_SKIPPED * start.size
-        live = np.logical_not(kept, out=kept)
-        if gather:
-            live = np.flatnonzero(live)
-            n = live.size
-            G2 = G2[live]
-            # the indices are in range: "clip" only spares take's buffered
-            # copy into out
-            start = start.take(live, out=work.start[:n], mode="clip")
-            chi = chi.take(live, out=work.total[:n], mode="clip")
-        n = start.size
+        live = np.flatnonzero(np.logical_not(kept, out=kept))
+        n = live.size
+        G2 = G2[live]
+        # the indices are in range: "clip" only spares take's buffered
+        # copy into out
+        start = start.take(live, out=work.start[:n], mode="clip")
+        chi = chi.take(live, out=work.total[:n], mode="clip")
         g2, chi_n = work.g2[:n], work.chi[:n]
 
         def rate(v, out):
@@ -256,11 +243,7 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
         total += rate(v, r)
         total *= weight / 6.0
         total += start
-    if gather:
-        np.put(values, live, total)
-    else:
-        np.copyto(values, total.reshape(values.shape),
-                  where=live.reshape(values.shape))
+    np.put(values, live, total)
     return values
 
 

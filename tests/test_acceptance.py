@@ -14,9 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbprop.analysis import (beam_width, normalized_profile_distance,
-                             peak_positions, radial_chi_map, transmission,
-                             index_contrast)
+from rbprop.analysis import beam_width, peak_positions, radial_chi_map
 from rbprop.beams import ControlBeamSpec, ProbeSpec, make_probe
 from rbprop.cli import main
 from rbprop.params import (GridSpec, PhysicalParams, TransverseGrid,
@@ -24,6 +22,8 @@ from rbprop.params import (GridSpec, PhysicalParams, TransverseGrid,
 from rbprop.solver import ComplexField2D, StepPlan, diffraction_step, propagate
 from rbprop.susceptibility import (FieldPoint, build_chi_table,
                                    chi_doppler_averaged, steady_state_oracle)
+from test_analysis import (index_contrast, normalized_profile_distance,
+                           transmission)
 from test_beams import control_field
 from test_susceptibility import at_rest
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rbprop.analysis import (DiagnosticsRecord, RunDiagnostics, beam_width,
-                             index_contrast, normalized_profile_distance,
-                             peak_positions, radial_chi_map, transmission)
+                             peak_positions, radial_chi_map)
 from rbprop.beams import ControlBeamSpec
 from rbprop.params import PhysicalParams, TransverseGrid
 from rbprop.solver import ComplexField2D
@@ -19,6 +18,42 @@ def field_from(values):
 def gaussian(w, g0=0.2, x0=0.0):
     X, Y = np.meshgrid(*GRID.axes(), indexing="ij")
     return g0 * np.exp(-((X - x0) ** 2 + Y**2) / w**2)
+
+
+# the observables acceptance criteria 5b, 7 and 8 read; no command
+# computes them
+def transmission(field_in: ComplexField2D, field_out: ComplexField2D) -> float:
+    """Ratio of integrated output to input intensity."""
+    p_in = np.sum(np.abs(field_in.values) ** 2)
+    if p_in <= 0.0:
+        raise ValueError("transmission is undefined for a zero-power input")
+    return float(np.sum(np.abs(field_out.values) ** 2) / p_in)
+
+
+def index_contrast(params: PhysicalParams, control: ControlBeamSpec, z: float,
+                   probe_level: float) -> float:
+    """Peak-to-trough refractive index difference 2 pi (max - min) Re<chi>.
+
+    Sampled at 400 radii out to five beam radii at the given z, with the
+    probe intensity held uniformly at probe_level^2.
+    """
+    wz = control.width_at(z)
+    r = np.linspace(0.0, 5.0 * wz, 400)
+    chi = radial_chi_map(params, control, z, probe_level, r,
+                         [params.delta_R])
+    return float(2.0 * np.pi * (chi.real.max() - chi.real.min()))
+
+
+def normalized_profile_distance(field_a: ComplexField2D,
+                                field_b: ComplexField2D) -> float:
+    """L2 distance between unit-norm intensity profiles (shape distortion)."""
+    ia = np.abs(field_a.values) ** 2
+    ib = np.abs(field_b.values) ** 2
+    na = np.sqrt((ia ** 2).sum())
+    nb = np.sqrt((ib ** 2).sum())
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("profile distance undefined for zero fields")
+    return float(np.sqrt(((ia / na - ib / nb) ** 2).sum()))
 
 
 class TestBeamWidth:

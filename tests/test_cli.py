@@ -337,17 +337,49 @@ def test_zero_probe_is_refused_before_propagating(tiny_config, tmp_path,
         raise AssertionError("propagate reached with a zero probe")
 
     monkeypatch.setattr(cli, "propagate", unreachable)
-    cfg = tmp_path / "dark-probe.ini"
-    cfg.write_text(tiny_config.read_text().replace("g0_over_gamma = 0.2",
-                                                   "g0_over_gamma = 0"))
-    out_dir = tmp_path / "dark-probe"
-    rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
-    assert rc == 1
     line = TINY.splitlines().index("g0_over_gamma = 0.2") + 1
-    assert (f"configuration error: line {line}: [probe] g0_over_gamma = 0 "
-            "must be positive to propagate" in capsys.readouterr().err)
-    assert not list(out_dir.glob("*.rbpf"))
-    assert not (out_dir / "manifest.json").exists()
+    squares_to_0 = "gives the probe a peak |g|^2 of 0, which must be positive"
+    # zero, an amplitude whose square underflows, and the default amplitude
+    # on lobes so far off the grid that no point is lit
+    for name, probe, problem in (
+            ("zero", "g0_over_gamma = 0",
+             f"line {line}: [probe] g0_over_gamma = 0 must be positive"),
+            ("underflow", "g0_over_gamma = 1e-200",
+             f"line {line}: [probe] g0_over_gamma = 1e-200 {squares_to_0}"),
+            ("off-grid", "centers_cm = -10, 10",
+             f"default [probe] g0_over_gamma = 0.2 {squares_to_0}")):
+        text = tiny_config.read_text().replace("g0_over_gamma = 0.2", probe)
+        if name == "off-grid":
+            text = text.replace("kind = gaussian", "kind = double_gaussian")
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        out_dir = tmp_path / name
+        rc = main(["propagate", "--config", str(cfg), "--out", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {problem} to propagate\n")
+        assert not list(out_dir.glob("*.rbpf"))
+        assert not (out_dir / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1"])
+def test_unreadable_config_is_configuration_error(tiny_config, tmp_path,
+                                                  capsys, unreadable):
+    if unreadable == "directory":
+        cfg = tmp_path / "config.d"
+        cfg.mkdir()
+    else:
+        # "\xb5m" in Latin-1 is not UTF-8
+        cfg = tmp_path / "latin-1.ini"
+        cfg.write_bytes(tiny_config.read_bytes() + b"# width in \xb5m\n")
+    rc = main(["propagate", "--config", str(cfg), "--out",
+               str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read config file "
+                          f"{cfg}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cell_of_a_fractional_step_count_is_refused(tiny_config, tmp_path,

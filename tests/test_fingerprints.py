@@ -10,11 +10,10 @@ differ across platforms, and criterion 10 of the acceptance suite covers
 bitwise reruns on one machine.
 
 The runs: the dark ``free_space`` preset; ``guided_gaussian`` cut to 0.05 cm
-at orders 2 and 4, whose later RK4 stages run on the gathered live points,
-and at order 2 with the velocity average evaluated directly instead of from
-the chi table; ``sech_multipeak`` cut to 0.05 cm, which keeps one point per
-sub-flow and so runs them on the whole grid; and the ``chi_map`` and
-``control_ring`` scans.
+at orders 2 and 4, whose sub-flows keep most points and step the rest, and at
+order 2 with the velocity average evaluated directly instead of from the chi
+table; ``sech_multipeak`` cut to 0.05 cm, whose sub-flows keep one point and
+step all the others; and the ``chi_map`` and ``control_ring`` scans.
 
 A change that moves outputs on purpose regenerates the reference file with
 

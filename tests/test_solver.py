@@ -202,17 +202,10 @@ class TestMediumSubflow:
         # the two differ only in the order of float64 roundoff
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("gather", (True, False))
-    def test_points_below_the_skip_bound_keep_their_value(self, lit_medium,
-                                                          monkeypatch,
-                                                          gather):
+    def test_points_below_the_skip_bound_keep_their_value(self, lit_medium):
         values, control_I, table = lit_medium
         skipped = skipped_points(values, control_I, table, 0.01)
         assert 0.1 < skipped.mean() < 0.9
-        # whether the live points are gathered depends on the share kept;
-        # the kept points and the stepped ones come out the same either way
-        monkeypatch.setattr(solver, "GATHER_MIN_SKIPPED",
-                            0.0 if gather else 1.0)
         sizes = []
 
         def lookup(G2, g2, out=None):
@@ -222,8 +215,7 @@ class TestMediumSubflow:
         # the sub-flow steps its input in place; it gets a copy
         got = _medium_subflow(values.copy(), control_I, lookup, 0.01, K)
         # stage 1 on the whole grid, stages 2-4 on the live points alone
-        # or on the whole grid again
-        live = int(np.count_nonzero(~skipped)) if gather else values.size
+        live = int(np.count_nonzero(~skipped))
         assert sizes == [values.size, live, live, live]
         np.testing.assert_array_equal(got[skipped], values[skipped])
         expect = allocating_rk4(values, lambda g2: table(control_I, g2),
@@ -231,15 +223,14 @@ class TestMediumSubflow:
         np.testing.assert_allclose(got[~skipped], expect[~skipped],
                                    rtol=1e-13, atol=0)
 
-    def test_gathers_only_where_enough_points_are_kept(self):
+    def test_gathers_the_live_points_however_few_are_kept(self):
         grid = TransverseGrid(nx=32, ny=32, extent=0.1)
         values = gaussian_field(grid).values
         # the "control intensity" numbers the points; chi is zero below a
-        # cut, so exactly ``cut`` points keep their value
+        # cut, so exactly ``cut`` points keep their value: one, a few
+        # percent, about half
         order = np.arange(values.size, dtype=float).reshape(values.shape)
-        least = int(np.ceil(solver.GATHER_MIN_SKIPPED * values.size))
-        for cut, later in ((least - 1, values.size),
-                           (least, values.size - least)):
+        for cut in (1, 40, values.size // 2):
             sizes = []
 
             def lookup(G2, g2, out=None, cut=cut):
@@ -247,7 +238,7 @@ class TestMediumSubflow:
                 return np.where(G2 < cut, 0.0, 1e-6)
 
             got = _medium_subflow(values.copy(), order, lookup, 0.01, K)
-            assert sizes == [values.size] + [later] * 3
+            assert sizes == [values.size] + [values.size - cut] * 3
             kept = order < cut
             np.testing.assert_array_equal(got[kept], values[kept])
             assert np.all(got[~kept] != values[~kept])
@@ -559,8 +550,6 @@ class TestPropagate:
         # |g|^2 of 0.04, which stage 1 stays under; over a 0.3 cm step the
         # ring's index lifts the stage-2 intensity ~20% above it
         monkeypatch.setattr(solver, "PROBE_PEAK_HEADROOM", 1.0)
-        # few points keep their value here; gather the live ones anyway
-        monkeypatch.setattr(solver, "GATHER_MIN_SKIPPED", 0.0)
         sizes = []
         lookup = ChiTable.__call__
 
