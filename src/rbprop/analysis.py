@@ -3,7 +3,7 @@ and the radial susceptibility map written by the control beam."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,25 +15,13 @@ from . import susceptibility
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """The observables of one snapshot; a run's diagnostics are a list of
+    these, in increasing z."""
+
     z: float
     width: float
     total_power: float
     peak_positions: tuple[float, ...]
-
-
-@dataclass
-class RunDiagnostics:
-    """Per-snapshot observables; z must be strictly increasing."""
-
-    records: list[DiagnosticsRecord] = field(default_factory=list)
-
-    def append(self, record: DiagnosticsRecord):
-        if self.records and record.z <= self.records[-1].z:
-            raise ValueError(f"z = {record.z:.6g} cm follows z = "
-                             f"{self.records[-1].z:.6g} cm; z must increase")
-        if record.total_power < 0:
-            raise ValueError("total power cannot be negative")
-        self.records.append(record)
 
 
 def beam_width(field: ComplexField2D) -> float:

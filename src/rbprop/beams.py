@@ -47,13 +47,10 @@ class ControlBeamSpec:
         return np.pi * self.waist_wc**2 / self.wavelength
 
     def width_at(self, z: float) -> float:
-        """Beam radius w(z) = w_c sqrt(1 + ((z - z0)/z_R)^2)."""
+        """Beam radius w(z) = w_c sqrt(1 + ((z - z0)/z_R)^2); the ring of
+        maximal intensity has radius w(z)/sqrt(2)."""
         return self.waist_wc * np.sqrt(
             1.0 + ((z - self.waist_position_z0) / self.rayleigh_range) ** 2)
-
-    def ring_radius(self, z: float) -> float:
-        """Radius of maximal intensity, w(z)/sqrt(2)."""
-        return self.width_at(z) / np.sqrt(2.0)
 
     def peak_intensity(self, z: float) -> float:
         """Maximum of |G|^2 over the transverse plane at z."""

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import RunDiagnostics, diagnose, radial_chi_map
+from .analysis import diagnose, radial_chi_map
 from .config import ConfigurationError, config_as_dict, parse_config
 from .fieldio import (SNAPSHOT_SUFFIX, OutputLock, OutputLockError,
                       RunManifest, SnapshotFormatError, read_field,
@@ -66,7 +66,7 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
     plan = StepPlan(cfg.grid, order=args.order)
     digits = len(str(cfg.grid.n_steps))
     outputs = []
-    diagnostics = RunDiagnostics()
+    diagnostics = []
 
     def on_snapshot(step, snap):
         # each snapshot is written and diagnosed when it is taken, so the run
@@ -86,9 +86,9 @@ def cmd_propagate(cfg, out_dir: Path, args) -> list[Path]:
         on_snapshot=on_snapshot,
     )
     outputs.append(write_diagnostics_csv(out_dir / "diagnostics.csv",
-                                         diagnostics.records))
+                                         diagnostics))
     print(f"propagated to z = {end.z:g} cm; "
-          f"{len(diagnostics.records)} snapshots in {out_dir}")
+          f"{len(diagnostics)} snapshots in {out_dir}")
     return outputs
 
 
@@ -97,19 +97,27 @@ def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
     # an earlier run left in the directory are not listed
     listing = out_dir / "manifest.json"
     try:
-        snapshots = [(out_dir / o["path"], o["sha256"])
-                     for o in RunManifest.read(listing)["outputs"]
-                     if o["path"].endswith(SNAPSHOT_SUFFIX)]
+        listed = [(o["path"], o["sha256"])
+                  for o in RunManifest.read(listing)["outputs"]]
+        # a run writes its outputs into its own directory, so a path that is
+        # not a bare file name would be read from elsewhere
+        outside = [p for p, _ in listed if Path(p).name != p]
     except FileNotFoundError:
         raise ConfigurationError(
             [f"no {listing.name} of a propagate run in {out_dir}"]) from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(
             [f"cannot read the snapshot list in {listing}: {exc!r}"]) from exc
+    if outside:
+        raise ConfigurationError([
+            f"{listing} lists {', '.join(map(repr, outside))}: each output "
+            f"must be a bare file name in {out_dir}"])
+    snapshots = [(out_dir / p, sha256) for p, sha256 in listed
+                 if p.endswith(SNAPSHOT_SUFFIX)]
     if not snapshots:
         raise ConfigurationError([f"{listing} lists no field snapshots"])
     # one snapshot at a time: verified, read and diagnosed before the next
-    diagnostics = RunDiagnostics()
+    diagnostics = []
     for path, sha256 in snapshots:
         if not path.exists():
             raise SnapshotFormatError(f"{path}: listed in {listing.name} "
@@ -118,12 +126,16 @@ def cmd_analyze(cfg, out_dir: Path, args) -> list[Path]:
             raise SnapshotFormatError(f"{path}: checksum does not match "
                                       f"{listing.name}")
         fld = read_field(path)
+        # a manifest from disk may list its snapshots in any order
+        if diagnostics and fld.z <= diagnostics[-1].z:
+            raise ConfigurationError(
+                [f"{listing}: z = {fld.z:.6g} cm follows z = "
+                 f"{diagnostics[-1].z:.6g} cm; z must increase"])
         try:
             diagnostics.append(diagnose(fld))
-        except ValueError as exc:  # RunDiagnostics refuses z out of order
+        except ValueError as exc:  # a zero-power snapshot has no width
             raise ConfigurationError([f"{listing}: {exc}"]) from None
-    csv_path = write_diagnostics_csv(out_dir / "analysis.csv",
-                                     diagnostics.records)
+    csv_path = write_diagnostics_csv(out_dir / "analysis.csv", diagnostics)
     profile_path = write_profile_csv(out_dir / "profile.csv", fld)
     print(f"analyzed {len(snapshots)} snapshots; "
           f"wrote {csv_path} and {profile_path}")

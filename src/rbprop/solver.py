@@ -186,10 +186,13 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
     are kept, and stages 2-4 run on them alone, each lookup taking the
     control and probe intensities at those points.  Every call makes four
     lookups and then writes the live points' update into ``values`` (a
-    complex array), which it returns; a ValueError leaves ``values`` as it
-    was, and the kept points are never written.  ``work`` holds the arrays
-    the call steps in, made for this call when not given.
+    C-contiguous complex array; any other is a ValueError), which it
+    returns; a ValueError leaves ``values`` as it was, and the kept points
+    are never written.  ``work`` holds the arrays the call steps in, made
+    for this call when not given.
     """
+    if not values.flags.c_contiguous:
+        raise ValueError("the sub-flow steps a C-contiguous array in place")
     if work is None:
         work = _SubflowWork(values.size)
     weight = 2j * np.pi * k * distance
@@ -230,20 +233,17 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
         total = np.multiply(chi, start, out=work.total[:n])
         v = np.multiply(0.5 * weight, total, out=work.v[:n])
         v += start
-        r = rate(v, work.r[:n])
-        np.multiply(0.5 * weight, r, out=v)
-        v += start
-        r *= 2.0
-        total += r
-        rate(v, r)
-        np.multiply(weight, r, out=v)
-        v += start
-        r *= 2.0
-        total += r
+        r = work.r[:n]
+        for c_weight in (0.5 * weight, weight):  # stages 2 and 3
+            rate(v, r)
+            np.multiply(c_weight, r, out=v)
+            v += start
+            r *= 2.0
+            total += r
         total += rate(v, r)
         total *= weight / 6.0
         total += start
-    np.put(values, live, total)
+    values.reshape(-1)[live] = total  # a view: values is C-contiguous
     return values
 
 

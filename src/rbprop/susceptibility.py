@@ -23,7 +23,7 @@ made at the first average.  The module needs numpy alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -145,24 +145,16 @@ def _affine_generator(g: float, G: float, big_gamma: float,
     return A, b
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    chi: complex
-    populations: tuple[float, float, float]
-    residual: float
-
-
 def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
-                        big_gamma: float, prefactor: float,
-                        full_result: bool = False):
+                        big_gamma: float, prefactor: float) -> complex:
     """Susceptibility from the density-matrix equations of motion.
 
     The affine system ydot = A y + b relaxes to one fixed point from every
     start exactly when each eigenvalue of A has a negative real part.  The
     oracle checks that, solves A y = -b, and checks that every time
     derivative at y is below ORACLE_RHS_TOL (gamma units); it raises
-    OracleConvergenceError if either check fails.  Returns
-    prefactor * rho12 / g; the phase convention agrees with
+    OracleConvergenceError if either check fails.  Returns the complex
+    chi = prefactor * rho12 / g; the phase convention agrees with
     ``chi_doppler_averaged`` at doppler_width = 0 directly (verified
     numerically, no conjugation or sign flip needed).
 
@@ -183,11 +175,7 @@ def steady_state_oracle(point: FieldPoint, delta_p: float, delta_c: float,
     if not residual <= ORACLE_RHS_TOL:
         raise OracleConvergenceError(
             f"steady state not reached, residual {residual:.3e}")
-    chi = prefactor * (y[2] + 1j * y[3]) / g
-    if full_result:
-        pops = (float(y[0]), float(y[1]), float(1.0 - y[0] - y[1]))
-        return OracleResult(chi, pops, residual)
-    return chi
+    return prefactor * (y[2] + 1j * y[3]) / g
 
 
 @functools.cache
@@ -273,7 +261,8 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
     memory beyond the output is one block's work however many points there
     are; broadcast inputs are never expanded past one block.  The output of
     array-valued points is ``out``, a C-contiguous complex array of their
-    broadcast shape, when it is given.  It may be complex64: each value is
+    broadcast shape, when it is given; an ``out`` that is not C-contiguous
+    is a ValueError.  It may be complex64: each value is
     then the double-precision one rounded once, as the prefactor multiplies
     it before it is stored.
     """
@@ -282,6 +271,8 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
     shape = np.broadcast_shapes(g2.shape, G2.shape)
     if out is None:
         out = np.empty(shape or (1,), dtype=complex)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array")
     g2 = np.broadcast_to(g2, out.shape)
     G2 = np.broadcast_to(G2, out.shape)
     prefactor = prefactor_over_gamma(params)
@@ -402,11 +393,13 @@ class ChiTable:
         and outer region sit under the floors.  A NaN query is never below
         a floor, so it is interpolated and returns NaN.  Array queries are
         written into ``out``, a C-contiguous complex array of their broadcast
-        shape, when it is given.
+        shape, when it is given; any other ``out`` is a ValueError.
         """
         G2q = np.asarray(G_abs2, dtype=float)
         g2q = np.asarray(g_abs2, dtype=float)
         shape = np.broadcast(G2q, g2q).shape
+        if out is not None and not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous array")
         for name, q, nodes in (("|G|^2", G2q, self._G2),
                                ("|g|^2", g2q, self._g2)):
             if np.any(q > nodes[-1] * (1 + self.OVERSHOOT)):
@@ -496,14 +489,15 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
                     target_error: float = 1.0e-4) -> ChiTable:
     """Build a ChiTable covering [0, G_abs2_max] x [0, g_abs2_max].
 
-    A pilot table of PILOT_NODES per axis measures the worst midpoint error
-    along each axis; as bilinear error falls with the square of the node
-    spacing, that gives each axis the node count, at most MAX_NODES, that
-    meets 0.6 of the target.  The sized table is verified on
-    ``max_relative_error``'s fixed probe set (1000 log-uniform points drawn
-    with seed 0).  A table that misses the target is sized once more the
-    same way from its own midpoint errors and verified again; the missed
-    table is released first.  Every fill and midpoint measurement works in
+    Each round measures the last table's worst midpoint error along each
+    axis; as bilinear error falls with the square of the node spacing, that
+    gives each axis the node count, at most MAX_NODES, that meets 0.6 of
+    the target.  The last table is released, and its successor is filled
+    and verified on ``max_relative_error``'s fixed probe set (1000
+    log-uniform points drawn with seed 0).  The first round sizes from a
+    pilot of PILOT_NODES per axis; a table that misses the target is sized
+    once more from its own midpoint errors, unless both axes are at
+    MAX_NODES already.  Every fill and midpoint measurement works in
     blocks of at most AVERAGE_BLOCK points, so the build holds at most one
     table plus one block of work: ~2.5 MiB for a fill, ~4 MiB for a midpoint
     measurement, which also looks its block up.  Raises
@@ -520,29 +514,23 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
             f"{g_abs2_max:.6g} must be finite, with |G|^2 above 0")
     g_top = max(g_abs2_max, G_abs2_max * 1.0e-12)
     headroom = 0.6  # size below target so an independent probe set stays under
-
-    def sized(table: ChiTable) -> tuple[int, int]:
+    table = ChiTable(G_abs2_max, g_top, (PILOT_NODES, PILOT_NODES), params)
+    # sized from the pilot, then at most once more from the missed table;
+    # each axis grows by at least one node, so the pilot is always resized
+    for _ in range(2):
         shape = []
         for axis, n in enumerate(table.shape):
             factor = np.sqrt(table._axis_midpoint_error(axis)
                              / (headroom * target_error))
             shape.append(min(MAX_NODES,
                              int(np.ceil(n * max(factor, 1.0))) + 1))
-        return tuple(shape)
-
-    table = ChiTable(G_abs2_max, g_top,
-                     sized(ChiTable(G_abs2_max, g_top,
-                                    (PILOT_NODES, PILOT_NODES), params)),
-                     params)
-    err = table.max_relative_error()
-    if err >= target_error:
-        shape = sized(table)
-        if shape != table.shape:  # else both axes are at MAX_NODES already
-            del table  # free the missed table before its successor is filled
-            table = ChiTable(G_abs2_max, g_top, shape, params)
-            err = table.max_relative_error()
-    if err < target_error:
-        return table
+        if tuple(shape) == table.shape:  # both axes are at MAX_NODES already
+            break
+        del table  # free the last table before its successor is filled
+        table = ChiTable(G_abs2_max, g_top, tuple(shape), params)
+        err = table.max_relative_error()
+        if err < target_error:
+            return table
     raise ChiTableError(
         f"interpolation error {err:.3e} above {target_error:g} on the "
         f"{table.shape[0]}x{table.shape[1]} table (at most {MAX_NODES} "

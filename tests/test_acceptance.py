@@ -194,7 +194,7 @@ def test_criterion_5_guided_transmission(guided_run):
 
 
 def test_criterion_6_absorption_minimum():
-    ring = CONTROL.ring_radius(0.0)
+    ring = CONTROL.width_at(0.0) / np.sqrt(2.0)
     scan = np.linspace(-0.1, 0.05, 301)
     im = radial_chi_map(PARAMS, CONTROL, 0.0, 0.2, [ring], scan)[:, 0].imag
     loc = float(scan[np.argmin(im)])

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from rbprop.analysis import (DiagnosticsRecord, RunDiagnostics, beam_width,
-                             peak_positions, radial_chi_map)
+from rbprop.analysis import beam_width, peak_positions, radial_chi_map
 from rbprop.beams import ControlBeamSpec
 from rbprop.params import PhysicalParams, TransverseGrid
 from rbprop.solver import ComplexField2D
@@ -159,21 +158,8 @@ class TestIndexContrast:
         r = np.linspace(0.0, 0.03, 601)
         chi = radial_chi_map(PARAMS, ctrl, 0.0, 0.2, r, [PARAMS.delta_R])[0]
         r_extremum = r[np.argmax(np.abs(chi.real))]
-        assert r_extremum == pytest.approx(ctrl.ring_radius(0.0), abs=5e-5)
-
-
-class TestDiagnostics:
-    def test_strictly_increasing_z_enforced(self):
-        d = RunDiagnostics()
-        d.append(DiagnosticsRecord(0.0, 1e-3, 1.0, ()))
-        d.append(DiagnosticsRecord(0.5, 1e-3, 0.9, ()))
-        with pytest.raises(ValueError, match="z = 0.5 cm follows z = 0.5 cm"):
-            d.append(DiagnosticsRecord(0.5, 1e-3, 0.8, ()))
-
-    def test_negative_power_rejected(self):
-        d = RunDiagnostics()
-        with pytest.raises(ValueError):
-            d.append(DiagnosticsRecord(0.0, 1e-3, -1.0, ()))
+        ring = ctrl.width_at(0.0) / np.sqrt(2.0)
+        assert r_extremum == pytest.approx(ring, abs=5e-5)
 
 
 def test_profile_distance_zero_for_identical_shapes():

@@ -62,7 +62,6 @@ class TestControlField:
         amp = np.abs(control_field(CTRL, r, 0.0, 0.0))
         r_peak = r[np.argmax(amp)]
         assert r_peak == pytest.approx(wz / np.sqrt(2.0), rel=1e-4)
-        assert CTRL.ring_radius(0.0) == pytest.approx(wz / np.sqrt(2.0))
         # entry-face value for the 120 um waist focused 5 cm downstream
         assert r_peak * 1e4 == pytest.approx(112.96, abs=0.05)
 

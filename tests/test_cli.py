@@ -670,6 +670,32 @@ def test_analyze_refuses_a_manifest_listing_snapshots_out_of_z_order(
     assert not (out_dir / "analysis.csv").exists()
 
 
+def test_analyze_reads_no_snapshot_outside_its_directory(tiny_config,
+                                                         tmp_path, capsys):
+    run = tmp_path / "a"
+    assert main(["propagate", "--config", str(tiny_config),
+                 "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    # each listed file, checksum and all, reached through a path that leaves
+    # the directory analyze is given
+    for name, prefix in (("relative", "../a/"), ("absolute", f"{run}/")):
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        listing = out_dir / "manifest.json"
+        entries = [dict(o, path=prefix + o["path"])
+                   for o in manifest["outputs"]]
+        listing.write_text(json.dumps(dict(manifest, outputs=entries)))
+        capsys.readouterr()
+        assert main(["analyze", "--config", str(tiny_config),
+                     "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        listed = ", ".join(repr(prefix + o["path"])
+                           for o in manifest["outputs"])
+        assert err == (f"configuration error: {listing} lists {listed}: each "
+                       f"output must be a bare file name in {out_dir}\n")
+        assert not (out_dir / "analysis.csv").exists()
+
+
 def test_snapshots_readable_and_grid_consistent(tiny_config, tmp_path):
     out_dir = tmp_path / "snap"
     assert main(["propagate", "--config", str(tiny_config),

@@ -256,6 +256,14 @@ class TestMediumSubflow:
             got, allocating_rk4(values, lambda g2: before, 0.01, K),
             rtol=1e-13, atol=0)
 
+    def test_refuses_values_that_are_not_c_contiguous(self, lit_medium):
+        values, control_I, table = lit_medium
+        # the update is written through a flat view of values
+        strided = values.copy().T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _medium_subflow(strided, control_I.T, table, 0.01, K)
+        np.testing.assert_array_equal(strided, values.T)
+
     def test_non_finite_points_stay_live_without_warnings(self, lit_medium):
         values, control_I, table = lit_medium
         clean = _medium_subflow(values.copy(), control_I, table, 0.01, K)
