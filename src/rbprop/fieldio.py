@@ -91,6 +91,9 @@ def write_diagnostics_csv(path: str | Path, records) -> Path:
 _SLOT = 17
 # rows formatted per buffer when writing a CSV table
 CSV_BLOCK = 8192
+# rows written per piece of a formatted block (~75 kB, within the sizes
+# glibc takes from its heap rather than mapping afresh)
+_WRITE_ROWS = 1024
 # a scaled mantissa below 1e10 carries two roundings, an error of at most
 # 2.3e-6; its rint is proven unless its fraction is this close to a half
 _HALF_MARGIN = 1.0e-5
@@ -187,7 +190,12 @@ def _write_grid_table(fh, outer, inner, columns, blank: bool = False) -> None:
     them: equal outer values form a group whose rows take each inner index
     in turn with every member.  Each axis value is formatted once, and the
     rows are written in blocks of whole groups, at most CSV_BLOCK rows each
-    unless one group has more.
+    unless one group has more.  The row buffer and the mask of its written
+    bytes are made once, for the largest block, and every block fills their
+    leading rows; the text leaves in pieces of _WRITE_ROWS rows.  So no
+    array a block long is made per block, and the write's peak RSS follows
+    what it holds, not the order in which the heap sees each block's
+    arrays come and go.
     """
     outer = np.asarray(outer, dtype=float)
     m = len(inner)
@@ -196,23 +204,26 @@ def _write_grid_table(fh, outer, inner, columns, blank: bool = False) -> None:
     group = np.cumsum(new)
     ends = np.r_[np.flatnonzero(new)[1:], outer.size]
     per = max(1, CSV_BLOCK // m)
-    pitch = _SLOT + 1  # a slot and its separator
-    width = (2 + len(columns)) * pitch + 1  # and room for a blank line
+    blocks = []
     j0 = 0
     while j0 < outer.size:
         # whole groups: the last group end within per values, or the next
         j1 = ends[max(np.searchsorted(ends, j0 + per, "right") - 1,
                       np.searchsorted(ends, j0, "right"))]
+        blocks.append((j0, j1))
+        j0 = j1
+    pitch = _SLOT + 1  # a slot and its separator
+    width = (2 + len(columns)) * pitch + 1  # and room for a blank line
+    largest = m * max((j1 - j0 for j0, j1 in blocks), default=0)
+    block_buf = np.empty((largest, width), dtype=np.uint8)
+    block_nonblank = np.empty(block_buf.shape, dtype=bool)
+    for j0, j1 in blocks:
         # the block's (j, i), stably sorted by (group of j, i)
         key = (group[j0:j1, None] * m + np.arange(m)).ravel()
         jj, ii = np.divmod(np.argsort(key, kind="stable"), m)
         jj += j0
-        buf = np.empty((key.size, width), dtype=np.uint8)
-        # the mask of the bytes written (the padding is dropped by value),
-        # made beside buf before the formatting's temporaries come and go:
-        # made after them, it raised a 226,651-row scan's peak RSS by
-        # 0.6 MB (glibc heap)
-        nonblank = np.empty(buf.shape, dtype=bool)
+        buf = block_buf[:key.size]
+        nonblank = block_nonblank[:key.size]  # the bytes written
         buf[:, :_SLOT] = axes[0][jj]
         buf[:, pitch:pitch + _SLOT] = axes[1][ii]
         for c, values in enumerate(columns, start=2):
@@ -224,8 +235,9 @@ def _write_grid_table(fh, outer, inner, columns, blank: bool = False) -> None:
         if blank:
             buf[m - 1::m, -1] = ord("\n")
         np.not_equal(buf, ord(" "), out=nonblank)
-        fh.write(buf[nonblank])
-        j0 = j1
+        for start in range(0, key.size, _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            fh.write(buf[rows][nonblank[rows]])
 
 
 def write_chi_scan_csv(path: str | Path, r, delta_R, chi) -> Path:

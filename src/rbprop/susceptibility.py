@@ -46,6 +46,14 @@ FLOOR_RATIO = 1.0e-4
 PILOT_NODES = 64
 MAX_NODES = 2048
 
+# chi table tiles: TILE x TILE cells, a power of two, so that a lookup finds
+# a cell's tile by a shift; _SIDE nodes along a tile's side, and the origin
+# _MISSING for a tile not yet filled
+TILE = 32
+_SHIFT = TILE.bit_length() - 1
+_SIDE = TILE + 1
+_MISSING = np.iinfo(np.intp).min
+
 ORACLE_RHS_TOL = 1.0e-12  # steady_state_oracle's |dy/dt| bound (gamma units)
 
 
@@ -261,18 +269,20 @@ def chi_doppler_averaged(point: FieldPoint, params: PhysicalParams,
     memory beyond the output is one block's work however many points there
     are; broadcast inputs are never expanded past one block.  The output of
     array-valued points is ``out``, a C-contiguous complex array of their
-    broadcast shape, when it is given; an ``out`` that is not C-contiguous
-    is a ValueError.  It may be complex64: each value is
-    then the double-precision one rounded once, as the prefactor multiplies
-    it before it is stored.
+    broadcast shape (one element for scalar points), when it is given; an
+    ``out`` of another shape, or one that is not C-contiguous, is a
+    ValueError.  It may be complex64: each value is then the
+    double-precision one rounded once, as the prefactor multiplies it
+    before it is stored.
     """
     g2 = np.asarray(point.g_abs2, dtype=float)
     G2 = np.asarray(point.G_abs2, dtype=float)
     shape = np.broadcast_shapes(g2.shape, G2.shape)
     if out is None:
         out = np.empty(shape or (1,), dtype=complex)
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be a C-contiguous array")
+    elif out.shape != (shape or (1,)) or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the points' "
+                         "broadcast shape")
     g2 = np.broadcast_to(g2, out.shape)
     G2 = np.broadcast_to(G2, out.shape)
     prefactor = prefactor_over_gamma(params)
@@ -332,18 +342,27 @@ class ChiTable:
     |G|^2) does not reproduce.  Both tops must be positive and finite;
     ``build_chi_table`` checks them.
 
-    The nodes are stored in single precision, 8 bytes a node: chi / |G|^2
-    divided by ``_scale``, a power of two near prefactor / (|G|^2 top) fixed
-    before the fill, so the stored values lie within a few decades of 1 for
-    any density (1e-3 to 22 on the guided preset's table).  One
-    ``chi_doppler_averaged`` call on the two axes as broadcast views fills
-    the complex64 table for the medium thinned by ``_scale`` (chi is linear
-    in the density, and a power-of-two thinning is exact), so no value
-    reaches single precision unscaled.  Dividing by |G|^2 in place makes
+    Nodes are computed when a lookup first reaches them, a tile of
+    TILE x TILE cells at a time, as a guided run reads a few percent of its
+    table.  A tile's (TILE + 1)^2 nodes, the edges it shares with its
+    neighbours included, take the next slot of one complex64 pool.
+    ``_origin`` holds each tile's pool offset less its first node's offset
+    in a table of TILE + 1 columns, so node (iG, ig) sits at its tile's
+    entry plus iG (TILE + 1) + ig.  Tile (0, 0) is filled at construction:
+    the below-floors shortcut reads its corner node.
+
+    ``_nodes`` is the one routine that computes nodes, 8 bytes a node:
+    chi / |G|^2 divided by ``_scale``, a power of two near
+    prefactor / (|G|^2 top), so the stored values lie within a few decades
+    of 1 for any density (1e-3 to 22 on the guided preset's table).  It
+    averages for the medium thinned by ``_scale`` (chi is linear in the
+    density, and a power-of-two thinning is exact) into complex64, so no
+    value reaches single precision unscaled, and divides by |G|^2 in place,
     the second and last rounding: each node is within 1.2e-7 relative of
-    the double-precision chi / |G|^2 / ``_scale``, and a build holds the
-    table plus one AVERAGE_BLOCK of work.  A lookup widens the nodes it
-    reads to double precision and multiplies the scale back, exactly.
+    the double-precision chi / |G|^2 / ``_scale``.  The average is
+    elementwise, so a node's bits do not depend on the call that computes
+    it.  A lookup widens the nodes it reads to double precision and
+    multiplies the scale back, exactly.
     """
 
     # no table is identically zero; perfbench/child.py and tracer.py still
@@ -360,12 +379,13 @@ class ChiTable:
         exponent = (np.frexp(prefactor_over_gamma(params))[1]
                     - np.frexp(G_abs2_max)[1])
         self._scale = float(np.ldexp(1.0, min(max(exponent, -1022), 1023)))
-        self._h = np.empty(shape, dtype=np.complex64)
-        chi_doppler_averaged(
-            FieldPoint(self._g2[None, :], self._G2[:, None]),
-            replace(params, density=params.density / self._scale),
-            out=self._h)
-        self._h /= self._G2[:, None]
+        self._thinned = replace(params, density=params.density / self._scale)
+        self._tiles_g = -(-(shape[1] - 1) // TILE)  # tiles along |g|^2
+        tiles = -(-(shape[0] - 1) // TILE) * self._tiles_g
+        self._origin = np.full(tiles, _MISSING, dtype=np.intp)
+        self._pool = np.empty((0, _SIDE, _SIDE), dtype=np.complex64)
+        self._filled = 0  # slots of the pool in use
+        self._fill(np.zeros(1, dtype=np.intp))
 
     @property
     def G_abs2_max(self) -> float:
@@ -377,7 +397,44 @@ class ChiTable:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._h.shape
+        return self._G2.size, self._g2.size
+
+    def _nodes(self, G2, g2, out: np.ndarray) -> np.ndarray:
+        """chi / |G|^2 / ``_scale`` at the nodes (G2, g2), broadcast, written
+        into ``out``, a C-contiguous complex64 array of their shape."""
+        chi_doppler_averaged(FieldPoint(g2, G2), self._thinned, out=out)
+        out /= G2
+        return out
+
+    def _fill(self, tiles: np.ndarray) -> None:
+        """Compute the listed tiles into the next free slots of the pool.
+
+        A full pool is replaced by one of twice the slots (at most one a
+        tile) or as many as the tiles need, and only filled slots are
+        written: the guided workload reallocates its pool twice, where
+        growing it by the tiles added took ~40 reallocations and a ~0.3 MB
+        higher peak RSS.  Each tile is averaged in a call of its own, so a
+        fill holds one tile's work beside the run's arrays.  A last, partial
+        tile repeats the axis' last node (``take`` clips the index) in the
+        places past it, which no cell reads.
+        """
+        first = self._filled
+        self._filled += tiles.size
+        if self._filled > len(self._pool):
+            slots = max(self._filled,
+                        min(2 * len(self._pool), self._origin.size))
+            pool = np.empty((slots, _SIDE, _SIDE), dtype=np.complex64)
+            pool[:first] = self._pool[:first]
+            self._pool = pool
+        # each tile's first node
+        rows, cols = (TILE * i for i in np.divmod(tiles, self._tiles_g))
+        self._origin[tiles] = ((first + np.arange(tiles.size)) * _SIDE**2
+                               - rows * _SIDE - cols)
+        nodes = np.arange(_SIDE)
+        for slot, row, col in zip(range(first, self._filled), rows, cols):
+            self._nodes(self._G2.take(row + nodes, mode="clip")[:, None],
+                        self._g2.take(col + nodes, mode="clip"),
+                        self._pool[slot])
 
     # relative overshoot absorbed by clamping (an integrator stage can nudge
     # a query a few permille past the field it starts from)
@@ -390,10 +447,12 @@ class ChiTable:
         the bilinear formula reduces exactly to the corner node, so only the
         remaining queries are interpolated.  In a guided run that is a few
         percent of the grid: the probe's tail and the control's dark core
-        and outer region sit under the floors.  A NaN query is never below
-        a floor, so it is interpolated and returns NaN.  Array queries are
-        written into ``out``, a C-contiguous complex array of their broadcast
-        shape, when it is given; any other ``out`` is a ValueError.
+        and outer region sit under the floors.  The tiles those queries'
+        cells lie in are filled first if they are not yet (``_fill``).  A
+        NaN query is never below a floor, so it is interpolated in the last
+        cell and returns NaN.  Array queries are written into ``out``, a
+        C-contiguous complex array of their broadcast shape, when it is
+        given; any other ``out`` is a ValueError.
         """
         G2q = np.asarray(G_abs2, dtype=float)
         g2q = np.asarray(g_abs2, dtype=float)
@@ -407,24 +466,50 @@ class ChiTable:
                                  f"above the table top {nodes[-1]:.6g}")
         G2q = np.broadcast_to(G2q, shape).ravel()
         g2q = np.broadcast_to(g2q, shape).ravel()
-        out = np.multiply(G2q, complex(self._h[0, 0]) * self._scale,
+        # the corner node is the first of tile (0, 0), in the pool's slot 0
+        out = np.multiply(G2q, complex(self._pool[0, 0, 0]) * self._scale,
                           out=None if out is None else out.reshape(-1))
         # written as "not below both floors" so NaN queries interpolate too
         live = np.flatnonzero(~((G2q <= self._G2[0]) & (g2q <= self._g2[0])))
-        out[live] = self._interpolate(G2q.take(live), g2q.take(live))
+        out[live] = self._interpolate(G2q.take(live), g2q.take(live),
+                                      self._pooled_corners)
         out[G2q <= 0.0] = 0.0
         out = out.reshape(shape)
         if shape == ():
             return complex(out)
         return out
 
-    def _interpolate(self, G2q: np.ndarray, g2q: np.ndarray) -> np.ndarray:
+    def _pooled_corners(self, iG: np.ndarray, ig: np.ndarray):
+        """Corner reader of cells (iG, ig) from the pool, after filling the
+        tiles they lie in that are missing."""
+        tiles = (iG >> _SHIFT) * self._tiles_g
+        tiles += ig >> _SHIFT
+        offset = self._origin.take(tiles)
+        if offset.min(initial=0) == _MISSING:
+            self._fill(np.unique(tiles[offset == _MISSING]))
+            offset = self._origin.take(tiles)
+        offset += iG * _SIDE
+        offset += ig
+        flat = self._pool.reshape(-1)
+        return lambda dG, dg: flat.take(offset + (dG * _SIDE + dg))
+
+    def _computed_corners(self, iG: np.ndarray, ig: np.ndarray):
+        """Corner reader of cells (iG, ig) that computes each corner node
+        afresh (``_nodes``) and fills no tile."""
+        return lambda dG, dg: self._nodes(
+            self._G2.take(iG + dG), self._g2.take(ig + dg),
+            np.empty(iG.shape, dtype=np.complex64))
+
+    def _interpolate(self, G2q: np.ndarray, g2q: np.ndarray,
+                     corners) -> np.ndarray:
         """|G|^2 times the clamped bilinear interpolant of chi / |G|^2.
 
         Each clamped query's cell is found from its logarithm alone
-        (``_log_cells``); the four corners are gathered from the flattened
-        table one at a time, each widened to complex128 by its first weight
-        (complex64 times float64), and the scale is multiplied back last.
+        (``_log_cells``).  ``corners(iG, ig)`` gives the reader of the
+        cells' corner nodes, complex64 values by the corner's offset
+        (dG, dg) in {0, 1}^2; each corner is read in turn, widened to
+        complex128 by its first weight (complex64 times float64), and the
+        scale is multiplied back last.
         """
         Gc = np.clip(G2q, self._G2[0], self._G2[-1])
         gc = np.clip(g2q, self._g2[0], self._g2[-1])
@@ -436,43 +521,52 @@ class ChiTable:
         tg = (gc - g1) / (g2v - g1)
         sG = 1 - tG
         sg = 1 - tg
-        h = self._h.ravel()
-        n = self._g2.size
-        corner = iG * n + ig
+        corner = corners(iG, ig)
         # h00 sG sg + h10 tG sg + h01 sG tg + h11 tG tg, summed in place in
         # that order, so the terms are never all held at once
-        out = h.take(corner) * sG
+        out = corner(0, 0) * sG
         out *= sg
-        for step, wG, wg in ((n, tG, sg), (1, sG, tg), (n + 1, tG, tg)):
-            term = h.take(corner + step) * wG
+        for dG, dg, wG, wg in ((1, 0, tG, sg), (0, 1, sG, tg), (1, 1, tG, tg)):
+            term = corner(dG, dg) * wG
             term *= wg
             out += term
         out *= G2q
         out *= self._scale
         return out
 
-    def _relative_error(self, G2q: np.ndarray, g2q: np.ndarray) -> float:
-        """Max relative deviation of the lookup from the exact average."""
+    def _relative_error(self, G2q: np.ndarray, g2q: np.ndarray,
+                        chi=None) -> float:
+        """Max relative deviation from the exact average of ``chi``, by
+        default the lookup at the query points."""
         exact = chi_doppler_averaged(FieldPoint(g2q, G2q), self.params)
-        return float(np.max(np.abs(self(G2q, g2q) - exact) / np.abs(exact)))
+        if chi is None:
+            chi = self(G2q, g2q)
+        return float(np.max(np.abs(chi - exact) / np.abs(exact)))
 
     def max_relative_error(self) -> float:
         """Max relative interpolation error on 1000 log-uniform probes drawn
-        with seed 0 over the node range."""
+        with seed 0 over the node range.
+
+        The probes' corner nodes are computed afresh (``_computed_corners``),
+        so the check fills no tile; their interpolant has the lookup's bits.
+        """
         rng = np.random.default_rng(0)
         G2q = np.exp(rng.uniform(np.log(self._G2[0]), np.log(self._G2[-1]), 1000))
         g2q = np.exp(rng.uniform(np.log(self._g2[0]), np.log(self._g2[-1]), 1000))
-        return self._relative_error(G2q, g2q)
+        return self._relative_error(
+            G2q, g2q, self._interpolate(G2q, g2q, self._computed_corners))
 
     def _axis_midpoint_error(self, axis: int) -> float:
         """Worst relative interpolation error at cell midpoints of one axis.
 
         Midpoints are where bilinear interpolation is worst; measuring each
-        axis separately sizes the table anisotropically.  The lattice is
-        measured in blocks of whole rows, at most AVERAGE_BLOCK points each
-        (one row if a row is longer), and the max over blocks is the max
-        over the lattice.
+        axis separately sizes the table anisotropically.  The lattice
+        reaches every cell, so the missing tiles are filled first, in one
+        growth of the pool.  It is measured in blocks of whole rows, at most
+        AVERAGE_BLOCK points each (one row if a row is longer), and the max
+        over blocks is the max over the lattice.
         """
+        self._fill(np.flatnonzero(self._origin == _MISSING))
         if axis == 0:
             Gq = np.sqrt(self._G2[:-1] * self._G2[1:])
             gq = self._g2
@@ -492,15 +586,17 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     Each round measures the last table's worst midpoint error along each
     axis; as bilinear error falls with the square of the node spacing, that
     gives each axis the node count, at most MAX_NODES, that meets 0.6 of
-    the target.  The last table is released, and its successor is filled
-    and verified on ``max_relative_error``'s fixed probe set (1000
-    log-uniform points drawn with seed 0).  The first round sizes from a
-    pilot of PILOT_NODES per axis; a table that misses the target is sized
-    once more from its own midpoint errors, unless both axes are at
-    MAX_NODES already.  Every fill and midpoint measurement works in
-    blocks of at most AVERAGE_BLOCK points, so the build holds at most one
-    table plus one block of work: ~2.5 MiB for a fill, ~4 MiB for a midpoint
-    measurement, which also looks its block up.  Raises
+    the target.  The last table is released, and its successor is
+    verified on ``max_relative_error``'s fixed probe set (1000 log-uniform
+    points drawn with seed 0), which computes the probes' corner nodes and
+    fills no tile: the table returned holds tile (0, 0), and a run fills
+    the tiles its lookups reach.  The first round sizes from a pilot of
+    PILOT_NODES per axis; a table that misses the target is sized once
+    more from its own midpoint errors, unless both axes are at MAX_NODES
+    already.  A midpoint measurement fills every tile of the table it
+    measures and looks its lattice up in blocks of at most AVERAGE_BLOCK
+    points, so the build holds at most one filled table plus one block of
+    work (~4 MiB).  Raises
     ChiTableError if the |G|^2 top is not in (0, inf) or the |g|^2 top is
     not finite (a control-off run builds no table), or if the resized table
     still misses the target (direct evaluation is then advised); a

@@ -508,8 +508,10 @@ class TestCsvWriters:
     def test_chi_scan_csv_equals_python_text(self, tmp_path, monkeypatch,
                                              block):
         # 7 rows is less than one radius's 9, so a block is one radius or,
-        # for the three equal radii -0.0, 0.0, 0.0, one group of them
+        # for the three equal radii -0.0, 0.0, 0.0, one group of them; each
+        # block is written in pieces of 4 rows, the last one partial
         monkeypatch.setattr(fieldio, "CSV_BLOCK", block)
+        monkeypatch.setattr(fieldio, "_WRITE_ROWS", 4)
         rng = np.random.default_rng(4)
         r = np.array([-0.03, -0.01, -0.0, 0.0, 0.0, 2e-3, 0.02, 0.03])
         d = np.sort(np.r_[rng.uniform(-0.1, 0.05, 7), -0.02, -0.02])
@@ -534,6 +536,7 @@ class TestCsvWriters:
     def test_profile_csv_equals_python_text(self, tmp_path, monkeypatch,
                                             block):
         monkeypatch.setattr(fieldio, "CSV_BLOCK", block)
+        monkeypatch.setattr(fieldio, "_WRITE_ROWS", 2)  # inside each x
         grid = TransverseGrid(nx=5, ny=3, extent=0.06)
         rng = np.random.default_rng(5)
         values = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))

@@ -202,6 +202,16 @@ class TestExactAverage:
         assert got is out
         assert same_bits(out, chi_doppler_averaged(FieldPoint(g2, G2), REF))
 
+    def test_an_out_of_another_shape_is_refused(self):
+        # the points broadcast to out, which would be filled and returned
+        # (scalar points returned one complex of the four written)
+        for point, out in ((FieldPoint(0.03, 0.1), np.zeros(4, complex)),
+                           (FieldPoint(np.full(2, 0.03), np.full(2, 0.1)),
+                            np.zeros((3, 2), complex))):
+            with pytest.raises(ValueError, match="shape"):
+                chi_doppler_averaged(point, REF, out=out)
+            assert not out.any()
+
     def test_broadcast_inputs_give_the_meshgrid_bits(self, monkeypatch):
         # blocks of three rows, the last one partial (37 = 12 x 3 + 1); the
         # transposed inputs take four rows of 37 a block
@@ -323,17 +333,58 @@ def probe_error(table, n_probes, seed):
     return table._relative_error(G2, g2)
 
 
+def every_tile(table):
+    """The table, with every tile filled by one lookup at the midpoint of
+    each tile's first cell."""
+    G2, g2 = (np.sqrt(nodes[:-1:susceptibility.TILE]
+                      * nodes[1::susceptibility.TILE])
+              for nodes in (table._G2, table._g2))
+    table(G2[:, None], g2)
+    return table
+
+
+def dense_nodes(table):
+    """Every stored node as one (|G|^2, |g|^2) complex64 array, read from
+    the pool once every tile is filled; an axis' last node is read from its
+    last tile."""
+    every_tile(table)
+    tile, side = susceptibility.TILE, susceptibility.TILE + 1
+    iG, ig = (np.arange(n) for n in table.shape)
+    tG, tg = (np.minimum(i // tile, (i.size - 2) // tile) for i in (iG, ig))
+    origin = table._origin[tG[:, None] * table._tiles_g + tg]
+    return table._pool.reshape(-1)[origin + iG[:, None] * side + ig]
+
+
 def stored_nodes(table):
     """The table's single-precision nodes, widened and rescaled: chi / |G|^2
     as the lookup reads it."""
-    return table._h.astype(complex) * table._scale
+    return dense_nodes(table).astype(complex) * table._scale
 
 
-def reference_bilinear(table, G_abs2, g_abs2):
-    """The lookup's clamped bilinear formula applied to every query point."""
+def meshgrid_nodes(table, params):
+    """The table's nodes as one average over the meshgrid of its axes, for
+    the medium thinned by its scale, rounded to single precision and then
+    divided by |G|^2: the eager dense fill the tiles replace."""
+    GG, gg = np.meshgrid(table._G2, table._g2, indexing="ij")
+    thinned = replace(params, density=params.density / table._scale)
+    nodes = chi_doppler_averaged(FieldPoint(gg, GG), thinned) \
+        .astype(np.complex64)
+    nodes /= table._G2[:, None]
+    return nodes
+
+
+def filled_tiles(table):
+    return int(np.count_nonzero(table._origin != susceptibility._MISSING))
+
+
+def reference_bilinear(table, G_abs2, g_abs2, h=None):
+    """The lookup's clamped bilinear formula applied to every query point,
+    on the nodes h (by default the table's own, every tile filled)."""
     G2q = np.asarray(G_abs2, dtype=float)
     g2q = np.asarray(g_abs2, dtype=float)
-    G2n, g2n, h = table._G2, table._g2, stored_nodes(table)
+    G2n, g2n = table._G2, table._g2
+    if h is None:
+        h = stored_nodes(table)
     Gc = np.clip(G2q, G2n[0], G2n[-1])
     gc = np.clip(g2q, g2n[0], g2n[-1])
     iG = np.clip(np.searchsorted(G2n, Gc) - 1, 0, G2n.size - 2)
@@ -494,12 +545,7 @@ class TestChiTable:
         # rounds to single precision before it divides by |G|^2
         monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 160)
         table = ChiTable(0.185, 0.06, (37, 53), REF)
-        GG, gg = np.meshgrid(table._G2, table._g2, indexing="ij")
-        thinned = replace(REF, density=REF.density / table._scale)
-        expect = chi_doppler_averaged(FieldPoint(gg, GG), thinned) \
-            .astype(np.complex64)
-        expect /= table._G2[:, None]
-        assert same_bits(table._h, expect)
+        assert same_bits(dense_nodes(table), meshgrid_nodes(table, REF))
 
     @pytest.mark.parametrize("density", [REF.density, 1.0e300])
     def test_nodes_are_the_double_precision_average_to_2e_7(
@@ -510,8 +556,8 @@ class TestChiTable:
         medium = replace(REF, density=density)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = ChiTable(0.185, 0.06, (37, 53), medium)
-        assert np.all(np.isfinite(table._h))
+            table = every_tile(ChiTable(0.185, 0.06, (37, 53), medium))
+        assert np.all(np.isfinite(dense_nodes(table)))
         GG, gg = np.meshgrid(table._G2, table._g2, indexing="ij")
         expect = chi_doppler_averaged(FieldPoint(gg, GG), medium) \
             / table._G2[:, None]
@@ -588,6 +634,47 @@ class TestLogCells:
                               reference_bilinear(table, G2, table._g2))
 
 
+class TestTiles:
+    # 74 x 100 cells: 3 x 4 tiles, the last one of each axis partial
+    SHAPE = (75, 101)
+
+    def test_lazy_lookups_equal_the_dense_table_bitwise(self, monkeypatch):
+        # each tile averaged in blocks of four node rows, the last one
+        # partial; the queries reach every cell, each node (tile edges
+        # included), every floor regime and NaN, over three lookups, so the
+        # pool grows between them
+        monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 4 * 33)
+        table = ChiTable(0.185, 0.06, self.SHAPE, REF)
+        h = meshgrid_nodes(table, REF).astype(complex) * table._scale
+        mid = [np.sqrt(n[:-1] * n[1:]) for n in (table._G2, table._g2)]
+        G2, g2 = lookup_queries(table, n=100)
+        G2 = np.concatenate((G2, table._G2, np.repeat(mid[0], mid[1].size),
+                             [np.nan, 0.1, np.nan]))
+        g2 = np.concatenate((g2, np.resize(table._g2, table._G2.size),
+                             np.tile(mid[1], mid[0].size),
+                             [0.01, np.nan, np.nan]))
+        thirds = zip(np.array_split(G2, 3), np.array_split(g2, 3))
+        got = np.concatenate([table(G, g) for G, g in thirds])
+        assert filled_tiles(table) == 12
+        assert np.array_equal(got, reference_bilinear(table, G2, g2, h),
+                              equal_nan=True)
+        assert np.isnan(got[-3:]).all()
+
+    def test_a_fresh_guided_size_table_holds_only_its_first_tile(self):
+        table = ChiTable(0.0481, 0.48, (602, 1332), REF)
+        assert table._pool.shape == (1, 33, 33)
+        assert table._origin[0] == 0 and filled_tiles(table) == 1
+
+    def test_the_verification_fills_no_tile(self):
+        # the 1000 probes fall in ~71% of the guided-size table's tiles
+        table = ChiTable(0.0481, 0.48, (602, 1332), REF)
+        err = table.max_relative_error()
+        assert filled_tiles(table) == 1
+        dense = every_tile(ChiTable(0.0481, 0.48, (602, 1332), REF))
+        assert filled_tiles(dense) == 19 * 42
+        assert err == probe_error(dense, 1000, 0)
+
+
 class TestNanLookups:
     def test_nan_queries_return_nan_without_warning(self, table):
         G2, g2 = lookup_queries(table, n=5, seed=11)
@@ -628,18 +715,22 @@ class TestTableMemory:
     # build allocates beyond the table itself
 
     def test_a_guided_size_table_holds_8_bytes_a_node(self):
-        table = ChiTable(0.0481, 0.48, (602, 1332), REF)
-        assert table._h.nbytes == 8 * 602 * 1332
+        # 19 x 42 tiles of 33 x 33 nodes, once every tile is filled
+        table = every_tile(ChiTable(0.0481, 0.48, (602, 1332), REF))
+        assert table._pool.dtype == np.complex64
+        assert table._pool.nbytes == 8 * 19 * 42 * 33 ** 2
 
     def test_a_build_holds_its_table_and_one_block(self, monkeypatch):
         monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 4096)
         table, peak = traced_peak(
-            lambda: ChiTable(0.0481, 0.48, (400, 1000), REF))
-        # one block's work is ~200 bytes a point; the table is 3.2 MB
-        assert peak - table._h.nbytes < 300 * susceptibility.AVERAGE_BLOCK
+            lambda: every_tile(ChiTable(0.0481, 0.48, (400, 1000), REF)))
+        # one block's work is ~200 bytes a point; the filled pool is 3.6 MB
+        assert peak - table._pool.nbytes < 300 * susceptibility.AVERAGE_BLOCK
 
     def test_a_resized_build_peaks_below_three_tables(self):
+        # three dense single-precision tables of the final shape; the final
+        # table itself holds one tile once built
         table, peak = traced_peak(lambda: build_chi_table(
             *RESIZED_TOPS, RESIZED_MEDIUM, target_error=1e-3))
         assert table.shape[0] > 703 and table.shape[1] > 505
-        assert peak < 3 * table._h.nbytes
+        assert peak < 3 * 8 * table.shape[0] * table.shape[1]
