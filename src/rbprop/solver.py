@@ -9,10 +9,12 @@ intensities.  Second-order Strang splitting is the default; a fourth-order
 triple-jump composition of Strang steps is available.
 
 A lit sub-step costs two diffraction half-steps, one control intensity and
-one medium RK4 sub-flow with four chi lookups.  Stage 1 of the sub-flow looks
-chi up on the whole grid.  A point where |2 pi k dz chi| <= eps / 4 keeps its
-value, which is within ~eps/4 |g| of its full RK4 update; the last three
-stages run on the other points alone, gathered once (``_medium_subflow``).
+one medium RK4 sub-flow with four chi lookups.  A point where
+|2 pi k dz chi| <= eps / 4 keeps its value, which is within ~eps/4 |g| of its
+full RK4 update.  The table states a |G|^2 at or below which every lookup is
+that small (``ChiTable.inert_G2``), so stage 1 looks chi up only at the
+points above it, where the control can move the probe; the last three stages
+run on the points stage 1 finds live, gathered once (``_medium_subflow``).
 The sub-step runs in arrays the run owns: both diffractions and the sub-flow
 write into the field's own array, and the control intensity and the
 sub-flow's arrays (``_SubflowWork``) are made once per run, so a sub-step
@@ -139,14 +141,16 @@ RK4_STABLE_INCREMENT = 2.5
 class _SubflowWork:
     """The arrays of one medium sub-flow, reused from call to call.
 
-    Stage 1 uses ``g2`` for |g|^2 and then |2 pi k dz chi|, ``chi`` and
-    ``mask`` on the whole grid.  Stages 2-4 use the leading part of each
-    array, as long as the points they step: the gathered field ``start``,
-    the running RK4 sum ``total``, the stage value ``v`` and slope ``r``,
-    their |g|^2 in ``g2`` and chi in ``chi``.  Each |g|^2 is formed with
-    the real parts of ``chi`` as scratch, before the lookup fills it.  Pages
-    that are never written are never resident, so the gathered stages cost
-    memory for the live points only.
+    ``mask`` picks the stage-1 candidates on the whole grid.  Every other
+    use is of the leading part of an array, as long as the points it
+    serves.  Stage 1 gathers the candidates' field into ``v``, their |g|^2
+    and then |2 pi k dz chi| into ``g2``, their chi into ``chi`` and their
+    skip test into ``mask``.  Stages 2-4 hold the gathered live field in
+    ``start``, the running RK4 sum in ``total``, the stage value and slope
+    in ``v`` and ``r``, their |g|^2 in ``g2`` and chi in ``chi``.  Each
+    |g|^2 is formed with the real parts of ``chi`` as scratch, before the
+    lookup fills it.  Pages that are never written are never resident, so
+    the gathered stages cost memory for the points they step only.
     """
 
     def __init__(self, size: int):
@@ -165,7 +169,9 @@ def _abs2(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
                     distance: float, k: float,
-                    work: _SubflowWork | None = None) -> np.ndarray:
+                    work: _SubflowWork | None = None,
+                    inert: tuple[float, float] = (-np.inf, np.inf)
+                    ) -> np.ndarray:
     """Fourth-order step of dg/dz = 2 i pi k chi(|G|^2, |g|^2) g, in place.
 
     The susceptibility follows the instantaneous probe intensity, so the
@@ -177,19 +183,29 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
     ``lookup(G2, g2, out=None)`` returns chi at control intensities ``G2``
     (entries of ``control_I``, which has the shape of ``values``) and probe
     intensities ``g2``, written into ``out`` if it chooses; its result is
-    only read, whatever its dtype.  Stage 1 looks up chi on the whole grid.
-    A finite |2 pi k distance chi| above RK4_STABLE_INCREMENT anywhere is a
-    ValueError: the update would grow without bound.  A point where
-    |2 pi k distance chi| <= SKIP_INCREMENT = eps / 4 keeps its value, which
-    is within ~eps/4 |v| of its full RK4 update.  The other points, NaN and
-    inf chi included, are live: they are gathered once, however few points
-    are kept, and stages 2-4 run on them alone, each lookup taking the
-    control and probe intensities at those points.  Every call makes four
-    lookups and then writes the live points' update into ``values`` (a
-    C-contiguous complex array; any other is a ValueError), which it
-    returns; a ValueError leaves ``values`` as it was, and the kept points
-    are never written.  ``work`` holds the arrays the call steps in, made
-    for this call when not given.
+    only read, whatever its dtype.  ``inert`` is a pair (cut, top): the
+    lookup returns |2 pi k distance chi| <= SKIP_INCREMENT at every point
+    with |G|^2 <= cut and |g|^2 <= top (``ChiTable.inert_G2``).  Stage 1
+    runs on the candidates, the points not at or below the cut (NaN |G|^2
+    included), or on every point when twice the square of the largest
+    real or imaginary part of ``values`` in magnitude passes ``top``, so
+    that a lookup that refuses a |g|^2 refuses it as on the whole grid.
+    The default leaves no point out.
+
+    Stage 1 looks chi up at the candidates.  A finite
+    |2 pi k distance chi| above RK4_STABLE_INCREMENT there is a
+    ValueError: the update would grow without bound.  A candidate where
+    |2 pi k distance chi| <= SKIP_INCREMENT = eps / 4 keeps its value,
+    which is within ~eps/4 |v| of its full RK4 update, as does every point
+    left out.  The other candidates, NaN and inf chi included, are live:
+    they are gathered once, however few points are kept, and stages 2-4
+    run on them alone, each lookup taking the control and probe
+    intensities at those points.  Every call makes four lookups and then
+    writes the live points' update into ``values`` (a C-contiguous complex
+    array; any other is a ValueError), which it returns; a ValueError
+    leaves ``values`` as it was, and the kept points are never written.
+    ``work`` holds the arrays the call steps in, made for this call when
+    not given.
     """
     if not values.flags.c_contiguous:
         raise ValueError("the sub-flow steps a C-contiguous array in place")
@@ -197,29 +213,43 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
         work = _SubflowWork(values.size)
     weight = 2j * np.pi * k * distance
     G2, start = control_I.ravel(), values.ravel()
+    cut, top = inert
     with np.errstate(over="ignore", invalid="ignore"):
+        # |g|^2 <= 2 m^2 at every point, from two NaN-ignoring reductions
+        parts = start.view(float)
+        m = max(np.fmax.reduce(parts), -np.fmin.reduce(parts))
+        if not 2.0 * m * m <= top:
+            cut = -np.inf
+        # NaN |G|^2 compares false, so it is a candidate
+        inert_at = np.less_equal(G2, cut, out=work.mask)
+        candidates = np.flatnonzero(np.logical_not(inert_at, out=inert_at))
+        n = candidates.size
+        G2 = G2.take(candidates)
+        # the indices are in range: "clip" only spares take's buffered
+        # copy into out
+        field = start.take(candidates, out=work.v[:n], mode="clip")
         # complex, so that it gathers into a complex array whatever the
         # lookup's dtype
-        chi = np.asarray(lookup(G2, _abs2(start, work.g2, work.chi.real),
-                                out=work.chi), dtype=complex)
-        increment = np.abs(chi, out=work.g2)
+        chi = np.asarray(lookup(G2, _abs2(field, work.g2[:n],
+                                          work.chi.real[:n]),
+                                out=work.chi[:n]), dtype=complex)
+        increment = np.abs(chi, out=work.g2[:n])
         increment *= abs(weight)
         # NaN and inf increments are left to the caller's non-finite check
         peak = np.max(increment, initial=0.0,
-                      where=np.less(increment, np.inf, out=work.mask))
+                      where=np.less(increment, np.inf, out=work.mask[:n]))
         if peak > RK4_STABLE_INCREMENT:
             raise ValueError(
                 f"|2 pi k dz chi| = {peak:.6g} is above RK4's stability "
                 f"bound {RK4_STABLE_INCREMENT:g}")
         # NaN and inf chi compare false, so they stay live
-        kept = np.less_equal(increment, SKIP_INCREMENT, out=work.mask)
-        live = np.flatnonzero(np.logical_not(kept, out=kept))
+        kept = np.less_equal(increment, SKIP_INCREMENT, out=work.mask[:n])
+        steps = np.flatnonzero(np.logical_not(kept, out=kept))
+        live = candidates.take(steps)
         n = live.size
-        G2 = G2[live]
-        # the indices are in range: "clip" only spares take's buffered
-        # copy into out
-        start = start.take(live, out=work.start[:n], mode="clip")
-        chi = chi.take(live, out=work.total[:n], mode="clip")
+        G2 = G2.take(steps)
+        start = field.take(steps, out=work.start[:n], mode="clip")
+        chi = chi.take(steps, out=work.total[:n], mode="clip")
         g2, chi_n = work.g2[:n], work.chi[:n]
 
         def rate(v, out):
@@ -325,6 +355,8 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     else:
         def lookup(G2, g2, out=None):
             return chi_doppler_averaged(FieldPoint(g2, G2), params, out=out)
+        # the average is exactly 0 at |G|^2 = 0, whatever the |g|^2
+        lookup.inert_G2 = lambda chi_max: 0.0
 
     field = probe.copy()
     field.z = 0.0
@@ -334,6 +366,14 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         control_I = np.empty(field.values.shape)
         work = _SubflowWork(field.values.size)
         substeps = plan.substeps()
+        # per sub-step length, the |G|^2 at or below which the lookup
+        # cannot move the probe, and the |g|^2 up to which that holds; a
+        # lookup that states no such cut leaves no point out
+        inert_G2 = getattr(lookup, "inert_G2", lambda chi_max: -np.inf)
+        top = getattr(lookup, "g_abs2_max", np.inf)
+        inert = {frac: (inert_G2(SKIP_INCREMENT
+                                 / abs(2.0 * np.pi * k * frac * dz)), top)
+                 for frac in set(substeps)}
 
     for step in range(n_steps):
         snapshot = (step + 1) % snapshot_every == 0 or step == n_steps - 1
@@ -356,7 +396,7 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
                                               z_mid, out=control_I)
                 try:
                     _medium_subflow(field.values, control_I, lookup, sub, k,
-                                    work=work)
+                                    work=work, inert=inert[frac])
                 except ValueError as exc:
                     # the table rejects queries beyond its range, the
                     # sub-flow a step past RK4's stability bound

@@ -363,6 +363,17 @@ class ChiTable:
     elementwise, so a node's bits do not depend on the call that computes
     it.  A lookup widens the nodes it reads to double precision and
     multiplies the scale back, exactly.
+
+    ``inert_G2(chi_max)`` is a |G|^2 at or below which every lookup the
+    table accepts returns |chi| <= chi_max, whatever the |g|^2, though a
+    NaN |g|^2 returns NaN where |G|^2 > 0.  A query at or below the |G|^2
+    floor reads row 0 (tG = 0 exactly), or below both floors its corner
+    node, so |chi| is at most |G|^2 max_j |node(0, j)| ``_scale`` up to a
+    few ulps; the cut is half chi_max over that slope, at most the floor.
+    The slope is computed once per table from row 0's nodes and fills no
+    tile.  The bound rests on chi vanishing with |G|^2 at any |g|^2: a
+    table whose chi tends to a finite value as both fields vanish must
+    restate it.
     """
 
     # no table is identically zero; perfbench/child.py and tracer.py still
@@ -413,9 +424,11 @@ class ChiTable:
         tile) or as many as the tiles need, and only filled slots are
         written: the guided workload reallocates its pool twice, where
         growing it by the tiles added took ~40 reallocations and a ~0.3 MB
-        higher peak RSS.  Each tile is averaged in a call of its own, so a
-        fill holds one tile's work beside the run's arrays.  A last, partial
-        tile repeats the axis' last node (``take`` clips the index) in the
+        higher peak RSS.  The tiles are averaged in one call into their
+        consecutive slots, in blocks of whole tiles of at most
+        AVERAGE_BLOCK points (``chi_doppler_averaged``), so a fill holds
+        one block's work beside the run's arrays.  A last, partial tile
+        repeats the axis' last node (``take`` clips the index) in the
         places past it, which no cell reads.
         """
         first = self._filled
@@ -431,10 +444,10 @@ class ChiTable:
         self._origin[tiles] = ((first + np.arange(tiles.size)) * _SIDE**2
                                - rows * _SIDE - cols)
         nodes = np.arange(_SIDE)
-        for slot, row, col in zip(range(first, self._filled), rows, cols):
-            self._nodes(self._G2.take(row + nodes, mode="clip")[:, None],
-                        self._g2.take(col + nodes, mode="clip"),
-                        self._pool[slot])
+        self._nodes(
+            self._G2.take(rows[:, None] + nodes, mode="clip")[:, :, None],
+            self._g2.take(cols[:, None] + nodes, mode="clip")[:, None, :],
+            self._pool[first:self._filled])
 
     # relative overshoot absorbed by clamping (an integrator stage can nudge
     # a query a few permille past the field it starts from)
@@ -461,11 +474,14 @@ class ChiTable:
             raise ValueError("out must be a C-contiguous array")
         for name, q, nodes in (("|G|^2", G2q, self._G2),
                                ("|g|^2", g2q, self._g2)):
-            if np.any(q > nodes[-1] * (1 + self.OVERSHOOT)):
+            # fmax ignores NaN, as the comparison it stands for would
+            if (np.fmax.reduce(q, axis=None, initial=-np.inf)
+                    > nodes[-1] * (1 + self.OVERSHOOT)):
                 raise ValueError(f"{name} queried up to {np.nanmax(q):.6g}, "
                                  f"above the table top {nodes[-1]:.6g}")
-        G2q = np.broadcast_to(G2q, shape).ravel()
-        g2q = np.broadcast_to(g2q, shape).ravel()
+        if G2q.ndim != 1 or g2q.shape != G2q.shape:
+            G2q = np.broadcast_to(G2q, shape).ravel()
+            g2q = np.broadcast_to(g2q, shape).ravel()
         # the corner node is the first of tile (0, 0), in the pool's slot 0
         out = np.multiply(G2q, complex(self._pool[0, 0, 0]) * self._scale,
                           out=None if out is None else out.reshape(-1))
@@ -482,7 +498,8 @@ class ChiTable:
     def _pooled_corners(self, iG: np.ndarray, ig: np.ndarray):
         """Corner reader of cells (iG, ig) from the pool, after filling the
         tiles they lie in that are missing."""
-        tiles = (iG >> _SHIFT) * self._tiles_g
+        tiles = iG >> _SHIFT
+        tiles *= self._tiles_g
         tiles += ig >> _SHIFT
         offset = self._origin.take(tiles)
         if offset.min(initial=0) == _MISSING:
@@ -491,7 +508,27 @@ class ChiTable:
         offset += iG * _SIDE
         offset += ig
         flat = self._pool.reshape(-1)
-        return lambda dG, dg: flat.take(offset + (dG * _SIDE + dg))
+        return lambda dG, dg: flat.take(
+            offset + (dG * _SIDE + dg) if dG or dg else offset)
+
+    @functools.cached_property
+    def _row0_slope(self) -> float:
+        """max_j |node(0, j)| times ``_scale``, computed afresh
+        (``_nodes``) without filling a tile."""
+        row = self._nodes(self._G2[0], self._g2,
+                          np.empty(self._g2.size, dtype=np.complex64))
+        return float(np.max(np.abs(row))) * self._scale
+
+    def inert_G2(self, chi_max: float) -> float:
+        """A |G|^2 at or below which every lookup returns |chi| <= chi_max.
+
+        Half chi_max over ``_row0_slope``, capped at the |G|^2 floor; a NaN
+        node makes it NaN, which no |G|^2 is at or below.
+        """
+        slope = self._row0_slope
+        if slope * self._G2[0] <= 0.5 * chi_max:
+            return float(self._G2[0])
+        return 0.5 * chi_max / slope
 
     def _computed_corners(self, iG: np.ndarray, ig: np.ndarray):
         """Corner reader of cells (iG, ig) that computes each corner node

@@ -335,6 +335,78 @@ class TestMediumSubflow:
         np.testing.assert_array_equal(got, f.values)
 
 
+@pytest.fixture(scope="module")
+def guided_medium():
+    """The guided preset's probe 0.05 cm in, the control intensity of the
+    next sub-step's midpoint, the run's chi table, k and dz."""
+    cfg = parse_config(PRESETS / "guided_gaussian.ini")
+    grid = GridSpec(cfg.grid.transverse, dz=cfg.grid.dz, cell_length=0.05)
+    tables = []
+    build = solver.build_chi_table
+
+    def recording(*args, **kwargs):
+        tables.append(build(*args, **kwargs))
+        return tables[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "build_chi_table", recording)
+        end = propagate(make_probe(cfg.probe, grid.transverse), cfg.control,
+                        cfg.params, grid, StepPlan(grid), on_snapshot=ignore)
+    control_I = control_intensity(cfg.control, grid.transverse,
+                                  0.05 + 0.5 * grid.dz)
+    return end.values, control_I, tables[0], cfg.params.wavenumber, grid.dz
+
+
+@pytest.mark.parametrize("frac", (1.0,) + solver.ORDER4_COEFFS)
+@pytest.mark.parametrize("case", ("snapshot", "NaN control", "fallback",
+                                  "refused"))
+def test_the_inert_cut_leaves_the_subflow_unchanged(guided_medium, case,
+                                                    frac):
+    values, control_I, table, k, dz = guided_medium
+    values, control_I = values.copy(), control_I.copy()
+    top = table.g_abs2_max
+    sub = frac * dz
+    cut = table.inert_G2(solver.SKIP_INCREMENT / abs(2 * np.pi * k * sub))
+    # the grid corner, where the control is dark
+    assert control_I[0, 0] <= cut
+    if case == "NaN control":
+        control_I[0, 0] = np.nan
+    elif case == "fallback":
+        # twice the square of its real part passes the |g|^2 top, which
+        # its |g|^2 does not
+        values[0, 0] = np.sqrt(0.9 * top)
+    elif case == "refused":
+        values[0, 0] = np.sqrt(2.0 * top)
+    sizes = []
+
+    def lookup(G2, g2, out=None):
+        sizes.append(g2.size)
+        return table(G2, g2, out=out)
+
+    def run(**kwargs):
+        sizes.clear()
+        try:
+            return _medium_subflow(values.copy(), control_I, lookup, sub, k,
+                                   **kwargs), sizes[0]
+        except ValueError as exc:
+            return str(exc), sizes[0]
+
+    whole, looked_up = run()
+    got, candidates = run(inert=(cut, top))
+    assert looked_up == values.size
+    if case in ("fallback", "refused"):
+        assert candidates == values.size
+    else:
+        # about a third of the grid is lit past the cut
+        assert candidates < 0.4 * values.size
+    if case == "refused":
+        assert "above the table top" in whole
+        assert got == whole
+    else:
+        assert np.isnan(whole[0, 0]) == (case == "NaN control")
+        assert np.array_equal(got, whole, equal_nan=True)
+
+
 class TestPropagate:
     @pytest.mark.parametrize("change", [
         dict(transverse=TransverseGrid(nx=64, ny=64, extent=0.1536)),

@@ -675,6 +675,47 @@ class TestTiles:
         assert err == probe_error(dense, 1000, 0)
 
 
+class TestInertCut:
+    @pytest.mark.parametrize("tops, shape, medium", [
+        ((0.0481, 0.48), (602, 1332), REF),                 # guided size
+        (RESIZED_TOPS, (746, 648), RESIZED_MEDIUM)])        # wide Doppler
+    def test_lookups_at_or_below_the_cut_are_inert(self, tops, shape,
+                                                   medium):
+        table = ChiTable(*tops, shape, medium)
+        top = table.g_abs2_max * (1 + table.OVERSHOOT)
+        # 0, a subnormal, every node of row 0 (where its largest value is
+        # read exactly) and a log sweep through and past the nodes up to
+        # the highest |g|^2 the table accepts
+        g2 = np.concatenate(([0.0, 5e-324], table._g2,
+                             np.geomspace(1e-12 * top, top, 4001)))
+        # the skip bound of a 50 um sub-step, and one the |G|^2 floor caps
+        step = np.finfo(float).eps / 4 / (2 * np.pi * medium.wavenumber
+                                          * 0.005)
+        for chi_max in (step, 1e20 * step):
+            cut = table.inert_G2(chi_max)
+            G2 = np.array([0.0, 5e-324, cut / 2, cut])
+            chi = np.abs(table(G2[:, None], g2))
+            # the cut keeps half the bound for roundoff and, below the
+            # floor, reaches that half at its largest row-0 node
+            assert chi.max() <= 0.5 * chi_max * (1 + 1e-6)
+            if chi_max == step:
+                assert 0.0 < cut < table._G2[0]
+                assert chi.max() > 0.49 * chi_max
+            else:
+                assert cut == table._G2[0]
+            # NaN is never at or below a cut: a NaN |G|^2 looks up NaN,
+            # and so does a NaN |g|^2 above |G|^2 = 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(table(np.nan, g2)).all()
+                nan = table(G2, np.nan)
+            assert nan[0] == 0.0 and np.isnan(nan[1:]).all()
+        # the slope is computed once, from row 0, and fills no tile
+        fresh = ChiTable(*tops, shape, medium)
+        assert fresh.inert_G2(step) == table.inert_G2(step)
+        assert filled_tiles(fresh) == 1
+
+
 class TestNanLookups:
     def test_nan_queries_return_nan_without_warning(self, table):
         G2, g2 = lookup_queries(table, n=5, seed=11)
