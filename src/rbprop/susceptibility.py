@@ -23,6 +23,7 @@ made at the first average.  The module needs numpy alone.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -47,12 +48,8 @@ PILOT_NODES = 64
 MAX_NODES = 2048
 
 # chi table tiles: TILE x TILE cells, a power of two, so that a lookup finds
-# a cell's tile by a shift; _SIDE nodes along a tile's side, and the origin
-# _MISSING for a tile not yet filled
+# a cell's tile by a shift
 TILE = 32
-_SHIFT = TILE.bit_length() - 1
-_SIDE = TILE + 1
-_MISSING = np.iinfo(np.intp).min
 
 ORACLE_RHS_TOL = 1.0e-12  # steady_state_oracle's |dy/dt| bound (gamma units)
 
@@ -327,6 +324,87 @@ def _log_cells(q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return t.astype(np.intp)
 
 
+class _TileStore:
+    """The nodes of a lattice, computed a tile of TILE x TILE cells at a
+    time when a corner reader first reaches them.
+
+    ``nodes(rows, cols, out)`` computes them: the nodes at integer indices
+    ``rows`` (tiles, TILE + 1, 1) by ``cols`` (tiles, 1, TILE + 1), written
+    into ``out``, the tiles' slots of one complex64 pool.  A last, partial
+    tile of an axis asks for indices past the axis' end in the places past
+    it, which no cell reads.  ``nodes`` is a bound method and is held
+    weakly: its instance holds the store, and a reference back would keep a
+    released instance's pool alive until the cyclic collector ran.
+
+    A tile's (TILE + 1)^2 nodes, the edges it shares with its neighbours
+    included, take the next slot of the pool.  ``_origin`` holds each
+    tile's pool offset less its first node's offset in a table of TILE + 1
+    columns, so node (iG, ig) sits at its tile's entry plus
+    iG (TILE + 1) + ig; a tile not yet filled holds ``_MISSING``.  A full
+    pool is replaced by one of twice the slots (at most one a tile) or as
+    many as the tiles need, and only filled slots are written: the guided
+    workload reallocates its pool twice, where growing it by the tiles
+    added took ~40 reallocations and a ~0.3 MB higher peak RSS.
+    """
+
+    _SHIFT = TILE.bit_length() - 1
+    _SIDE = TILE + 1
+    _MISSING = np.iinfo(np.intp).min
+
+    def __init__(self, shape: tuple[int, int], nodes):
+        self._nodes = weakref.WeakMethod(nodes)
+        self._tiles_g = -(-(shape[1] - 1) // TILE)  # tiles along the columns
+        tiles = -(-(shape[0] - 1) // TILE) * self._tiles_g
+        self._origin = np.full(tiles, self._MISSING, dtype=np.intp)
+        self._pool = np.empty((0, self._SIDE, self._SIDE), dtype=np.complex64)
+        self.filled = 0  # tiles filled, each in its own slot of the pool
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the pool holds, its slots not yet filled included."""
+        return self._pool.nbytes
+
+    def fill(self, tiles: np.ndarray) -> None:
+        """Compute the listed tiles, none of them filled yet, into the next
+        free slots of the pool, in one call of the node routine."""
+        first = self.filled
+        self.filled += tiles.size
+        if self.filled > len(self._pool):
+            slots = max(self.filled,
+                        min(2 * len(self._pool), self._origin.size))
+            pool = np.empty((slots, self._SIDE, self._SIDE), np.complex64)
+            pool[:first] = self._pool[:first]
+            self._pool = pool
+        # each tile's first node
+        rows, cols = (TILE * i for i in np.divmod(tiles, self._tiles_g))
+        self._origin[tiles] = ((first + np.arange(tiles.size)) * self._SIDE**2
+                               - rows * self._SIDE - cols)
+        self._nodes()(rows[:, None, None] + np.arange(self._SIDE)[:, None],
+                      cols[:, None, None] + np.arange(self._SIDE),
+                      self._pool[first:self.filled])
+
+    def fill_all(self) -> None:
+        """Fill every tile not yet filled, in one growth of the pool."""
+        self.fill(np.flatnonzero(self._origin == self._MISSING))
+
+    def corners(self, iG: np.ndarray, ig: np.ndarray):
+        """Corner reader of cells (iG, ig), after filling the tiles they lie
+        in that are missing: the complex64 nodes at the corner's offset
+        (dG, dg) in {0, 1}^2 from each cell's first node."""
+        tiles = iG >> self._SHIFT
+        tiles *= self._tiles_g
+        tiles += ig >> self._SHIFT
+        offset = self._origin.take(tiles)
+        if offset.min(initial=0) == self._MISSING:
+            self.fill(np.unique(tiles[offset == self._MISSING]))
+            offset = self._origin.take(tiles)
+        offset += iG * self._SIDE
+        offset += ig
+        flat = self._pool.reshape(-1)
+        return lambda dG, dg: flat.take(
+            offset + (dG * self._SIDE + dg) if dG or dg else offset)
+
+
 class ChiTable:
     """Bilinear interpolation table for the averaged susceptibility.
 
@@ -344,15 +422,14 @@ class ChiTable:
 
     Nodes are computed when a lookup first reaches them, a tile of
     TILE x TILE cells at a time, as a guided run reads a few percent of its
-    table.  A tile's (TILE + 1)^2 nodes, the edges it shares with its
-    neighbours included, take the next slot of one complex64 pool.
-    ``_origin`` holds each tile's pool offset less its first node's offset
-    in a table of TILE + 1 columns, so node (iG, ig) sits at its tile's
-    entry plus iG (TILE + 1) + ig.  Tile (0, 0) is filled at construction:
-    the below-floors shortcut reads its corner node.
+    table: a ``_TileStore`` over the node lattice holds them, and the table
+    never computes where in it a node sits.  Row 0 is computed once, at
+    construction, into its own vector (``_row0``), and fills no tile: the
+    below-both-floors shortcut reads its first node.
 
-    ``_nodes`` is the one routine that computes nodes, 8 bytes a node:
-    chi / |G|^2 divided by ``_scale``, a power of two near
+    ``_nodes`` is the one routine that computes nodes, 8 bytes a node: at
+    integer node indices, the index past an axis' end clipped to its last
+    node, chi / |G|^2 divided by ``_scale``, a power of two near
     prefactor / (|G|^2 top), so the stored values lie within a few decades
     of 1 for any density (1e-3 to 22 on the guided preset's table).  It
     averages for the medium thinned by ``_scale`` (chi is linear in the
@@ -369,11 +446,10 @@ class ChiTable:
     NaN |g|^2 returns NaN where |G|^2 > 0.  A query at or below the |G|^2
     floor reads row 0 (tG = 0 exactly), or below both floors its corner
     node, so |chi| is at most |G|^2 max_j |node(0, j)| ``_scale`` up to a
-    few ulps; the cut is half chi_max over that slope, at most the floor.
-    The slope is computed once per table from row 0's nodes and fills no
-    tile.  The bound rests on chi vanishing with |G|^2 at any |g|^2: a
-    table whose chi tends to a finite value as both fields vanish must
-    restate it.
+    few ulps; the cut is half chi_max over that slope, at most the floor,
+    read off ``_row0``.  The bound rests on chi vanishing with |G|^2 at any
+    |g|^2: a table whose chi tends to a finite value as both fields vanish
+    must restate it.
     """
 
     # no table is identically zero; perfbench/child.py and tracer.py still
@@ -391,12 +467,9 @@ class ChiTable:
                     - np.frexp(G_abs2_max)[1])
         self._scale = float(np.ldexp(1.0, min(max(exponent, -1022), 1023)))
         self._thinned = replace(params, density=params.density / self._scale)
-        self._tiles_g = -(-(shape[1] - 1) // TILE)  # tiles along |g|^2
-        tiles = -(-(shape[0] - 1) // TILE) * self._tiles_g
-        self._origin = np.full(tiles, _MISSING, dtype=np.intp)
-        self._pool = np.empty((0, _SIDE, _SIDE), dtype=np.complex64)
-        self._filled = 0  # slots of the pool in use
-        self._fill(np.zeros(1, dtype=np.intp))
+        self._store = _TileStore(shape, self._nodes)
+        self._row0 = self._nodes(0, np.arange(shape[1]),
+                                 np.empty(shape[1], dtype=np.complex64))
 
     @property
     def G_abs2_max(self) -> float:
@@ -410,44 +483,21 @@ class ChiTable:
     def shape(self) -> tuple[int, int]:
         return self._G2.size, self._g2.size
 
-    def _nodes(self, G2, g2, out: np.ndarray) -> np.ndarray:
-        """chi / |G|^2 / ``_scale`` at the nodes (G2, g2), broadcast, written
-        into ``out``, a C-contiguous complex64 array of their shape."""
-        chi_doppler_averaged(FieldPoint(g2, G2), self._thinned, out=out)
-        out /= G2
-        return out
+    def _nodes(self, iG, ig, out: np.ndarray) -> np.ndarray:
+        """chi / |G|^2 / ``_scale`` at the nodes of indices (iG, ig),
+        broadcast, written into ``out``, a C-contiguous complex64 array of
+        their shape; ``take`` clips an index past an axis' end to its last
+        node.
 
-    def _fill(self, tiles: np.ndarray) -> None:
-        """Compute the listed tiles into the next free slots of the pool.
-
-        A full pool is replaced by one of twice the slots (at most one a
-        tile) or as many as the tiles need, and only filled slots are
-        written: the guided workload reallocates its pool twice, where
-        growing it by the tiles added took ~40 reallocations and a ~0.3 MB
-        higher peak RSS.  The tiles are averaged in one call into their
-        consecutive slots, in blocks of whole tiles of at most
-        AVERAGE_BLOCK points (``chi_doppler_averaged``), so a fill holds
-        one block's work beside the run's arrays.  A last, partial tile
-        repeats the axis' last node (``take`` clips the index) in the
-        places past it, which no cell reads.
+        A fill of the store hands it its tiles' consecutive slots, which are
+        averaged in one call, in blocks of whole tiles of at most
+        AVERAGE_BLOCK points (``chi_doppler_averaged``), so a fill holds one
+        block's work beside the run's arrays.
         """
-        first = self._filled
-        self._filled += tiles.size
-        if self._filled > len(self._pool):
-            slots = max(self._filled,
-                        min(2 * len(self._pool), self._origin.size))
-            pool = np.empty((slots, _SIDE, _SIDE), dtype=np.complex64)
-            pool[:first] = self._pool[:first]
-            self._pool = pool
-        # each tile's first node
-        rows, cols = (TILE * i for i in np.divmod(tiles, self._tiles_g))
-        self._origin[tiles] = ((first + np.arange(tiles.size)) * _SIDE**2
-                               - rows * _SIDE - cols)
-        nodes = np.arange(_SIDE)
-        self._nodes(
-            self._G2.take(rows[:, None] + nodes, mode="clip")[:, :, None],
-            self._g2.take(cols[:, None] + nodes, mode="clip")[:, None, :],
-            self._pool[first:self._filled])
+        G2 = self._G2.take(iG, mode="clip")
+        chi_doppler_averaged(FieldPoint(self._g2.take(ig, mode="clip"), G2),
+                             self._thinned, out=out)
+        return np.divide(out, G2, out=out)
 
     # relative overshoot absorbed by clamping (an integrator stage can nudge
     # a query a few permille past the field it starts from)
@@ -461,17 +511,20 @@ class ChiTable:
         remaining queries are interpolated.  In a guided run that is a few
         percent of the grid: the probe's tail and the control's dark core
         and outer region sit under the floors.  The tiles those queries'
-        cells lie in are filled first if they are not yet (``_fill``).  A
-        NaN query is never below a floor, so it is interpolated in the last
-        cell and returns NaN.  Array queries are written into ``out``, a
-        C-contiguous complex array of their broadcast shape, when it is
-        given; any other ``out`` is a ValueError.
+        cells lie in are filled first if they are not yet
+        (``_TileStore.corners``).  A NaN query is never below a floor, so it
+        is interpolated in the last cell and returns NaN.  Array queries are
+        written into ``out``, a C-contiguous complex array of their
+        broadcast shape, when it is given; any other ``out`` is a
+        ValueError.
         """
         G2q = np.asarray(G_abs2, dtype=float)
         g2q = np.asarray(g_abs2, dtype=float)
         shape = np.broadcast(G2q, g2q).shape
-        if out is not None and not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous array")
+        if out is not None and (out.shape != shape
+                                or not out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous array of the "
+                             "queries' broadcast shape")
         for name, q, nodes in (("|G|^2", G2q, self._G2),
                                ("|g|^2", g2q, self._g2)):
             # fmax ignores NaN, as the comparison it stands for would
@@ -482,50 +535,26 @@ class ChiTable:
         if G2q.ndim != 1 or g2q.shape != G2q.shape:
             G2q = np.broadcast_to(G2q, shape).ravel()
             g2q = np.broadcast_to(g2q, shape).ravel()
-        # the corner node is the first of tile (0, 0), in the pool's slot 0
-        out = np.multiply(G2q, complex(self._pool[0, 0, 0]) * self._scale,
+        out = np.multiply(G2q, complex(self._row0[0]) * self._scale,
                           out=None if out is None else out.reshape(-1))
         # written as "not below both floors" so NaN queries interpolate too
         live = np.flatnonzero(~((G2q <= self._G2[0]) & (g2q <= self._g2[0])))
         out[live] = self._interpolate(G2q.take(live), g2q.take(live),
-                                      self._pooled_corners)
+                                      self._store.corners)
         out[G2q <= 0.0] = 0.0
         out = out.reshape(shape)
         if shape == ():
             return complex(out)
         return out
 
-    def _pooled_corners(self, iG: np.ndarray, ig: np.ndarray):
-        """Corner reader of cells (iG, ig) from the pool, after filling the
-        tiles they lie in that are missing."""
-        tiles = iG >> _SHIFT
-        tiles *= self._tiles_g
-        tiles += ig >> _SHIFT
-        offset = self._origin.take(tiles)
-        if offset.min(initial=0) == _MISSING:
-            self._fill(np.unique(tiles[offset == _MISSING]))
-            offset = self._origin.take(tiles)
-        offset += iG * _SIDE
-        offset += ig
-        flat = self._pool.reshape(-1)
-        return lambda dG, dg: flat.take(
-            offset + (dG * _SIDE + dg) if dG or dg else offset)
-
-    @functools.cached_property
-    def _row0_slope(self) -> float:
-        """max_j |node(0, j)| times ``_scale``, computed afresh
-        (``_nodes``) without filling a tile."""
-        row = self._nodes(self._G2[0], self._g2,
-                          np.empty(self._g2.size, dtype=np.complex64))
-        return float(np.max(np.abs(row))) * self._scale
-
     def inert_G2(self, chi_max: float) -> float:
         """A |G|^2 at or below which every lookup returns |chi| <= chi_max.
 
-        Half chi_max over ``_row0_slope``, capped at the |G|^2 floor; a NaN
-        node makes it NaN, which no |G|^2 is at or below.
+        Half chi_max over the slope, max_j |node(0, j)| times ``_scale``,
+        capped at the |G|^2 floor; a NaN node makes it NaN, which no |G|^2
+        is at or below.
         """
-        slope = self._row0_slope
+        slope = float(np.max(np.abs(self._row0))) * self._scale
         if slope * self._G2[0] <= 0.5 * chi_max:
             return float(self._G2[0])
         return 0.5 * chi_max / slope
@@ -534,8 +563,7 @@ class ChiTable:
         """Corner reader of cells (iG, ig) that computes each corner node
         afresh (``_nodes``) and fills no tile."""
         return lambda dG, dg: self._nodes(
-            self._G2.take(iG + dG), self._g2.take(ig + dg),
-            np.empty(iG.shape, dtype=np.complex64))
+            iG + dG, ig + dg, np.empty(iG.shape, dtype=np.complex64))
 
     def _interpolate(self, G2q: np.ndarray, g2q: np.ndarray,
                      corners) -> np.ndarray:
@@ -598,12 +626,12 @@ class ChiTable:
 
         Midpoints are where bilinear interpolation is worst; measuring each
         axis separately sizes the table anisotropically.  The lattice
-        reaches every cell, so the missing tiles are filled first, in one
-        growth of the pool.  It is measured in blocks of whole rows, at most
-        AVERAGE_BLOCK points each (one row if a row is longer), and the max
-        over blocks is the max over the lattice.
+        reaches every cell, so the missing tiles are filled first
+        (``_TileStore.fill_all``).  It is measured in blocks of whole rows,
+        at most AVERAGE_BLOCK points each (one row if a row is longer), and
+        the max over blocks is the max over the lattice.
         """
-        self._fill(np.flatnonzero(self._origin == _MISSING))
+        self._store.fill_all()
         if axis == 0:
             Gq = np.sqrt(self._G2[:-1] * self._G2[1:])
             gq = self._g2
@@ -626,8 +654,8 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     the target.  The last table is released, and its successor is
     verified on ``max_relative_error``'s fixed probe set (1000 log-uniform
     points drawn with seed 0), which computes the probes' corner nodes and
-    fills no tile: the table returned holds tile (0, 0), and a run fills
-    the tiles its lookups reach.  The first round sizes from a pilot of
+    fills no tile: the table returned holds no tile, and a run fills the
+    tiles its lookups reach.  The first round sizes from a pilot of
     PILOT_NODES per axis; a table that misses the target is sized once
     more from its own midpoint errors, unless both axes are at MAX_NODES
     already.  A midpoint measurement fills every tile of the table it

@@ -1,5 +1,7 @@
+import gc
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,26 +335,36 @@ def probe_error(table, n_probes, seed):
     return table._relative_error(G2, g2)
 
 
+def tile_midpoints(table):
+    """The midpoints of each tile's first cell along each axis."""
+    return tuple(np.sqrt(nodes[:-1:susceptibility.TILE]
+                         * nodes[1::susceptibility.TILE])
+                 for nodes in (table._G2, table._g2))
+
+
 def every_tile(table):
     """The table, with every tile filled by one lookup at the midpoint of
     each tile's first cell."""
-    G2, g2 = (np.sqrt(nodes[:-1:susceptibility.TILE]
-                      * nodes[1::susceptibility.TILE])
-              for nodes in (table._G2, table._g2))
+    G2, g2 = tile_midpoints(table)
     table(G2[:, None], g2)
     return table
 
 
 def dense_nodes(table):
-    """Every stored node as one (|G|^2, |g|^2) complex64 array, read from
-    the pool once every tile is filled; an axis' last node is read from its
-    last tile."""
-    every_tile(table)
-    tile, side = susceptibility.TILE, susceptibility.TILE + 1
-    iG, ig = (np.arange(n) for n in table.shape)
-    tG, tg = (np.minimum(i // tile, (i.size - 2) // tile) for i in (iG, ig))
-    origin = table._origin[tG[:, None] * table._tiles_g + tg]
-    return table._pool.reshape(-1)[origin + iG[:, None] * side + ig]
+    """Every stored node as one (|G|^2, |g|^2) array of the store's dtype,
+    read through its corner reader over every cell, which fills every tile:
+    each cell's first corner, and an axis' last node as a far corner of its
+    last cell."""
+    iG, ig = np.meshgrid(*(np.arange(n - 1) for n in table.shape),
+                         indexing="ij")
+    corner = table._store.corners(iG, ig)
+    first = corner(0, 0)
+    h = np.empty(table.shape, dtype=first.dtype)
+    h[:-1, :-1] = first
+    h[-1, :-1] = corner(1, 0)[-1]
+    h[:-1, -1] = corner(0, 1)[:, -1]
+    h[-1, -1] = corner(1, 1)[-1, -1]
+    return h
 
 
 def stored_nodes(table):
@@ -374,7 +386,7 @@ def meshgrid_nodes(table, params):
 
 
 def filled_tiles(table):
-    return int(np.count_nonzero(table._origin != susceptibility._MISSING))
+    return table._store.filled
 
 
 def reference_bilinear(table, G_abs2, g_abs2, h=None):
@@ -464,6 +476,16 @@ class TestChiTable:
             out = np.zeros((8, 2), dtype=complex)[::2]
             with pytest.raises(ValueError, match="C-contiguous"):
                 fill(out)
+            assert not out.any()
+
+    def test_an_out_of_another_shape_is_refused(self, table):
+        # (4,) queries were written into a (2, 2) out and returned reshaped
+        # to (4,); a scalar query wrote all four elements of a (4,) out
+        # before an IndexError
+        for G2, out in ((np.full(4, 0.1), np.zeros((2, 2), complex)),
+                        (0.1, np.zeros(4, complex))):
+            with pytest.raises(ValueError, match="queries' broadcast shape"):
+                table(G2, 0.03, out=out)
             assert not out.any()
 
     def test_scalar_queries_return_complex(self, table):
@@ -660,16 +682,73 @@ class TestTiles:
                               equal_nan=True)
         assert np.isnan(got[-3:]).all()
 
-    def test_a_fresh_guided_size_table_holds_only_its_first_tile(self):
+    def test_a_fresh_guided_size_table_holds_no_tile(self):
         table = ChiTable(0.0481, 0.48, (602, 1332), REF)
-        assert table._pool.shape == (1, 33, 33)
-        assert table._origin[0] == 0 and filled_tiles(table) == 1
+        assert table._store.nbytes == 0 and filled_tiles(table) == 0
+
+    def test_row_0_is_the_stored_row_0_bitwise(self):
+        # the shortcut and the inert cut read row 0 off its own vector,
+        # which must hold the nodes a lookup of row 0 reads
+        table = ChiTable(0.185, 0.06, self.SHAPE, REF)
+        assert same_bits(table._row0, dense_nodes(table)[0])
+
+    def test_repeated_lookups_average_no_tile_twice(self, monkeypatch):
+        # the first row of tiles, then every tile, each looked up twice
+        table = ChiTable(0.185, 0.06, self.SHAPE, REF)
+        points = []
+        average = susceptibility.chi_doppler_averaged
+
+        def counted(point, params, out=None):
+            points.append(np.broadcast(point.g_abs2, point.G_abs2).size)
+            return average(point, params, out=out)
+
+        monkeypatch.setattr(susceptibility, "chi_doppler_averaged", counted)
+        G2, g2 = tile_midpoints(table)
+        for G, tiles in ((G2[:1], 4), (G2[:1], 4), (G2, 12), (G2, 12)):
+            table(G[:, None], g2)
+            assert filled_tiles(table) == tiles
+            assert sum(points) == 33 ** 2 * tiles
+        assert len(points) == 2
+
+    @pytest.mark.parametrize("shape", [SHAPE, (300, 200)],
+                             ids=("12-tiles", "70-tiles"))
+    def test_filling_tile_by_tile_grows_by_doubling(self, shape):
+        # one lookup a tile: at most ceil(log2 tiles) + 1 reallocations,
+        # each to a larger pool, and never more slots than tiles
+        table = ChiTable(0.185, 0.06, shape, REF)
+        G2, g2 = tile_midpoints(table)
+        sizes = [table._store.nbytes]
+        for G in G2:
+            for g in g2:
+                table(G, g)
+                sizes.append(table._store.nbytes)
+        tiles = G2.size * g2.size
+        assert filled_tiles(table) == tiles
+        assert np.count_nonzero(np.diff(sizes)) \
+            <= np.ceil(np.log2(tiles)) + 1
+        assert max(sizes) <= 8 * (susceptibility.TILE + 1) ** 2 * tiles
+
+    def test_the_partial_last_tiles_read_the_clipped_nodes(self):
+        # the last tile of each axis spans nodes 64-96 of 75 and 96-128 of
+        # 101: indices past an axis' end read its last node, and the last
+        # cell's far corner is the last node
+        table = ChiTable(0.185, 0.06, self.SHAPE, REF)
+        rows, cols = np.arange(64, 97)[:, None], np.arange(96, 129)
+        tile = table._nodes(rows, cols, np.empty((33, 33), np.complex64))
+        inside = table._nodes(rows[:11], cols[:5],
+                              np.empty((11, 5), np.complex64))
+        assert same_bits(tile[:11, :5], inside)
+        assert same_bits(tile[10:], np.repeat(tile[10:11], 23, axis=0))
+        assert same_bits(tile[:, 4:], np.repeat(tile[:, 4:5], 29, axis=1))
+        corner = table._store.corners(np.array([73]), np.array([99]))
+        assert same_bits(corner(1, 1), tile[10:11, 4])
+        assert filled_tiles(table) == 1
 
     def test_the_verification_fills_no_tile(self):
         # the 1000 probes fall in ~71% of the guided-size table's tiles
         table = ChiTable(0.0481, 0.48, (602, 1332), REF)
         err = table.max_relative_error()
-        assert filled_tiles(table) == 1
+        assert filled_tiles(table) == 0
         dense = every_tile(ChiTable(0.0481, 0.48, (602, 1332), REF))
         assert filled_tiles(dense) == 19 * 42
         assert err == probe_error(dense, 1000, 0)
@@ -713,7 +792,7 @@ class TestInertCut:
         # the slope is computed once, from row 0, and fills no tile
         fresh = ChiTable(*tops, shape, medium)
         assert fresh.inert_G2(step) == table.inert_G2(step)
-        assert filled_tiles(fresh) == 1
+        assert filled_tiles(fresh) == 0
 
 
 class TestNanLookups:
@@ -758,15 +837,30 @@ class TestTableMemory:
     def test_a_guided_size_table_holds_8_bytes_a_node(self):
         # 19 x 42 tiles of 33 x 33 nodes, once every tile is filled
         table = every_tile(ChiTable(0.0481, 0.48, (602, 1332), REF))
-        assert table._pool.dtype == np.complex64
-        assert table._pool.nbytes == 8 * 19 * 42 * 33 ** 2
+        cell = np.zeros(1, dtype=np.intp)
+        assert table._store.corners(cell, cell)(0, 0).dtype == np.complex64
+        assert table._store.nbytes == 8 * 19 * 42 * 33 ** 2
 
     def test_a_build_holds_its_table_and_one_block(self, monkeypatch):
         monkeypatch.setattr(susceptibility, "AVERAGE_BLOCK", 4096)
         table, peak = traced_peak(
             lambda: every_tile(ChiTable(0.0481, 0.48, (400, 1000), REF)))
         # one block's work is ~200 bytes a point; the filled pool is 3.6 MB
-        assert peak - table._pool.nbytes < 300 * susceptibility.AVERAGE_BLOCK
+        assert peak - table._store.nbytes \
+            < 300 * susceptibility.AVERAGE_BLOCK
+
+    def test_a_released_table_is_freed_at_once(self):
+        # its store holds the node routine weakly: no reference cycle keeps
+        # a filled pool alive until the cyclic collector runs, so the build
+        # frees each table it sizes from before it makes the next
+        table = every_tile(ChiTable(0.185, 0.06, TestTiles.SHAPE, REF))
+        released = weakref.ref(table)
+        gc.disable()
+        try:
+            del table
+            assert released() is None
+        finally:
+            gc.enable()
 
     def test_a_resized_build_peaks_below_three_tables(self):
         # three dense single-precision tables of the final shape; the final
