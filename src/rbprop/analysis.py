@@ -39,12 +39,15 @@ def beam_width(field: ComplexField2D) -> float:
     return float(np.sqrt(2.0 * r2.sum() / total))
 
 
-def peak_positions(field: ComplexField2D,
-                   threshold: float = 0.05) -> list[float]:
+# a local maximum at or below this fraction of its row's maximum is no peak
+PEAK_THRESHOLD = 0.05
+
+
+def peak_positions(field: ComplexField2D) -> list[float]:
     """x locations of local intensity maxima along the row y = 0.
 
-    Maxima below ``threshold`` times the row maximum are discarded; surviving
-    positions are refined by three-point parabolic interpolation.
+    Maxima at or below PEAK_THRESHOLD times the row maximum are discarded;
+    surviving positions are refined by three-point parabolic interpolation.
     """
     x = field.grid.axes()[0]
     row = np.abs(field.values[:, field.grid.ny // 2]) ** 2
@@ -54,7 +57,7 @@ def peak_positions(field: ComplexField2D,
     out = []
     dx = field.grid.dx
     for i in range(1, row.size - 1):
-        if row[i] > row[i - 1] and row[i] >= row[i + 1] and row[i] > threshold * row_max:
+        if row[i] > row[i - 1] and row[i] >= row[i + 1] and row[i] > PEAK_THRESHOLD * row_max:
             denom = row[i - 1] - 2.0 * row[i] + row[i + 1]
             shift = 0.0 if denom == 0.0 else 0.5 * (row[i - 1] - row[i + 1]) / denom
             out.append(float(x[i] + shift * dx))

@@ -144,20 +144,21 @@ class _SubflowWork:
     ``mask`` picks the stage-1 candidates on the whole grid.  Every other
     use is of the leading part of an array, as long as the points it
     serves.  Stage 1 gathers the candidates' field into ``v``, their |g|^2
-    and then |2 pi k dz chi| into ``g2``, their chi into ``chi`` and their
+    and then |2 pi k dz chi| into ``g2``, their chi into ``r`` and their
     skip test into ``mask``.  Stages 2-4 hold the gathered live field in
-    ``start``, the running RK4 sum in ``total``, the stage value and slope
-    in ``v`` and ``r``, their |g|^2 in ``g2`` and chi in ``chi``.  Each
-    |g|^2 is formed with the real parts of ``chi`` as scratch, before the
-    lookup fills it.  Pages that are never written are never resident, so
-    the gathered stages cost memory for the points they step only.
+    ``start``, the running RK4 sum in ``total``, the stage value in ``v``
+    and its |g|^2 in ``g2``; each slope is formed in ``r`` over its chi,
+    which the lookup writes there.  Each |g|^2 is formed with the real
+    parts of ``r`` as scratch, before the lookup fills it.  Pages that are
+    never written are never resident, so the gathered stages cost memory
+    for the points they step only.
     """
 
     def __init__(self, size: int):
         self.g2 = np.empty(size)
         self.mask = np.empty(size, dtype=bool)
-        self.chi, self.start, self.total, self.v, self.r = (
-            np.empty(size, dtype=complex) for _ in range(5))
+        self.start, self.total, self.v, self.r = (
+            np.empty(size, dtype=complex) for _ in range(4))
 
 
 def _abs2(v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -205,7 +206,10 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
     array; any other is a ValueError), which it returns; a ValueError
     leaves ``values`` as it was, and the kept points are never written.
     ``work`` holds the arrays the call steps in, made for this call when
-    not given.
+    not given.  Each lookup's ``out`` is the leading part of ``work.r``,
+    whose real parts are the scratch of the |g|^2 handed to it; the slope
+    the lookup serves is then formed there over its chi, so chi needs no
+    array of its own.
     """
     if not values.flags.c_contiguous:
         raise ValueError("the sub-flow steps a C-contiguous array in place")
@@ -231,8 +235,8 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
         # complex, so that it gathers into a complex array whatever the
         # lookup's dtype
         chi = np.asarray(lookup(G2, _abs2(field, work.g2[:n],
-                                          work.chi.real[:n]),
-                                out=work.chi[:n]), dtype=complex)
+                                          work.r.real[:n]),
+                                out=work.r[:n]), dtype=complex)
         increment = np.abs(chi, out=work.g2[:n])
         increment *= abs(weight)
         # NaN and inf increments are left to the caller's non-finite check
@@ -250,12 +254,12 @@ def _medium_subflow(values: np.ndarray, control_I: np.ndarray, lookup,
         G2 = G2.take(steps)
         start = field.take(steps, out=work.start[:n], mode="clip")
         chi = chi.take(steps, out=work.total[:n], mode="clip")
-        g2, chi_n = work.g2[:n], work.chi[:n]
+        g2 = work.g2[:n]
 
         def rate(v, out):
-            """chi(|v|^2) v into out."""
-            return np.multiply(lookup(G2, _abs2(v, g2, chi_n.real),
-                                      out=chi_n), v, out=out)
+            """chi(|v|^2) v into out, chi looked up into out first."""
+            return np.multiply(lookup(G2, _abs2(v, g2, out.real), out=out),
+                               v, out=out)
 
         # the slopes r1..r4 lack their common factor 2 i pi k; total sums
         # r1 + 2 r2 + 2 r3 + r4 in that order as they come, and each stage
@@ -355,8 +359,6 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
     else:
         def lookup(G2, g2, out=None):
             return chi_doppler_averaged(FieldPoint(g2, G2), params, out=out)
-        # the average is exactly 0 at |G|^2 = 0, whatever the |g|^2
-        lookup.inert_G2 = lambda chi_max: 0.0
 
     field = probe.copy()
     field.z = 0.0
@@ -368,7 +370,9 @@ def propagate(probe: ComplexField2D, control: ControlBeamSpec,
         substeps = plan.substeps()
         # per sub-step length, the |G|^2 at or below which the lookup
         # cannot move the probe, and the |g|^2 up to which that holds; a
-        # lookup that states no such cut leaves no point out
+        # lookup that states no such cut, as the direct average, leaves no
+        # point out (the skip rule keeps the average's |G|^2 = 0 points,
+        # where it is exactly 0)
         inert_G2 = getattr(lookup, "inert_G2", lambda chi_max: -np.inf)
         top = getattr(lookup, "g_abs2_max", np.inf)
         inert = {frac: (inert_G2(SKIP_INCREMENT

@@ -425,7 +425,9 @@ class ChiTable:
     table: a ``_TileStore`` over the node lattice holds them, and the table
     never computes where in it a node sits.  Row 0 is computed once, at
     construction, into its own vector (``_row0``), and fills no tile: the
-    below-both-floors shortcut reads its first node.
+    below-both-floors shortcut reads its first node.  The one routine that
+    reads every cell, ``_midpoint_errors``, fills the missing tiles once
+    and measures both axes on them.
 
     ``_nodes`` is the one routine that computes nodes, 8 bytes a node: at
     integer node indices, the index past an axis' end clipped to its last
@@ -621,26 +623,25 @@ class ChiTable:
         return self._relative_error(
             G2q, g2q, self._interpolate(G2q, g2q, self._computed_corners))
 
-    def _axis_midpoint_error(self, axis: int) -> float:
-        """Worst relative interpolation error at cell midpoints of one axis.
+    def _midpoint_errors(self) -> tuple[float, float]:
+        """Worst relative interpolation error at the cell midpoints of each
+        axis, (|G|^2, |g|^2).
 
         Midpoints are where bilinear interpolation is worst; measuring each
         axis separately sizes the table anisotropically.  The lattice
-        reaches every cell, so the missing tiles are filled first
-        (``_TileStore.fill_all``).  It is measured in blocks of whole rows,
-        at most AVERAGE_BLOCK points each (one row if a row is longer), and
-        the max over blocks is the max over the lattice.
+        reaches every cell, so the missing tiles are filled first, once for
+        both axes (``_TileStore.fill_all``).  Each axis is measured in blocks
+        of whole rows, at most AVERAGE_BLOCK points each (one row if a row
+        is longer), and the max over blocks is the max over the lattice.
         """
         self._store.fill_all()
-        if axis == 0:
-            Gq = np.sqrt(self._G2[:-1] * self._G2[1:])
-            gq = self._g2
-        else:
-            Gq = self._G2
-            gq = np.sqrt(self._g2[:-1] * self._g2[1:])
-        rows = max(1, AVERAGE_BLOCK // gq.size)
-        return max(self._relative_error(Gq[start:start + rows, None], gq)
-                   for start in range(0, Gq.size, rows))
+        errors = []
+        for Gq, gq in ((np.sqrt(self._G2[:-1] * self._G2[1:]), self._g2),
+                       (self._G2, np.sqrt(self._g2[:-1] * self._g2[1:]))):
+            rows = max(1, AVERAGE_BLOCK // gq.size)
+            errors.append(max(self._relative_error(Gq[i:i + rows, None], gq)
+                              for i in range(0, Gq.size, rows)))
+        return tuple(errors)
 
 
 def build_chi_table(G_abs2_max: float, g_abs2_max: float,
@@ -649,9 +650,10 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     """Build a ChiTable covering [0, G_abs2_max] x [0, g_abs2_max].
 
     Each round measures the last table's worst midpoint error along each
-    axis; as bilinear error falls with the square of the node spacing, that
-    gives each axis the node count, at most MAX_NODES, that meets 0.6 of
-    the target.  The last table is released, and its successor is
+    axis (``_midpoint_errors``, both axes from one fill of its missing
+    tiles); as bilinear error falls with the square of the node spacing,
+    that gives each axis the node count, at most MAX_NODES, that meets 0.6
+    of the target.  The last table is released, and its successor is
     verified on ``max_relative_error``'s fixed probe set (1000 log-uniform
     points drawn with seed 0), which computes the probes' corner nodes and
     fills no tile: the table returned holds no tile, and a run fills the
@@ -680,9 +682,8 @@ def build_chi_table(G_abs2_max: float, g_abs2_max: float,
     # each axis grows by at least one node, so the pilot is always resized
     for _ in range(2):
         shape = []
-        for axis, n in enumerate(table.shape):
-            factor = np.sqrt(table._axis_midpoint_error(axis)
-                             / (headroom * target_error))
+        for n, error in zip(table.shape, table._midpoint_errors()):
+            factor = np.sqrt(error / (headroom * target_error))
             shape.append(min(MAX_NODES,
                              int(np.ceil(n * max(factor, 1.0))) + 1))
         if tuple(shape) == table.shape:  # both axes are at MAX_NODES already

@@ -133,10 +133,12 @@ class TestPeakPositions:
                                    atol=1e-12)
 
     def test_threshold_discards_weak_bumps(self):
-        f = field_from(gaussian(48e-4) + 0.01 * gaussian(20e-4, x0=400e-4))
-        # side bump carries (0.01/0.2)^2 = 2.5e-3 of the peak intensity
-        assert len(peak_positions(f, threshold=0.05)) == 1
-        assert len(peak_positions(f, threshold=1e-5)) == 2
+        # a side bump a times the peak's amplitude carries a^2 of its
+        # intensity: 1e-4 and 0.04 are under PEAK_THRESHOLD = 0.05, 0.0625
+        # is over it
+        for a, peaks in ((0.01, 1), (0.2, 1), (0.25, 2)):
+            f = field_from(gaussian(48e-4) + a * gaussian(20e-4, x0=400e-4))
+            assert len(peak_positions(f)) == peaks
 
     def test_empty_for_dark_field(self):
         assert peak_positions(field_from(np.zeros((256, 256)))) == []

@@ -169,6 +169,15 @@ class TestProbes:
             ProbeSpec(width=-1.0)
         with pytest.raises(ValueError):
             ProbeSpec(kind="double_gaussian", centers=(1e-4, 1e-4))
+        for spec, kwargs, message in (
+                (ProbeSpec, dict(g0=-0.1), "g0 must be non-negative"),
+                (ControlBeamSpec, dict(G0=-1.0), "G0 must be non-negative"),
+                (ControlBeamSpec, dict(waist_wc=0.0),
+                 "waist_wc must be positive"),
+                (ControlBeamSpec, dict(wavelength=0.0),
+                 "wavelength must be positive")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                spec(**kwargs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_specs_reject_non_finite_inputs(self, value):

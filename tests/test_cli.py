@@ -651,6 +651,52 @@ def test_analyze_needs_the_manifest_and_every_listed_snapshot(tiny_config,
     assert "no manifest.json of a propagate run" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("not json", "cannot read the snapshot list in {listing}: "
+     "JSONDecodeError('Expecting value: line 1 column 1 (char 0)')"),
+    ('{"tool_version": "0.1.0"}',
+     "cannot read the snapshot list in {listing}: KeyError('outputs')"),
+    ('{"outputs": [{"path": "diagnostics.csv", "sha256": "0"}]}',
+     "{listing} lists no field snapshots"),
+], ids=("not-json", "no-outputs", "no-rbpf"))
+def test_analyze_refuses_a_manifest_listing_no_snapshot(tiny_config, tmp_path,
+                                                        capsys, text, problem):
+    out_dir = tmp_path / "listing"
+    out_dir.mkdir()
+    listing = out_dir / "manifest.json"
+    listing.write_text(text)
+    assert main(["analyze", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {problem.format(listing=listing)}\n")
+    assert not (out_dir / "analysis.csv").exists()
+
+
+def test_analyze_refuses_a_snapshot_of_zero_power(tiny_config, tmp_path,
+                                                  capsys):
+    out_dir = tmp_path / "zero"
+    assert main(["propagate", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 0
+    # a well-formed snapshot of no light, listed with its own checksum
+    snapshot = out_dir / "field_step05.rbpf"
+    dark = read_field(snapshot)
+    dark.values[...] = 0.0
+    write_field(snapshot, dark)
+    listing = out_dir / "manifest.json"
+    manifest = json.loads(listing.read_text())
+    for entry in manifest["outputs"]:
+        if entry["path"] == snapshot.name:
+            entry["sha256"] = sha256_of(snapshot)
+    listing.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(tiny_config),
+                 "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {listing}: beam width is undefined for a "
+        "zero-power field\n")
+    assert not (out_dir / "analysis.csv").exists()
+
+
 def test_analyze_refuses_a_manifest_listing_snapshots_out_of_z_order(
         tiny_config, tmp_path, capsys):
     out_dir = tmp_path / "reversed"

@@ -95,6 +95,18 @@ class TestParseConfig:
         assert err.value.violations == [
             f"line {lineno}: [grid] nx = '2x' is not a valid int"]
 
+    def test_non_boolean_chi_table_names_its_line(self, tmp_path):
+        base = (PRESETS / "guided_gaussian.ini").read_text()
+        assert base.count("[run]\n") == 1
+        text = base.replace("[run]\n", "[run]\nchi_table = maybe\n")
+        path = tmp_path / "maybe.ini"
+        path.write_text(text)
+        lineno = text.splitlines().index("chi_table = maybe") + 1
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(path)
+        assert err.value.violations == [
+            f"line {lineno}: [run] chi_table = 'maybe' is not a valid bool"]
+
     def test_beam_spec_and_grid_problems_reported_together(self, tmp_path):
         base = (PRESETS / "guided_gaussian.ini").read_text()
         path = tmp_path / "three.ini"
@@ -450,6 +462,17 @@ class TestSnapshotFormat:
         with pytest.raises(SnapshotFormatError):
             read_field(path)
 
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "v2.rbpf"
+        grid = TransverseGrid(nx=8, ny=4, extent=0.08)
+        write_field(path, ComplexField2D(np.ones((8, 4)), grid, 0.0))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 2)
+        path.write_bytes(raw)
+        with pytest.raises(fieldio.SnapshotFormatError,
+                           match=r"v2\.rbpf: unsupported version 2$"):
+            read_field(path)
+
 
 def formatted(values) -> bytes:
     """The CSV writers' text of each value, one to a line."""
@@ -566,6 +589,8 @@ class TestManifestAndLock:
         assert man.verify_outputs(tmp_path) == []
         out.write_text("tampered\n")
         assert man.verify_outputs(tmp_path) == ["a.csv: checksum mismatch"]
+        out.unlink()
+        assert man.verify_outputs(tmp_path) == ["a.csv: missing"]
 
     def test_manifest_records_defaulted_keys(self, tmp_path):
         cfg = parse_config(PRESETS / "guided_gaussian.ini")

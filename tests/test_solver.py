@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rbprop.solver as solver
+import rbprop.susceptibility as susceptibility
 from rbprop.analysis import beam_width
 from rbprop.beams import (ControlBeamSpec, ProbeSpec, control_intensity,
                           make_probe)
@@ -53,6 +54,13 @@ def half_step_chain(probe, plan, n_steps):
             chain = diffraction_step(chain, 0.5 * sub, K)
             chain = diffraction_step(chain, 0.5 * sub, K)
     return chain
+
+
+def test_a_field_of_another_shape_than_its_grid_is_refused():
+    grid = TransverseGrid(nx=8, ny=8, extent=0.1)
+    with pytest.raises(ValueError, match=r"^field shape \(8, 4\) does not "
+                       r"match grid \(8, 8\)$"):
+        ComplexField2D(np.zeros((8, 4)), grid)
 
 
 class TestDiffraction:
@@ -355,6 +363,34 @@ def guided_medium():
     control_I = control_intensity(cfg.control, grid.transverse,
                                   0.05 + 0.5 * grid.dz)
     return end.values, control_I, tables[0], cfg.params.wavenumber, grid.dz
+
+
+def test_no_average_is_made_over_zero_points(monkeypatch):
+    # a table measures its midpoints from one fill of its missing tiles, and
+    # a lookup fills only tiles it reaches: no call averages an empty range
+    average = susceptibility.chi_doppler_averaged
+    sizes = []
+
+    def counted(point, params, out=None):
+        sizes.append(np.broadcast(np.asarray(point.g_abs2),
+                                  np.asarray(point.G_abs2)).size)
+        return average(point, params, out=out)
+
+    monkeypatch.setattr(susceptibility, "chi_doppler_averaged", counted)
+    cfg = parse_config(PRESETS / "guided_gaussian.ini")
+    probe = make_probe(cfg.probe, cfg.grid.transverse)
+    # the guided run's tops, as propagate sets them
+    z_peak = np.clip(cfg.control.waist_position_z0, 0.0, cfg.grid.cell_length)
+    build_chi_table(cfg.control.peak_intensity(z_peak),
+                    solver.PROBE_PEAK_HEADROOM
+                    * np.max(np.abs(probe.values) ** 2), cfg.params)
+    built = len(sizes)
+    grid = GridSpec(cfg.grid.transverse, dz=cfg.grid.dz, cell_length=0.02)
+    propagate(probe, cfg.control, cfg.params, grid, StepPlan(grid),
+              on_snapshot=ignore)
+    # the lit run builds its own table and fills tiles as it steps
+    assert 0 < built < len(sizes)
+    assert min(sizes) > 0
 
 
 @pytest.mark.parametrize("frac", (1.0,) + solver.ORDER4_COEFFS)

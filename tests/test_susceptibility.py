@@ -511,8 +511,9 @@ class TestChiTable:
         assert table.max_relative_error() == probe_error(table, 1000, 0)
 
     def test_rejects_out_of_range(self, table):
+        assert table.G_abs2_max == 0.185
         with pytest.raises(ValueError):
-            table(0.185 * 1.2, 0.01)
+            table(table.G_abs2_max * 1.2, 0.01)
         with pytest.raises(ValueError):
             table(0.1, table.g_abs2_max * 1.2)
         with pytest.raises(ValueError):
@@ -599,7 +600,7 @@ class TestChiTable:
         else:
             g2 = np.sqrt(g2[:-1] * g2[1:])
         GG, gg = np.meshgrid(G2, g2, indexing="ij")
-        assert table._axis_midpoint_error(axis) \
+        assert table._midpoint_errors()[axis] \
             == table._relative_error(GG, gg)
 
     @pytest.mark.parametrize("tops", [(np.inf, 0.06), (0.185, np.inf),
